@@ -38,43 +38,12 @@ pub fn is_framed(source: &str) -> bool {
     source.lines().next() == Some(FRAMED_HEADER)
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// IEEE CRC-32 (the zlib/PNG polynomial) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
+pub use crace_vclock::ckpt::crc32;
 
 fn frame(payload: &str) -> String {
-    format!(
-        "={}:{:08x} {payload}",
-        payload.len(),
-        crc32(payload.as_bytes())
-    )
+    let mut out = String::with_capacity(payload.len() + 16);
+    crace_vclock::ckpt::frame(&mut out, payload);
+    out
 }
 
 /// Renders one event as a single framed record line (no trailing
@@ -143,49 +112,7 @@ impl std::fmt::Display for TornTrace {
 
 /// One framed line checked and unwrapped to its payload.
 fn unframe(line: &str, lineno: usize) -> Result<&str, TraceParseError> {
-    let body = line
-        .strip_prefix('=')
-        .ok_or_else(|| torn(lineno, format!("not a framed record: `{}`", clip(line))))?;
-    let (len_text, rest) = body
-        .split_once(':')
-        .ok_or_else(|| torn(lineno, "record header cut before `:`"))?;
-    let len: usize = len_text
-        .parse()
-        .map_err(|_| torn(lineno, format!("bad record length `{}`", clip(len_text))))?;
-    let (crc_text, payload) = rest
-        .split_once(' ')
-        .ok_or_else(|| torn(lineno, "record header cut before payload"))?;
-    let crc = (crc_text.len() == 8)
-        .then(|| u32::from_str_radix(crc_text, 16).ok())
-        .flatten()
-        .ok_or_else(|| torn(lineno, format!("bad record checksum `{}`", clip(crc_text))))?;
-    if payload.len() != len {
-        return Err(torn(
-            lineno,
-            format!(
-                "record cut short: header says {len} byte(s), line has {}",
-                payload.len()
-            ),
-        ));
-    }
-    if crc32(payload.as_bytes()) != crc {
-        return Err(torn(
-            lineno,
-            format!(
-                "checksum mismatch (expected {crc_text}, payload hashes to {:08x})",
-                crc32(payload.as_bytes())
-            ),
-        ));
-    }
-    Ok(payload)
-}
-
-fn clip(text: &str) -> String {
-    let mut s: String = text.chars().take(24).collect();
-    if s.len() < text.len() {
-        s.push('…');
-    }
-    s
+    crace_vclock::ckpt::unframe(line).map_err(|e| torn(lineno, e))
 }
 
 /// Strict framed parse: any torn record is an error (kind
@@ -427,13 +354,6 @@ mod tests {
         )
         .unwrap();
         (trace, spec)
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // The classic check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -63,6 +63,7 @@ mod direct;
 mod engine;
 pub mod oracle;
 mod points;
+mod shard;
 mod translate;
 
 pub use checkpoint::{builtin_resolver, Checkpoint, SpecResolver};

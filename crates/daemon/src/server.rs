@@ -804,7 +804,7 @@ struct Resumed {
 }
 
 /// Reopens a session from its durable state: restores the last
-/// checkpoint when it is intact and matches the requested shape, falls
+/// checkpoint when it is intact and matches the requested spec, falls
 /// closed to a full capture replay otherwise, clips a torn capture tail
 /// to the valid prefix with exact loss accounting, replays the tail past
 /// the checkpoint, and reopens the *same* capture lineage in append mode
@@ -828,20 +828,17 @@ fn resume_session(inner: &Arc<Inner>, resume: &Resume) -> Result<Resumed, String
         inner.cfg.default_workers
     };
 
-    // The checkpoint, if present, intact, and for this exact session
-    // shape; anything else falls closed to a full capture replay.
+    // The checkpoint, if present, intact, and for this spec (at any
+    // width); anything else falls closed to a full capture replay. The
+    // failure counter is exported from the first RESUME on, even at 0.
+    let restore_failures = inner.registry.counter("daemon.checkpoint_restore_failures");
     let ckpt_text = std::fs::read_to_string(dir.join(format!("{}.ckpt", resume.session))).ok();
     let ckpt = ckpt_text
         .as_deref()
         .and_then(|text| match peek_checkpoint_meta(text) {
-            Ok(meta) if meta.spec_name == resume.spec && meta.workers == workers => {
-                Some((text, meta))
-            }
+            Ok(meta) if meta.spec_name == resume.spec => Some((text, meta)),
             Ok(_) | Err(_) => {
-                inner
-                    .registry
-                    .counter("daemon.checkpoint_restore_failures")
-                    .inc();
+                restore_failures.inc();
                 None
             }
         });
@@ -931,10 +928,7 @@ fn resume_session(inner: &Arc<Inner>, resume: &Resume) -> Result<Resumed, String
         if restored {
             from = meta.seq as usize;
         } else {
-            inner
-                .registry
-                .counter("daemon.checkpoint_restore_failures")
-                .inc();
+            restore_failures.inc();
             // The half-restored session is scrap: retire it, start clean.
             session.finalize(true, None);
             session = spawn(make_cfg())?;

@@ -50,7 +50,8 @@ pub const SESSION_CKPT_KIND: &str = "craced-session";
 pub struct CkptMeta {
     /// Spec name the session detected against.
     pub spec_name: String,
-    /// Worker count (0 = serial).
+    /// Worker count (0 = serial) the checkpoint was taken at —
+    /// information only: a resume may run at any width.
     pub workers: usize,
     /// Records the detector had absorbed when the checkpoint was taken.
     pub seq: u64,
@@ -587,8 +588,9 @@ impl Session {
     }
 
     /// Restores a freshly-spawned session from a [`Session::checkpoint_blob`]:
-    /// validates the spec name and worker count against this session's
-    /// configuration, rebuilds the lazily-registered object set *without*
+    /// validates the spec name against this session's configuration (the
+    /// worker count may differ — every width reads the one `rd2` detector
+    /// state), rebuilds the lazily-registered object set *without*
     /// re-registering (registration wipes object state the nested restore
     /// is about to install), restores the detector, and fast-forwards the
     /// ingest sequence. Returns the sequence number the capture tail must
@@ -607,15 +609,6 @@ impl Session {
                 format!(
                     "checkpoint is for spec `{}`, session runs `{}`",
                     meta.spec_name, self.spec_name
-                ),
-            ));
-        }
-        if meta.workers != self.workers {
-            return Err(CkptError::at(
-                2,
-                format!(
-                    "checkpoint took {} worker(s), session runs {}",
-                    meta.workers, self.workers
                 ),
             ));
         }

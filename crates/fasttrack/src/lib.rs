@@ -356,7 +356,7 @@ impl crace_core::Checkpoint for FastTrack {
         let mut words = vec!["abandoned".to_string(), abandoned.len().to_string()];
         words.extend(abandoned.iter().map(u32::to_string));
         w.rec(&words.join(" "));
-        ck::report_write(&mut w, "", &self.report.lock());
+        ck::report_write(&mut w, &self.report.lock());
         let mut vars: Vec<(LocId, VarState)> = Vec::new();
         for shard in &self.shards {
             for (loc, var) in shard.lock().iter() {
@@ -448,7 +448,7 @@ impl crace_core::Checkpoint for FastTrack {
         self.has_abandoned
             .store(!abandoned.is_empty(), Ordering::Relaxed);
         *self.abandoned.write() = abandoned;
-        *self.report.lock() = ck::report_read(&mut r, "")?;
+        *self.report.lock() = ck::report_read(&mut r)?;
         for shard in &self.shards {
             shard.lock().clear();
         }

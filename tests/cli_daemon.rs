@@ -5,6 +5,7 @@
 use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
@@ -22,12 +23,14 @@ struct Daemon {
 
 impl Daemon {
     /// Spawns `crace serve --tcp 127.0.0.1:0` with extra args, waits for
-    /// the addr file, returns the handle.
+    /// the addr file, returns the handle. Each call gets its own directory,
+    /// so concurrently running tests never delete each other's addr file.
     fn spawn(extra: &[&str]) -> Daemon {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "craced-test-{}-{}",
             std::process::id(),
-            extra.len()
+            NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -209,6 +209,41 @@ fn killed_and_resumed_sessions_report_bit_for_bit() {
     }
 }
 
+/// A checkpoint restores at any width: a session killed at one worker
+/// count and resumed at another (serial ↔ sharded, wide → narrow)
+/// restores from its checkpoint — no capture-replay fallback — and still
+/// reports bit-for-bit.
+#[test]
+fn resume_at_a_changed_width_restores_from_the_checkpoint() {
+    for (i, (before, after)) in [(0usize, 4usize), (2, 0), (8, 1)].into_iter().enumerate() {
+        let trace = random_trace(107 + i as u64, 140);
+        let offline = offline_json(&trace);
+        let dir = record_dir(&format!("width-{i}"));
+        let session = format!("width-{i}");
+        stream_then_kill(durable_config(&dir, 16), &session, &trace, before, 100);
+        assert!(
+            dir.join(format!("{session}.ckpt")).exists(),
+            "{before}->{after}: no checkpoint to resume from"
+        );
+        let (report, events, server) =
+            resume_and_finish(durable_config(&dir, 16), &session, &trace, after);
+        assert_eq!(
+            report, offline,
+            "{before}->{after} workers: resumed report diverges from the uninterrupted run"
+        );
+        assert_eq!(events, trace.len() as u64, "{before}->{after}");
+        let counter = |name: &str| server.registry().counter(name).get();
+        assert_eq!(counter("daemon.sessions_resumed"), 1, "{before}->{after}");
+        assert_eq!(
+            counter("daemon.checkpoint_restore_failures"),
+            0,
+            "{before}->{after}: the checkpoint must serve the resume"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// With checkpointing disabled the resume falls back to a full capture
 /// replay and still reports bit-for-bit.
 #[test]
