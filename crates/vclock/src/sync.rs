@@ -161,6 +161,15 @@ impl SyncClocks {
         self.threads.iter()
     }
 
+    /// Iterates the initialized thread clocks `(τ, T(τ))` in tid order —
+    /// the slots [`SyncClocks::peek_clock`] answers.
+    pub fn initialized(&self) -> impl Iterator<Item = (ThreadId, &VectorClock)> {
+        (0..self.threads.len() as u32).filter_map(|t| {
+            self.peek_clock(ThreadId(t))
+                .map(|clock| (ThreadId(t), clock))
+        })
+    }
+
     /// Iterates the lock-clock map `L` in arbitrary order, for
     /// checkpoint serialization (callers sort for determinism).
     pub fn lock_slots(&self) -> impl Iterator<Item = (LockId, &VectorClock)> {
