@@ -26,13 +26,12 @@ use crate::engine::{ClockMode, ObjState};
 use crate::points::{AccessPoint, ClassId, CompiledSpec};
 use crate::shard::{Findings, GcCounters, Shard, ShardConfig};
 use crace_model::{
-    Action, LocId, LockId, MethodId, ObjId, Provenance, RaceKind, RaceRecord, RaceReport, ThreadId,
-    Value,
+    Action, LocId, MethodId, ObjId, Provenance, RaceKind, RaceRecord, RaceReport, ThreadId, Value,
 };
 use crace_vclock::ckpt::{
     clocks_write, esc, stats_parse, stats_word, CkptError, CkptReader, CkptRecord, CkptWriter,
 };
-use crace_vclock::{SyncClocks, VectorClock};
+use crace_vclock::SyncClocks;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -423,81 +422,26 @@ pub(crate) struct Rd2Meta {
     pub gc: GcCounters,
 }
 
-/// Streams an `rd2` checkpoint. [`Rd2Writer::new`] writes, in order:
-/// `meta <mode> <window|-> <shed> <events> <syncs> <gc-retired>
-/// <gc-probes> <gc-stats>`; a `thread <tid> <vc>` record per initialized
-/// thread (tid order) and a `lock <id> <vc>` record per lock (id order);
-/// the `abandoned` set; the `joined` set (initialized threads outside
-/// the GC live set, empty from a front-end without GC); the report. The
-/// caller then adds every registered object in id order with
-/// [`Rd2Writer::object`].
-pub(crate) struct Rd2Writer {
-    w: CkptWriter,
-    cfg: ShardConfig,
-}
-
-impl Rd2Writer {
-    pub fn new<'c>(
-        cfg: ShardConfig,
-        meta: &Rd2Meta,
-        threads: impl IntoIterator<Item = (ThreadId, &'c VectorClock)>,
-        locks: impl IntoIterator<Item = (LockId, &'c VectorClock)>,
-        abandoned: &[ThreadId],
-        joined: &[ThreadId],
-        report: &RaceReport,
-    ) -> Rd2Writer {
-        let mut w = CkptWriter::new(RD2_KIND);
-        w.rec(&format!(
-            "meta {} {} {} {} {} {} {} {}",
-            mode_word(cfg.mode),
-            cfg.provenance_window
-                .map_or("-".to_string(), |p| p.to_string()),
-            meta.shed,
-            meta.events,
-            meta.syncs,
-            meta.gc.retired,
-            meta.gc.probes,
-            stats_word(&meta.gc.stats)
-        ));
-        clocks_write(&mut w, threads, locks);
-        for (tag, tids) in [("abandoned", abandoned), ("joined", joined)] {
-            let mut words = vec![tag.to_string(), tids.len().to_string()];
-            words.extend(tids.iter().map(|t| t.0.to_string()));
-            w.rec(&words.join(" "));
-        }
-        report_write(&mut w, report);
-        Rd2Writer { w, cfg }
-    }
-
-    /// Writes one registered object: `object <id> <spec-name>` and its
-    /// shadow state (an empty one while it has none yet).
-    pub fn object(&mut self, obj: ObjId, spec: &CompiledSpec, state: Option<&ObjState>) {
-        self.w
-            .rec(&format!("object {} {}", obj.0, esc(spec.spec().name())));
-        match state {
-            Some(state) => state.ckpt_write(&mut self.w),
-            None => self.cfg.new_state().ckpt_write(&mut self.w),
-        }
-    }
-
-    pub fn finish(self) -> String {
-        self.w.finish()
-    }
-}
-
 /// The `rd2` checkpoint of a front-end whose objects live in `shards`
-/// under the Table 1 clocks `sync`: the shards' findings merge into the
-/// one report, their GC totals add into `meta.gc`, their live sets unite,
-/// and their objects form one id-ordered list.
-pub(crate) fn write_shards(
+/// under the Table 1 clocks `sync`. In order: `meta <mode> <window|->
+/// <shed> <events> <syncs> <gc-retired> <gc-probes> <gc-stats>` (the
+/// shards' GC totals added into `meta.gc`); a `thread <tid> <vc>` record
+/// per initialized thread (tid order) and a `lock <id> <vc>` record per
+/// lock (id order); the `abandoned` set; the `joined` set (initialized
+/// threads outside the union of the shards' GC live sets, empty without
+/// GC); the shards' findings merged into one report; then every
+/// registered object in id order with its shadow state (an empty one
+/// while it has none yet).
+pub(crate) fn write_shards<'s>(
     cfg: ShardConfig,
     sync: &SyncClocks,
     mut meta: Rd2Meta,
     abandoned: &[ThreadId],
-    shards: &[Shard],
+    shards: impl IntoIterator<Item = &'s Shard>,
 ) -> String {
+    let shards: Vec<&Shard> = shards.into_iter().collect();
     let mut live: Option<HashSet<ThreadId>> = Some(HashSet::new());
-    for shard in shards {
+    for shard in &shards {
         meta.gc.merge(&shard.gc());
         live = live.zip(shard.live()).map(|(all, l)| &all | l);
     }
@@ -507,20 +451,37 @@ pub(crate) fn write_shards(
         .map(|(t, _)| t)
         .filter(finished)
         .collect();
-    let report = Findings::merge(shards.iter().map(Shard::findings));
-    let mut w = Rd2Writer::new(
-        cfg,
-        &meta,
-        sync.initialized(),
-        sync.lock_slots(),
-        abandoned,
-        &joined,
-        &report,
+    let mut w = CkptWriter::new(RD2_KIND);
+    w.rec(&format!(
+        "meta {} {} {} {} {} {} {} {}",
+        mode_word(cfg.mode),
+        cfg.provenance_window
+            .map_or("-".to_string(), |p| p.to_string()),
+        meta.shed,
+        meta.events,
+        meta.syncs,
+        meta.gc.retired,
+        meta.gc.probes,
+        stats_word(&meta.gc.stats)
+    ));
+    clocks_write(&mut w, sync.initialized(), sync.lock_slots());
+    for (tag, tids) in [("abandoned", abandoned), ("joined", &joined[..])] {
+        let mut words = vec![tag.to_string(), tids.len().to_string()];
+        words.extend(tids.iter().map(|t| t.0.to_string()));
+        w.rec(&words.join(" "));
+    }
+    report_write(
+        &mut w,
+        &Findings::merge(shards.iter().map(|s| s.findings())),
     );
-    let mut objects: Vec<_> = shards.iter().flat_map(Shard::registered).collect();
+    let mut objects: Vec<_> = shards.iter().flat_map(|s| s.registered()).collect();
     objects.sort_unstable_by_key(|&(obj, ..)| obj);
     for (obj, spec, state) in objects {
-        w.object(obj, spec, state);
+        w.rec(&format!("object {} {}", obj.0, esc(spec.spec().name())));
+        match state {
+            Some(state) => state.ckpt_write(&mut w),
+            None => cfg.new_state().ckpt_write(&mut w),
+        }
     }
     w.finish()
 }

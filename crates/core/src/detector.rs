@@ -211,7 +211,8 @@ impl Analysis for TraceDetector {
             return;
         }
         *seq += 1;
-        shard.action(*seq, tid, action, sync.clock(tid));
+        let seq = *seq;
+        shard.action(|| seq, tid, action, sync.clock(tid));
     }
 
     /// Finalizes a dead thread: retires its sync clock and sheds any
@@ -247,7 +248,7 @@ impl crate::Checkpoint for TraceDetector {
             &inner.sync,
             meta,
             &inner.abandoned.tids(),
-            std::slice::from_ref(&inner.shard),
+            [&inner.shard],
         )
     }
 

@@ -11,18 +11,20 @@
 //!   by one worker and workers need no locks around their shadow state —
 //!   each worker runs Algorithm 1 through its own `Shard`, the same state
 //!   machine the serial detector is;
-//! * **sync broadcast** — fork/join/acquire/release events are broadcast
-//!   *in ingress order* to every worker. Synchronization events are the
-//!   only events that modify thread clocks (action events read `T(τ)` but
-//!   never write it — the last row of Table 1), so every worker's private
-//!   [`SyncClocks`] replays exactly the serial detector's clock state at
-//!   every point of the stream, and each shard sees a happens-before-
-//!   consistent sub-stream (the offline [`ParallelRd2::ingest_shared`]
-//!   path goes further: the ingress replays sync events once against a
-//!   master replica and ships workers the resulting clocks, so the
-//!   joins are not redone per worker);
-//! * **batched delivery** — events travel through bounded per-worker rings
-//!   in batches; batch buffers are pooled and recycled between producer
+//! * **one Table 1 replay** — the ingress is the only place synchronization
+//!   events are applied, on its master [`SyncClocks`]. Each
+//!   fork/join/acquire/release (and a thread's first action, which
+//!   initializes its clock as the serial detector does) yields the thread
+//!   clocks it set as `Arc`'d `ClockSet`s, and every worker receives them
+//!   *in ingress order*: broadcast one event at a time on the online path,
+//!   inside the chunk's message on the [`ParallelRd2::ingest_shared`] path.
+//!   A worker installs a clock with a pointer swap and never redoes a
+//!   join. Action events read `T(τ)` but never write it (the last row of
+//!   Table 1), so each worker's clocks are exactly the serial detector's at
+//!   every one of its actions;
+//! * **batched delivery** — events travel in batches through bounded
+//!   per-worker rings of `QUEUE_DEPTH` batches (producers block while a
+//!   ring is full); batch buffers are pooled and recycled between producer
 //!   and worker, so steady-state delivery does not allocate per batch;
 //! * **deterministic merge** — every race is tagged with the global
 //!   ingress sequence number of its action; [`ParallelRd2::report`]
@@ -75,6 +77,10 @@ use std::thread::JoinHandle;
 /// Maximum recycled batch buffers kept per worker ring.
 const FREE_POOL: usize = 16;
 
+/// Maximum in-flight batches per worker ring; producers block (back
+/// pressure) when a ring is full.
+const QUEUE_DEPTH: usize = 8;
+
 /// Tuning knobs of the parallel pipeline. The defaults favor throughput;
 /// tests shrink `batch` to exercise multi-batch delivery on small traces.
 #[derive(Clone, Debug)]
@@ -83,9 +89,6 @@ pub struct ParallelConfig {
     /// barriers flush partial batches). Larger batches amortize ring
     /// synchronization; smaller ones reduce detection latency.
     pub batch: usize,
-    /// Maximum in-flight batches per worker ring; producers block (back
-    /// pressure) when a ring is full.
-    pub queue_depth: usize,
     /// Access-point clock representation, as in the serial detectors.
     pub mode: ClockMode,
     /// When set, workers collect race provenance with this event window.
@@ -123,7 +126,6 @@ impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
         ParallelConfig {
             batch: 512,
-            queue_depth: 8,
             mode: ClockMode::Adaptive,
             provenance_window: None,
             gc_every: 0,
@@ -133,13 +135,11 @@ impl Default for ParallelConfig {
     }
 }
 
-/// One message on a worker ring. Sync events and control messages are
+/// One message on a worker ring. Clock updates and control messages are
 /// broadcast to all workers; actions go to their object's owner only.
 enum Msg {
-    Fork(ThreadId, ThreadId),
-    Join(ThreadId, ThreadId),
-    Acquire(ThreadId, LockId),
-    Release(ThreadId, LockId),
+    /// The thread clocks one online event set at the ingress.
+    Clocks(Arc<Vec<ClockSet>>),
     Action {
         /// Global ingress sequence number — the merge key.
         seq: u64,
@@ -150,28 +150,20 @@ enum Msg {
     /// ([`ParallelRd2::ingest_shared`]): the ingress indexed the chunk
     /// once and each worker receives only the trace offsets of its
     /// shard's actions — no per-event clone, no per-event message, no
-    /// per-worker rescan. Synchronization events are not re-applied by
-    /// workers at all: the ingress replayed them once on its master
-    /// clocks and `sets` carries the resulting thread clocks, which a
-    /// worker installs in O(1) each (an `Arc` pointer into its overlay)
-    /// instead of redoing the O(clock-density) join N times.
+    /// per-worker rescan — plus the thread clocks the chunk's events set.
     Shared {
         /// `base + 1 + offset` is an event's global sequence number.
         base: u64,
         trace: Arc<Trace>,
         /// Trace offsets of this worker's shard's actions, ascending.
         picks: Vec<u32>,
-        /// Precomputed thread-clock updates of the chunk's sync events,
-        /// ascending by offset, shared by all workers.
+        /// The thread clocks the chunk's events set, ascending by offset,
+        /// shared by all workers.
         sets: Arc<Vec<ClockSet>>,
     },
     Register(ObjId, Arc<CompiledSpec>),
     Forget(ObjId),
     Abandon(ThreadId),
-    /// End-of-[`ParallelRd2::ingest_shared`] reconciliation: replaces the
-    /// worker's private clock replica with the ingress's master state, so
-    /// per-event (online) dispatch composes after a shared stream.
-    SyncState(Arc<SyncClocks>),
     /// Chaos hook: makes the worker panic while processing, exercising the
     /// supervision path (heal, or degrade without a snapshot) end to end.
     Poison,
@@ -183,9 +175,9 @@ enum Msg {
     Install(Box<WorkerState>),
 }
 
-/// One thread-clock change produced by the ingress's master replay of a
-/// shared chunk's synchronization events: `tid`'s clock *after* the sync
-/// event at trace offset `off`.
+/// One thread clock set by the ingress's replay of Table 1: `tid`'s clock
+/// *after* the event at trace offset `off` (`0` on the online path, where
+/// each message carries one event's sets).
 struct ClockSet {
     off: u32,
     tid: ThreadId,
@@ -215,7 +207,7 @@ impl Msg {
     /// Whether a panic on this message can be healed by skipping it.
     /// Only pure detection work qualifies: dropping an action removes a
     /// point update and a detection, which can only *hide* a race.
-    /// Everything that writes clock, overlay, or registry state is
+    /// Everything that writes clock or registry state is
     /// excluded — skipping one of those could delete a happens-before
     /// edge and make a later pair look concurrent, i.e. invent a race —
     /// so those degrade instead.
@@ -451,12 +443,58 @@ impl ParallelStats {
 struct Ingress {
     seq: u64,
     pending: Vec<Vec<Msg>>,
-    /// The master synchronization clocks, kept in lockstep with the
-    /// workers' replicas (every non-shed sync event is applied here too).
-    /// [`ParallelRd2::ingest_shared`] replays a recorded trace's sync
-    /// events against it *once* and ships workers the resulting clocks,
-    /// instead of having every worker redo the joins.
+    /// The Table 1 clocks: the one copy the pipeline applies
+    /// synchronization events to.
     sync: SyncClocks,
+}
+
+impl Ingress {
+    /// Table 1 on the master clocks: applies `event` (at trace offset
+    /// `off`) and appends every thread clock it sets to `sets`. Returns
+    /// true for a synchronization event.
+    fn replay(&mut self, event: &Event, off: u32, sets: &mut Vec<ClockSet>) -> bool {
+        let sync = &mut self.sync;
+        let mut set = |sync: &mut SyncClocks, tid: ThreadId, dead: bool| {
+            sets.push(ClockSet {
+                off,
+                tid,
+                clock: Arc::new(sync.clock(tid).clone()),
+                dead,
+            });
+        };
+        match *event {
+            Event::Fork { parent, child } => {
+                sync.fork(parent, child);
+                set(sync, parent, false);
+                set(sync, child, false);
+            }
+            Event::Join { parent, child } => {
+                sync.join(parent, child);
+                set(sync, parent, false);
+                // A joined thread emits no further events (well-formed
+                // traces), so it leaves the GC live set.
+                set(sync, child, true);
+            }
+            Event::Acquire { tid, lock } => {
+                sync.acquire(tid, lock);
+                set(sync, tid, false);
+            }
+            Event::Release { tid, lock } => {
+                sync.release(tid, lock);
+                set(sync, tid, false);
+            }
+            // A thread whose first event is an action starts at its fresh
+            // clock, exactly as the serial detector initializes it.
+            Event::Action { tid, .. } => {
+                if sync.peek_clock(tid).is_none() {
+                    set(sync, tid, false);
+                }
+                return false;
+            }
+            Event::Read { .. } | Event::Write { .. } => return false,
+        }
+        true
+    }
 }
 
 /// The sharded parallel commutativity race detector.
@@ -542,7 +580,7 @@ impl ParallelRd2 {
             ..cfg
         };
         let rings: Vec<Arc<Ring>> = (0..workers)
-            .map(|_| Arc::new(Ring::new(cfg.queue_depth)))
+            .map(|_| Arc::new(Ring::new(QUEUE_DEPTH)))
             .collect();
         let shared: Vec<Arc<WorkerShared>> = (0..workers)
             .map(|_| Arc::new(WorkerShared::default()))
@@ -630,14 +668,21 @@ impl ParallelRd2 {
         }
     }
 
-    /// Broadcasts one synchronization event, in ingress order, to every
-    /// worker, mirroring it onto the ingress's master clocks.
-    fn sync_event(
-        &self,
-        tids: &[ThreadId],
-        make: impl Fn() -> Msg,
-        apply: impl FnOnce(&mut SyncClocks),
-    ) {
+    /// Applies one online event to the master clocks and broadcasts the
+    /// thread clocks it set, in ingress order, to every worker.
+    fn replay_online(&self, ingress: &mut Ingress, event: &Event) {
+        let mut sets = Vec::new();
+        ingress.replay(event, 0, &mut sets);
+        if !sets.is_empty() {
+            let sets = Arc::new(sets);
+            for w in 0..self.workers {
+                self.enqueue(ingress, w, Msg::Clocks(Arc::clone(&sets)));
+            }
+        }
+    }
+
+    /// One online synchronization event naming `tids`.
+    fn sync_event(&self, tids: &[ThreadId], event: Event) {
         let mut ingress = self.lock_ingress();
         if self.abandoned.sheds(tids) {
             return;
@@ -646,10 +691,7 @@ impl ParallelRd2 {
         self.events_in.fetch_add(1, Ordering::Relaxed);
         self.sync_broadcasts.fetch_add(1, Ordering::Relaxed);
         let _span = self.trace.as_ref().map(|t| t.lane.span(t.p_sync));
-        apply(&mut ingress.sync);
-        for w in 0..self.workers {
-            self.enqueue(&mut ingress, w, make());
-        }
+        self.replay_online(&mut ingress, &event);
     }
 
     /// Registers `obj` to be checked against `spec`. Actions on
@@ -705,35 +747,20 @@ impl ParallelRd2 {
     /// Zero-copy offline ingestion: feeds an entire recorded trace
     /// through the pipeline without cloning a single event. The ingress
     /// scans the trace once, chunk by chunk (`batch` events per chunk),
-    /// replays the chunk's synchronization events against its master
-    /// clocks *once*, and ships each worker the trace *offsets* of its
-    /// shard's actions plus the precomputed thread-clock updates (one
-    /// `Arc`'d clock per sync event, shared by all workers). A worker
-    /// installs each update in O(1) and detects only its own actions, so
-    /// the pipeline's total work is one indexing-and-clock scan plus the
-    /// detection the serial path would do anyway, minus serial's
-    /// per-action clock clone: strictly less per-event work even on one
-    /// CPU, and flat in the worker count (sync-clock maintenance no
-    /// longer multiplies by N). Sequence numbers derive from the trace
-    /// position, so the deterministic merge — and hence the report — is
-    /// bit-for-bit what per-event dispatch produces; a final
-    /// reconciliation message replaces each worker's replica with the
-    /// master state, so the two paths compose freely within one stream.
+    /// replays the chunk's synchronization events on its master clocks,
+    /// and ships each worker the trace *offsets* of its shard's actions
+    /// plus the thread clocks the chunk set (one `Arc`'d clock per set,
+    /// shared by all workers). A worker installs each clock in O(1) and
+    /// detects only its own actions, so sync-clock maintenance does not
+    /// multiply by the worker count. Sequence numbers derive from the
+    /// trace position, so the deterministic merge — and hence the report —
+    /// is bit-for-bit what per-event dispatch produces, and the two paths
+    /// compose freely within one stream.
     ///
     /// Falls back to per-event dispatch once any thread has been
     /// abandoned, because the ingress shed filter must then inspect
     /// every event individually.
     pub fn ingest_shared(&self, trace: &Arc<Trace>) {
-        fn snap(sets: &mut Vec<ClockSet>, sync: &SyncClocks, off: u32, tid: ThreadId, dead: bool) {
-            if let Some(clock) = sync.peek_clock(tid) {
-                sets.push(ClockSet {
-                    off,
-                    tid,
-                    clock: Arc::new(clock.clone()),
-                    dead,
-                });
-            }
-        }
         if trace.is_empty() {
             return;
         }
@@ -763,37 +790,11 @@ impl ParallelRd2 {
             let (mut syncs, mut actions) = (0u64, 0u64);
             for (i, event) in events[start..end].iter().enumerate() {
                 let off = (start + i) as u32;
-                match *event {
-                    Event::Fork { parent, child } => {
-                        syncs += 1;
-                        ingress.sync.fork(parent, child);
-                        snap(&mut sets, &ingress.sync, off, parent, false);
-                        snap(&mut sets, &ingress.sync, off, child, false);
-                    }
-                    Event::Join { parent, child } => {
-                        syncs += 1;
-                        ingress.sync.join(parent, child);
-                        snap(&mut sets, &ingress.sync, off, parent, false);
-                        // The child's clock is frozen from here on; ship it
-                        // so workers that never saw the child agree, and
-                        // drop it from the GC live set.
-                        snap(&mut sets, &ingress.sync, off, child, true);
-                    }
-                    Event::Acquire { tid, lock } => {
-                        syncs += 1;
-                        ingress.sync.acquire(tid, lock);
-                        snap(&mut sets, &ingress.sync, off, tid, false);
-                    }
-                    Event::Release { tid, lock } => {
-                        syncs += 1;
-                        ingress.sync.release(tid, lock);
-                        snap(&mut sets, &ingress.sync, off, tid, false);
-                    }
-                    Event::Action { ref action, .. } => {
-                        actions += 1;
-                        picks[self.route(action.obj())].push(off);
-                    }
-                    _ => {}
+                if ingress.replay(event, off, &mut sets) {
+                    syncs += 1;
+                } else if let Event::Action { action, .. } = event {
+                    actions += 1;
+                    picks[self.route(action.obj())].push(off);
                 }
             }
             self.events_in.fetch_add(syncs + actions, Ordering::Relaxed);
@@ -816,14 +817,6 @@ impl ParallelRd2 {
                 self.flush(&mut ingress, w);
             }
             start = end;
-        }
-        // Reconcile every worker's private replica with the master, so
-        // subsequent per-event (online) dispatch starts from the right
-        // clocks. One state clone per worker per ingestion — amortized
-        // across the whole trace.
-        let state = Arc::new(ingress.sync.clone());
-        for w in 0..self.workers {
-            self.enqueue(&mut ingress, w, Msg::SyncState(Arc::clone(&state)));
         }
     }
 
@@ -946,12 +939,16 @@ impl crate::Checkpoint for ParallelRd2 {
     ) -> Result<(), crace_vclock::CkptError> {
         let mut state = Rd2State::read(text, resolve, self.cfg.shard_config())?;
         let shards = state.take_shards(self.workers, self.cfg.gc_every, |obj| self.route(obj));
+        let clocks: HashMap<ThreadId, Arc<VectorClock>> = state
+            .sync
+            .initialized()
+            .map(|(tid, clock)| (tid, Arc::new(clock.clone())))
+            .collect();
         {
             let mut ingress = self.lock_ingress();
             for (w, shard) in shards.into_iter().enumerate() {
                 let worker = WorkerState {
-                    sync: state.sync.clone(),
-                    overlay: HashMap::new(),
+                    clocks: clocks.clone(),
                     shard,
                 };
                 ingress.pending[w].clear();
@@ -976,35 +973,19 @@ impl Analysis for ParallelRd2 {
     }
 
     fn on_fork(&self, parent: ThreadId, child: ThreadId) {
-        self.sync_event(
-            &[parent, child],
-            || Msg::Fork(parent, child),
-            |sync| sync.fork(parent, child),
-        );
+        self.sync_event(&[parent, child], Event::Fork { parent, child });
     }
 
     fn on_join(&self, parent: ThreadId, child: ThreadId) {
-        self.sync_event(
-            &[parent, child],
-            || Msg::Join(parent, child),
-            |sync| sync.join(parent, child),
-        );
+        self.sync_event(&[parent, child], Event::Join { parent, child });
     }
 
     fn on_acquire(&self, tid: ThreadId, lock: LockId) {
-        self.sync_event(
-            &[tid],
-            || Msg::Acquire(tid, lock),
-            |sync| sync.acquire(tid, lock),
-        );
+        self.sync_event(&[tid], Event::Acquire { tid, lock });
     }
 
     fn on_release(&self, tid: ThreadId, lock: LockId) {
-        self.sync_event(
-            &[tid],
-            || Msg::Release(tid, lock),
-            |sync| sync.release(tid, lock),
-        );
+        self.sync_event(&[tid], Event::Release { tid, lock });
     }
 
     fn on_action(&self, tid: ThreadId, action: &Action) {
@@ -1015,21 +996,20 @@ impl Analysis for ParallelRd2 {
         ingress.seq += 1;
         let seq = ingress.seq;
         self.events_in.fetch_add(1, Ordering::Relaxed);
-        let w = self.route(action.obj());
-        self.enqueue(
-            &mut ingress,
-            w,
-            Msg::Action {
-                seq,
-                tid,
-                action: action.clone(),
-            },
-        );
+        let event = Event::Action {
+            tid,
+            action: action.clone(),
+        };
+        self.replay_online(&mut ingress, &event);
+        if let Event::Action { action, .. } = event {
+            let w = self.route(action.obj());
+            self.enqueue(&mut ingress, w, Msg::Action { seq, tid, action });
+        }
     }
 
     /// Finalizes a dead thread exactly as the serial detectors do: later
-    /// events naming it are shed at the ingress, and every worker retires
-    /// its clock slot in-stream (no happens-before edges introduced).
+    /// events naming it are shed at the ingress, and every worker drops its
+    /// clock in-stream (no happens-before edges introduced).
     fn abandon_thread(&self, tid: ThreadId) {
         let mut ingress = self.lock_ingress();
         self.abandoned.insert(tid);
@@ -1072,33 +1052,26 @@ impl Drop for ParallelRd2 {
     }
 }
 
-/// A worker's complete state: its replica of the synchronization clocks,
-/// the overlay a shared stream installs, and its Algorithm 1 shard. It is
-/// a plain value, so a clone is the supervision snapshot a heal rebuilds
-/// from, and restore installs one.
+/// A worker's complete state: the thread clocks the ingress set and its
+/// Algorithm 1 shard. It is a plain value, so a clone is the supervision
+/// snapshot a heal rebuilds from, and restore installs one.
 #[derive(Clone)]
 struct WorkerState {
-    sync: SyncClocks,
-    /// Thread clocks installed by a shared stream's precomputed
-    /// [`ClockSet`]s; supersedes `sync` until the end-of-ingestion
-    /// [`Msg::SyncState`] reconciliation clears it.
-    overlay: HashMap<ThreadId, Arc<VectorClock>>,
+    clocks: HashMap<ThreadId, Arc<VectorClock>>,
     shard: Shard,
 }
 
 impl WorkerState {
     fn new(cfg: &ParallelConfig) -> WorkerState {
         WorkerState {
-            sync: SyncClocks::new(),
-            overlay: HashMap::new(),
+            clocks: HashMap::new(),
             shard: Shard::new(cfg.shard_config(), cfg.gc_every),
         }
     }
 
-    /// Installs one precomputed clock update from a shared stream: an
-    /// `Arc` pointer swap instead of replaying the sync event's join.
+    /// Installs one thread clock from the ingress: an `Arc` pointer swap.
     fn clock_set(&mut self, set: &ClockSet) {
-        self.overlay.insert(set.tid, Arc::clone(&set.clock));
+        self.clocks.insert(set.tid, Arc::clone(&set.clock));
         self.shard.observe(set.tid, !set.dead);
     }
 
@@ -1108,26 +1081,10 @@ impl WorkerState {
     /// batches for heal replay without cloning the hot path.
     fn process(&mut self, msg: &Msg, trace: Option<&WorkerTrace>) -> u64 {
         match msg {
-            Msg::Fork(parent, child) => {
-                self.sync.fork(*parent, *child);
-                self.shard.observe(*parent, true);
-                self.shard.observe(*child, true);
-            }
-            Msg::Join(parent, child) => {
-                self.sync.join(*parent, *child);
-                self.shard.observe(*parent, true);
-                // A joined thread emits no further events (well-formed
-                // traces), so its frozen clock no longer holds the
-                // watermark back.
-                self.shard.observe(*child, false);
-            }
-            Msg::Acquire(tid, lock) => {
-                self.sync.acquire(*tid, *lock);
-                self.shard.observe(*tid, true);
-            }
-            Msg::Release(tid, lock) => {
-                self.sync.release(*tid, *lock);
-                self.shard.observe(*tid, true);
+            Msg::Clocks(sets) => {
+                for set in sets.iter() {
+                    self.clock_set(set);
+                }
             }
             Msg::Action { seq, tid, action } => self.action(*seq, *tid, action, trace),
             Msg::Shared {
@@ -1139,7 +1096,9 @@ impl WorkerState {
                 let events = events.events();
                 let mut next = 0usize;
                 for &off in picks {
-                    while next < sets.len() && sets[next].off < off {
+                    // A set at the action's own offset is its thread's
+                    // first clock, so it goes in before the action.
+                    while next < sets.len() && sets[next].off <= off {
                         self.clock_set(&sets[next]);
                         next += 1;
                     }
@@ -1149,22 +1108,17 @@ impl WorkerState {
                         self.action(*base + 1 + u64::from(off), *tid, action, trace);
                     }
                 }
-                // Updates past the last pick still matter: a later chunk's
-                // actions read the overlay left by this one.
+                // Sets past the last pick still matter: later actions read
+                // the clocks this chunk left.
                 for set in &sets[next..] {
                     self.clock_set(set);
                 }
                 return picks.len() as u64;
             }
-            Msg::SyncState(state) => {
-                self.sync = (**state).clone();
-                self.overlay.clear();
-            }
             Msg::Register(obj, spec) => self.shard.register(*obj, Arc::clone(spec)),
             Msg::Forget(obj) => self.shard.forget(*obj),
             Msg::Abandon(tid) => {
-                self.sync.retire(*tid);
-                self.overlay.remove(tid);
+                self.clocks.remove(tid);
                 self.shard.observe(*tid, false);
             }
             Msg::Poison => panic!("injected worker panic"),
@@ -1176,19 +1130,16 @@ impl WorkerState {
         1
     }
 
-    /// Algorithm 1 on one routed action, then the epoch-GC sweep when due
-    /// (the sweep reads the private replica, which may lag the overlay —
-    /// stale clocks only make the watermark smaller, i.e. the sweep more
-    /// conservative).
+    /// Algorithm 1 on one routed action, then the epoch-GC sweep when due.
     fn action(&mut self, seq: u64, tid: ThreadId, action: &Action, trace: Option<&WorkerTrace>) {
-        let clock = match self.overlay.get(&tid) {
-            Some(clock) => clock.as_ref(),
-            None => self.sync.clock(tid),
-        };
-        self.shard.action(seq, tid, action, clock);
+        let clock = self
+            .clocks
+            .get(&tid)
+            .expect("the ingress sets a thread's clock before its first action");
+        self.shard.action(|| seq, tid, action, clock);
         if self.shard.gc_due() {
             let _span = trace.map(|t| t.lane.span(t.p_gc));
-            self.shard.sweep(&self.sync);
+            self.shard.sweep(&self.clocks);
         }
     }
 }
@@ -1508,9 +1459,7 @@ mod tests {
     }
 
     /// GC must stay report-preserving on the shared path too, where the
-    /// watermark is computed from the (possibly stale) private replica
-    /// while overlay clocks are fresher — stale clocks only make the
-    /// watermark smaller, i.e. the sweep more conservative.
+    /// watermark is computed from the clocks a chunk's message installs.
     #[test]
     fn shared_ingestion_with_gc_matches_gc_off() {
         let (spec, compiled) = dict_pair();

@@ -1,18 +1,20 @@
-//! RD2 — the online, sharded commutativity race detector for live
-//! multi-threaded programs.
+//! RD2 — the online commutativity race detector for live multi-threaded
+//! programs: the Table 1 clocks published lock-free, and Algorithm 1 in 64
+//! object shards, each behind its own mutex.
 
-use crate::checkpoint::{Rd2Meta, Rd2State, Rd2Writer, RD2_KIND};
-use crate::engine::{ClockMode, ObjState};
+use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
+use crate::engine::ClockMode;
 use crate::points::CompiledSpec;
-use crate::shard::{record_hits, Abandoned, ShardConfig, SpecCache};
+use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, PublishedClocks};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of shards of the object map. Objects hash to shards by id, so
-/// actions on different objects essentially never contend on a shard lock.
+/// Number of object shards. Objects route to shards by `obj % OBJ_SHARDS`,
+/// so actions on different objects essentially never contend on a shard
+/// lock.
 pub(crate) const OBJ_SHARDS: usize = 64;
 
 /// The online commutativity race detector (the paper's RD2 tool).
@@ -25,15 +27,13 @@ pub(crate) const OBJ_SHARDS: usize = 64;
 ///   the acting thread's own snapshot — one shard read lock it shares with
 ///   (essentially) nobody, one `Arc` clone, no vector copy. Only
 ///   fork/join/acquire/release swap snapshots,
-/// * the object map is sharded by object id; each object's access-point
-///   state sits behind its own mutex, so actions on different objects
-///   proceed fully in parallel and actions on the same object serialize
-///   only with each other,
-/// * the race report has its own lock, touched only when a race is found.
-///
-/// The seed version of this type kept one `RwLock<SyncClocks>` that every
-/// action of every thread locked *and deep-copied a vector clock out of*;
-/// both global points of contention are gone.
+/// * Algorithm 1 runs in 64 `Shard`s, each behind its own mutex, so
+///   actions on objects of different shards proceed fully in parallel and
+///   actions on one object serialize only with their shard,
+/// * each shard keeps its own races. An action that finds one takes a
+///   sequence number from one atomic counter while it holds its shard
+///   lock; [`Analysis::report`] merges the shards by those numbers. A
+///   race-free action touches no shared counter at all.
 ///
 /// # Examples
 ///
@@ -58,19 +58,14 @@ pub(crate) const OBJ_SHARDS: usize = 64;
 /// ```
 pub struct Rd2 {
     sync: PublishedClocks,
-    objects: [RwLock<HashMap<ObjId, Arc<ObjEntry>>>; OBJ_SHARDS],
-    report: Mutex<RaceReport>,
+    shards: [Mutex<Shard>; OBJ_SHARDS],
+    /// The last sequence number handed to an action that found a race.
+    seq: AtomicU64,
     compiled: SpecCache,
-    cfg: ShardConfig,
     abandoned: Abandoned,
     /// When set, `on_action` records sampled spans into a tracer lane
     /// (see [`Rd2::with_tracer`]); `None` costs one branch per action.
     tracer: Option<crace_obs::SampledSpans>,
-}
-
-struct ObjEntry {
-    spec: Arc<CompiledSpec>,
-    state: Mutex<ObjState>,
 }
 
 impl Rd2 {
@@ -84,15 +79,18 @@ impl Rd2 {
     /// [`ClockMode::FullVector`] is the differential-testing and
     /// benchmarking reference.
     pub fn with_mode(mode: ClockMode) -> Rd2 {
+        Rd2::with_config(ShardConfig {
+            mode,
+            provenance_window: None,
+        })
+    }
+
+    fn with_config(cfg: ShardConfig) -> Rd2 {
         Rd2 {
             sync: PublishedClocks::new(),
-            objects: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            report: Mutex::new(RaceReport::new()),
+            shards: std::array::from_fn(|_| Mutex::new(Shard::new(cfg, 0))),
+            seq: AtomicU64::new(0),
             compiled: SpecCache::default(),
-            cfg: ShardConfig {
-                mode,
-                provenance_window: None,
-            },
             abandoned: Abandoned::default(),
             tracer: None,
         }
@@ -106,13 +104,10 @@ impl Rd2 {
     /// Provenance costs a descriptor render and window push per action on
     /// registered objects; leave it off for overhead measurements.
     pub fn with_provenance(window: usize) -> Rd2 {
-        Rd2 {
-            cfg: ShardConfig {
-                mode: ClockMode::Adaptive,
-                provenance_window: Some(window),
-            },
-            ..Rd2::new()
-        }
+        Rd2::with_config(ShardConfig {
+            mode: ClockMode::Adaptive,
+            provenance_window: Some(window),
+        })
     }
 
     /// Creates a detector that records one-in-`sample_every` `on_action`
@@ -131,16 +126,13 @@ impl Rd2 {
         }
     }
 
-    fn shard(&self, obj: ObjId) -> &RwLock<HashMap<ObjId, Arc<ObjEntry>>> {
-        &self.objects[(obj.0 as usize) % OBJ_SHARDS]
+    fn shard(&self, obj: ObjId) -> MutexGuard<'_, Shard> {
+        self.shards[(obj.0 as usize) % OBJ_SHARDS].lock()
     }
 
-    fn insert(&self, obj: ObjId, spec: Arc<CompiledSpec>, state: ObjState) {
-        let entry = Arc::new(ObjEntry {
-            spec,
-            state: Mutex::new(state),
-        });
-        self.shard(obj).write().insert(obj, entry);
+    /// Every shard, locked in index order: one consistent cut.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, Shard>> {
+        self.shards.iter().map(|s| s.lock()).collect()
     }
 
     /// Number of events shed because they named an abandoned thread.
@@ -166,35 +158,27 @@ impl Rd2 {
     /// Registers `obj` to be checked against `spec`. Actions on
     /// unregistered objects are ignored (selective instrumentation).
     pub fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        self.insert(obj, spec, self.cfg.new_state());
+        self.shard(obj).register(obj, spec);
     }
 
     /// Drops all shadow state of `obj` — the object-reclamation
     /// optimization of §5.3.
     pub fn forget(&self, obj: ObjId) {
-        self.shard(obj).write().remove(&obj);
+        self.shard(obj).forget(obj);
     }
 
     /// Total phase-1 conflict probes across all registered objects (one
     /// per conflicting class per touched point — the §5.4 work measure).
     pub fn num_probes(&self) -> u64 {
-        let mut probes = 0;
-        for shard in &self.objects {
-            for entry in shard.read().values() {
-                probes += entry.state.lock().num_probes();
-            }
-        }
-        probes
+        self.shards.iter().map(|s| s.lock().num_probes()).sum()
     }
 
     /// Aggregated clock-representation statistics over all registered
     /// objects: how many phase-2 updates stayed on the O(1) epoch path.
     pub fn clock_stats(&self) -> ClockStats {
         let mut stats = ClockStats::default();
-        for shard in &self.objects {
-            for entry in shard.read().values() {
-                stats.merge(&entry.state.lock().clock_stats());
-            }
+        for shard in &self.shards {
+            stats.merge(&shard.lock().clock_stats());
         }
         stats
     }
@@ -245,24 +229,13 @@ impl Analysis for Rd2 {
             .tracer
             .as_ref()
             .and_then(crace_obs::SampledSpans::maybe);
-        let entry = match self.shard(action.obj()).read().get(&action.obj()) {
-            Some(e) => Arc::clone(e),
-            None => return,
-        };
-        // A shared snapshot of the acting thread's clock: no global lock,
-        // no vector copy.
+        // A shared snapshot of the acting thread's clock, read before the
+        // shard lock: no global lock, no vector copy.
         let clock = self.sync.clock(tid);
-        // Rendering provenance is pointless once the report's sample
-        // buffer is full; the check only costs a lock in provenance mode.
-        let want_detail = self.cfg.provenance_window.is_some() && self.report.lock().wants_detail();
-        let hits =
-            entry
-                .state
-                .lock()
-                .on_action_detailed(&entry.spec, action, tid, &clock, want_detail);
-        if !hits.is_empty() {
-            record_hits(&mut self.report.lock(), &entry.spec, tid, action, hits);
-        }
+        // The number is taken under the shard lock, so within a shard the
+        // races' numbers ascend in the order they were recorded.
+        let seq = || self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.shard(action.obj()).action(seq, tid, action, &clock);
     }
 
     /// Finalizes a dead thread: retires its published clock slot and
@@ -274,7 +247,7 @@ impl Analysis for Rd2 {
     }
 
     fn report(&self) -> RaceReport {
-        self.report.lock().clone()
+        Findings::merge(self.lock_all().iter().map(|s| s.findings()))
     }
 }
 
@@ -286,30 +259,18 @@ impl crate::Checkpoint for Rd2 {
     /// Keeps no event counts or GC state, so those checkpoint fields are
     /// zero and the `joined` set is empty.
     fn checkpoint(&self) -> String {
-        let threads = self.sync.thread_snapshots();
-        let locks = self.sync.lock_snapshots();
+        let shards = self.lock_all();
         let meta = Rd2Meta {
             shed: self.abandoned.shed(),
             ..Rd2Meta::default()
         };
-        let mut w = Rd2Writer::new(
-            self.cfg,
-            &meta,
-            threads.iter().map(|(t, c)| (*t, c)),
-            locks.iter().map(|(l, c)| (*l, c)),
+        write_shards(
+            shards[0].cfg(),
+            &self.sync.snapshot(),
+            meta,
             &self.abandoned.tids(),
-            &[],
-            &self.report.lock(),
-        );
-        let mut entries: Vec<(ObjId, Arc<ObjEntry>)> = Vec::new();
-        for shard in &self.objects {
-            entries.extend(shard.read().iter().map(|(obj, e)| (*obj, Arc::clone(e))));
-        }
-        entries.sort_unstable_by_key(|(obj, _)| *obj);
-        for (obj, entry) in entries {
-            w.object(obj, &entry.spec, Some(&entry.state.lock()));
-        }
-        w.finish()
+            shards.iter().map(|s| &**s),
+        )
     }
 
     fn restore(
@@ -317,20 +278,19 @@ impl crate::Checkpoint for Rd2 {
         text: &str,
         resolve: &crate::SpecResolver<'_>,
     ) -> Result<(), crace_vclock::CkptError> {
-        let state = Rd2State::read(text, resolve, self.cfg)?;
+        let mut shards = self.lock_all();
+        let mut state = Rd2State::read(text, resolve, shards[0].cfg())?;
         for (tid, clock) in state.sync.initialized() {
             self.sync.import_thread(tid, clock.clone());
         }
         for (lock, clock) in state.sync.lock_slots() {
             self.sync.import_lock(lock, clock.clone());
         }
-        self.abandoned.restore(state.abandoned, state.meta.shed);
-        *self.report.lock() = state.report;
-        for shard in &self.objects {
-            shard.write().clear();
-        }
-        for (obj, spec, obj_state) in state.objects {
-            self.insert(obj, spec, obj_state);
+        self.abandoned
+            .restore(std::mem::take(&mut state.abandoned), state.meta.shed);
+        let restored = state.take_shards(OBJ_SHARDS, 0, |obj| (obj.0 as usize) % OBJ_SHARDS);
+        for (shard, restored) in shards.iter_mut().zip(restored) {
+            **shard = restored;
         }
         Ok(())
     }

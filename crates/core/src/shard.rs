@@ -5,15 +5,17 @@
 //! commutativity rule formalises. A [`Shard`] is exactly that unit: the
 //! registry and [`ObjState`]s of a set of objects plus the races found on
 //! them, keyed by the ingress sequence number of the racing action.
-//! [`TraceDetector`](crate::TraceDetector) is one shard behind a lock;
-//! each [`ParallelRd2`](crate::ParallelRd2) worker owns one shard;
-//! [`Rd2`](crate::Rd2) keeps per-object locks for live threads and shares
-//! the helpers below (record building, the spec cache, the shed filter).
+//! It is the only caller of Algorithm 1 ([`ObjState`]) among the detectors:
+//! [`TraceDetector`](crate::TraceDetector) is one shard behind a lock,
+//! [`Rd2`](crate::Rd2) is 64 shards behind one mutex each (objects routed
+//! by `obj % 64`), and each [`ParallelRd2`](crate::ParallelRd2) worker owns
+//! one shard. The front-ends also share the spec cache and the shed filter
+//! below.
 
-use crate::engine::{ClockMode, ObjState, RaceHit};
+use crate::engine::{ClockMode, ObjState};
 use crate::points::CompiledSpec;
 use crace_model::{Action, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId};
-use crace_vclock::{ClockStats, SyncClocks, VectorClock};
+use crace_vclock::{ClockStats, VectorClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,35 +39,6 @@ impl ShardConfig {
             None => ObjState::with_mode(self.mode),
         }
     }
-}
-
-/// Records Algorithm 1's `hits` for `action` into `report`, building each
-/// [`RaceRecord`] only when the report keeps it as a sample. Returns how
-/// many samples were kept.
-pub(crate) fn record_hits(
-    report: &mut RaceReport,
-    spec: &CompiledSpec,
-    tid: ThreadId,
-    action: &Action,
-    hits: Vec<RaceHit>,
-) -> usize {
-    let before = report.samples().len();
-    let kind = RaceKind::Commutativity { obj: action.obj() };
-    for hit in hits {
-        report.record_with(kind.clone(), || RaceRecord {
-            kind: kind.clone(),
-            tid,
-            action: Some(action.clone()),
-            detail: format!(
-                "{} touched {} conflicting with active {}",
-                action,
-                spec.label(hit.touched),
-                spec.label(hit.conflicting)
-            ),
-            provenance: hit.provenance,
-        });
-    }
-    report.samples().len() - before
 }
 
 /// Races found by one shard: the report (exact counts, the first samples)
@@ -194,10 +167,17 @@ impl Shard {
         self.gc = gc;
     }
 
-    /// Algorithm 1 on one action event with sequence number `seq`, by
-    /// thread `tid` whose clock `T(tid)` is `clock`. Actions on
-    /// unregistered objects are ignored.
-    pub fn action(&mut self, seq: u64, tid: ThreadId, action: &Action, clock: &VectorClock) {
+    /// Algorithm 1 on one action event by thread `tid` whose clock `T(tid)`
+    /// is `clock`. `seq` yields the action's sequence number; it is called
+    /// only when a race is kept as a sample, so a front-end can number just
+    /// those actions. Actions on unregistered objects are ignored.
+    pub fn action(
+        &mut self,
+        seq: impl FnOnce() -> u64,
+        tid: ThreadId,
+        action: &Action,
+        clock: &VectorClock,
+    ) {
         let Some(spec) = self.registry.get(&action.obj()) else {
             return;
         };
@@ -205,19 +185,39 @@ impl Shard {
             self.live.insert(tid);
             self.since_gc += 1;
         }
+        let report = &mut self.findings.report;
         // Rendering provenance is pointless once the sample buffer is full.
-        let want_detail =
-            self.cfg.provenance_window.is_some() && self.findings.report.wants_detail();
+        let want_detail = self.cfg.provenance_window.is_some() && report.wants_detail();
         let cfg = self.cfg;
         let state = self
             .objects
             .entry(action.obj())
             .or_insert_with(|| cfg.new_state());
         let hits = state.on_action_detailed(spec, action, tid, clock, want_detail);
-        if !hits.is_empty() {
-            let kept = record_hits(&mut self.findings.report, spec, tid, action, hits);
+        if hits.is_empty() {
+            return;
+        }
+        let before = report.samples().len();
+        let kind = RaceKind::Commutativity { obj: action.obj() };
+        for hit in hits {
+            // The record is built only when the report keeps it as a sample.
+            report.record_with(kind.clone(), || RaceRecord {
+                kind: kind.clone(),
+                tid,
+                action: Some(action.clone()),
+                detail: format!(
+                    "{} touched {} conflicting with active {}",
+                    action,
+                    spec.label(hit.touched),
+                    spec.label(hit.conflicting)
+                ),
+                provenance: hit.provenance,
+            });
+        }
+        let kept = report.samples().len() - before;
+        if kept > 0 {
             let seqs = &mut self.findings.seqs;
-            seqs.resize(seqs.len() + kept, seq);
+            seqs.resize(seqs.len() + kept, seq());
         }
     }
 
@@ -241,18 +241,18 @@ impl Shard {
     }
 
     /// The epoch-GC sweep: computes the watermark (meet of all live
-    /// thread clocks in `sync`) and retires dominated access points.
+    /// thread clocks in `clocks`) and retires dominated access points.
     /// Whole object states emptied by the sweep are reclaimed (their
     /// counters folded), except in provenance mode where the event window
     /// must survive for later explanations.
-    pub fn sweep(&mut self, sync: &SyncClocks) {
+    pub fn sweep(&mut self, clocks: &HashMap<ThreadId, Arc<VectorClock>>) {
         self.since_gc = 0;
         let mut watermark: Option<VectorClock> = None;
         for &tid in &self.live {
-            match sync.peek_clock(tid) {
+            match clocks.get(&tid) {
                 Some(clock) => match &mut watermark {
                     Some(wm) => wm.meet_in_place(clock),
-                    None => watermark = Some(clock.clone()),
+                    None => watermark = Some((**clock).clone()),
                 },
                 // A live thread without an initialized clock: skip the
                 // sweep rather than retire against a wrong bound.

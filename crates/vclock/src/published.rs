@@ -1,7 +1,7 @@
 //! Sharded, snapshot-published synchronization clocks for online
 //! detectors.
 
-use crate::VectorClock;
+use crate::{SyncClocks, VectorClock};
 use crace_model::{Event, LockId, ThreadId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -207,30 +207,26 @@ impl PublishedClocks {
         self.threads.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Every initialized thread slot as a `(tid, clock)` snapshot, in
-    /// tid order, for checkpoint serialization.
-    pub fn thread_snapshots(&self) -> Vec<(ThreadId, VectorClock)> {
-        let mut out = Vec::new();
+    /// A single-owner copy of every initialized thread clock and every
+    /// lock clock, for checkpoint serialization.
+    pub fn snapshot(&self) -> SyncClocks {
+        let mut threads: Vec<VectorClock> = Vec::new();
         for shard in &self.threads {
             for (tid, slot) in shard.read().iter() {
-                out.push((*tid, (**slot.clock.read()).clone()));
+                if tid.index() >= threads.len() {
+                    threads.resize_with(tid.index() + 1, VectorClock::new);
+                }
+                threads[tid.index()] = (**slot.clock.read()).clone();
             }
         }
-        out.sort_by_key(|(t, _)| t.0);
-        out
-    }
-
-    /// Every lock clock as a `(lock, clock)` snapshot, in lock order,
-    /// for checkpoint serialization.
-    pub fn lock_snapshots(&self) -> Vec<(LockId, VectorClock)> {
-        let mut out = Vec::new();
-        for shard in &self.locks {
-            for (lock, clock) in shard.read().iter() {
-                out.push((*lock, (**clock).clone()));
-            }
-        }
-        out.sort_by_key(|(l, _)| l.0);
-        out
+        let locks = self.locks.iter().flat_map(|shard| {
+            let shard = shard.read();
+            shard
+                .iter()
+                .map(|(lock, clock)| (*lock, (**clock).clone()))
+                .collect::<Vec<_>>()
+        });
+        SyncClocks::from_slots(threads, locks)
     }
 
     /// Publishes a restored thread clock verbatim (checkpoint import;
@@ -254,7 +250,6 @@ impl Default for PublishedClocks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyncClocks;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

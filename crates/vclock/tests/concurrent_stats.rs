@@ -7,7 +7,7 @@ use crace_vclock::{ClockStats, Observation, PublishedClocks, VectorClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Replays a random observation stream into per-shard `ClockStats` and
 /// checks that merging the shards in any order equals folding the whole
@@ -73,6 +73,10 @@ fn concurrent_readers_always_see_complete_snapshots() {
         let sync = Arc::new(PublishedClocks::new());
         let stop = Arc::new(AtomicBool::new(false));
         const WRITERS: u32 = 4;
+        const READERS: usize = 3;
+        // Writers start only once every reader has taken its first
+        // snapshot, so no reader can find the run already over.
+        let start = Arc::new(Barrier::new(READERS + WRITERS as usize));
 
         // Fork every writer's simulated thread up front so readers have a
         // slot to watch from the start.
@@ -80,10 +84,11 @@ fn concurrent_readers_always_see_complete_snapshots() {
             sync.fork(ThreadId(0), ThreadId(w + 1));
         }
 
-        let readers: Vec<_> = (0..3)
+        let readers: Vec<_> = (0..READERS)
             .map(|r| {
                 let sync = Arc::clone(&sync);
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     let mut rng = StdRng::seed_from_u64(0xBEEF ^ round ^ (r as u64) << 32);
                     let mut floor: Vec<u64> = vec![0; WRITERS as usize];
@@ -101,6 +106,9 @@ fn concurrent_readers_always_see_complete_snapshots() {
                         );
                         floor[w as usize] = own;
                         reads += 1;
+                        if reads == 1 {
+                            start.wait();
+                        }
                     }
                     reads
                 })
@@ -110,7 +118,9 @@ fn concurrent_readers_always_see_complete_snapshots() {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let sync = Arc::clone(&sync);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let tid = ThreadId(w + 1);
                     let mut rng = StdRng::seed_from_u64(0xFEED ^ round ^ (w as u64) << 16);
                     for _ in 0..400 {

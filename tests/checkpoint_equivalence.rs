@@ -476,6 +476,68 @@ fn checkpoints_restore_across_every_front_end_and_width() {
     }
 }
 
+/// One logical state, one blob: with GC off, the serial detector and the
+/// pipeline at every width — fed event by event or through
+/// `ingest_shared` — write byte-identical `rd2` checkpoints. Each stream
+/// has a thread that acts without any synchronization event ever naming
+/// it, whose fresh clock only exists if the pipeline's ingress
+/// initializes it the way the serial detector does.
+#[test]
+fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
+    let orphan = ThreadId(99);
+    let put = builtin::dictionary().method_id("put").unwrap();
+    for seed in 300..308u64 {
+        let mut events = random_trace(seed, 120).events().to_vec();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for key in 0..2 {
+            let action = Action::new(
+                ObjId(1 + seed % NUM_OBJECTS),
+                put,
+                vec![Value::Int(key), Value::Int(1)],
+                Value::Nil,
+            );
+            let at = rng.gen_range(0..=events.len());
+            events.insert(
+                at,
+                Event::Action {
+                    tid: orphan,
+                    action,
+                },
+            );
+        }
+        let mut trace = Trace::new();
+        for event in events {
+            trace.push(event);
+        }
+        let trace = Arc::new(trace);
+        let serial = make_trace_detector();
+        for event in trace.events() {
+            serial.on_event(event);
+        }
+        let expected = serial.checkpoint();
+        assert!(expected.contains(" thread 99 "), "seed {seed}: {expected}");
+        for workers in WIDTHS {
+            let cfg = ParallelConfig {
+                batch: [1usize, 5, 512][seed as usize % 3],
+                ..ParallelConfig::default()
+            };
+            let online = make_parallel(workers, &cfg);
+            for event in trace.events() {
+                online.on_event(event);
+            }
+            let shared = make_parallel(workers, &cfg);
+            shared.ingest_shared(&trace);
+            for (path, pipeline) in [("online", online), ("shared", shared)] {
+                assert_eq!(
+                    pipeline.checkpoint(),
+                    expected,
+                    "seed {seed}, {workers} worker(s), {path}"
+                );
+            }
+        }
+    }
+}
+
 /// The retired per-detector kinds (`rd2-trace`, `rd2-parallel`) have no
 /// compatibility reader: every front-end rejects them with a
 /// `CkptError`, which the daemon turns into a full capture replay.

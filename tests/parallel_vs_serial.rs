@@ -5,9 +5,12 @@
 //! events are broadcast in ingress order, and per-worker findings merge
 //! by global sequence number. None of that may be observable: for any
 //! trace and any worker count, the merged [`RaceReport`] must be
-//! **bit-for-bit equal** to the serial [`Rd2`]'s — same total, same race
+//! **bit-for-bit equal** to the serial references' — same total, same race
 //! classes, same per-class counts, same sample records in the same order
-//! (`RaceReport` derives `Eq`, so one `assert_eq!` checks all of it).
+//! (`RaceReport` derives `Eq`, so one `assert_eq!` checks all of it). The
+//! references are [`TraceDetector`] (one shard) and the live [`Rd2`] (64
+//! object shards merged by the sequence numbers of their races), which
+//! must agree with each other first.
 //!
 //! This file replays the paper's fixture traces and randomly generated
 //! well-formed programs through both detectors at worker counts 1/2/4/8,
@@ -20,7 +23,8 @@ use crace::core::{oracle, ParallelConfig, ParallelRd2};
 use crace::model::replay;
 use crace::spec::builtin;
 use crace::{
-    translate, Action, Analysis, Event, LockId, ObjId, RaceReport, Rd2, ThreadId, Trace, Value,
+    translate, Action, Analysis, Event, LockId, ObjId, RaceReport, Rd2, ThreadId, Trace,
+    TraceDetector, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,14 +100,23 @@ fn compiled_dict() -> Arc<crace::core::CompiledSpec> {
     Arc::new(translate(&builtin::dictionary()).unwrap())
 }
 
-/// Replays `trace` through the serial live detector.
+/// Replays `trace` through both serial references, the single-shard
+/// [`TraceDetector`] and the 64-shard live [`Rd2`], and returns their
+/// report after asserting they agree.
 fn run_serial(trace: &Trace) -> RaceReport {
-    let detector = Rd2::new();
+    let (single, sharded) = (TraceDetector::new(), Rd2::new());
     let compiled = compiled_dict();
     for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
+        single.register(ObjId(obj), Arc::clone(&compiled));
+        sharded.register(ObjId(obj), Arc::clone(&compiled));
     }
-    replay(trace, &detector)
+    let report = replay(trace, &single);
+    assert_eq!(
+        replay(trace, &sharded),
+        report,
+        "Rd2 and TraceDetector diverge"
+    );
+    report
 }
 
 /// Replays `trace` through the parallel pipeline at the given width and
@@ -120,12 +133,25 @@ fn run_parallel(trace: &Trace, workers: usize, cfg: ParallelConfig) -> RaceRepor
 /// The tentpole guarantee: on 100 random programs, at every worker count
 /// and across batch sizes (including one event per batch, so the ring and
 /// merge paths are exercised hard), the merged parallel report equals the
-/// serial one bit for bit.
+/// serial one bit for bit. The last seeds are long enough that races on
+/// several objects overflow the report's sample cap, so which samples the
+/// sequence-number merge keeps across shards decides the equality.
 #[test]
 fn parallel_reports_equal_serial_at_every_width_on_random_traces() {
-    for seed in 0..100u64 {
-        let trace = random_trace(seed, 120);
+    for seed in 0..104u64 {
+        let long = seed >= 100;
+        let trace = random_trace(seed, if long { 1_500 } else { 120 });
         let serial = run_serial(&trace);
+        if long {
+            let objects: std::collections::HashSet<_> =
+                serial.samples().iter().map(|r| r.kind.clone()).collect();
+            assert!(
+                serial.samples().len() < serial.total() as usize && objects.len() >= 2,
+                "seed {seed}: {} races over {} sampled objects do not overflow the cap",
+                serial.total(),
+                objects.len()
+            );
+        }
         // Cycle the batch size so single-message batches, small batches
         // and the one-big-batch default all get coverage.
         let batch = [1usize, 3, 512][seed as usize % 3];
