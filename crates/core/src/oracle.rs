@@ -95,113 +95,8 @@ pub fn find_races(trace: &Trace, registry: &HashMap<ObjId, Spec>) -> Vec<RacePai
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{translate, Direct, TraceDetector};
-    use crace_model::{replay, Action, LockId, MethodId, ThreadId, Value};
+    use crace_model::{Action, MethodId, ThreadId, Value};
     use crace_spec::builtin;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-
-    /// Generates a random dictionary trace: forks, joins, locks and put /
-    /// get / size actions with small keys. Returns a trace that is
-    /// *plausible* (forks before use, joins after forks) though the action
-    /// return values are arbitrary — commutativity race detection only
-    /// inspects the trace, not object semantics.
-    fn random_trace(seed: u64, events: usize) -> Trace {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spec = builtin::dictionary();
-        let put = spec.method_id("put").unwrap();
-        let get = spec.method_id("get").unwrap();
-        let size = spec.method_id("size").unwrap();
-        let mut trace = Trace::new();
-        let mut live: Vec<u32> = vec![0];
-        let mut next_tid = 1u32;
-        let value = |rng: &mut StdRng| -> Value {
-            if rng.gen_bool(0.3) {
-                Value::Nil
-            } else {
-                Value::Int(rng.gen_range(0..3))
-            }
-        };
-        for _ in 0..events {
-            let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-            match rng.gen_range(0..10) {
-                0 => {
-                    let child = ThreadId(next_tid);
-                    next_tid += 1;
-                    trace.push(Event::Fork { parent: tid, child });
-                    live.push(child.0);
-                }
-                1 if live.len() > 1 => {
-                    // Join a random other live thread (its later events are
-                    // then "before" the joiner — fine for the oracle).
-                    let other = live[rng.gen_range(0..live.len())];
-                    if other != tid.0 {
-                        trace.push(Event::Join {
-                            parent: tid,
-                            child: ThreadId(other),
-                        });
-                        live.retain(|&t| t != other);
-                    }
-                }
-                2 => {
-                    let lock = LockId(rng.gen_range(0..2));
-                    trace.push(Event::Acquire { tid, lock });
-                    trace.push(Event::Release { tid, lock });
-                }
-                3..=6 => {
-                    let k = Value::Int(rng.gen_range(0..3));
-                    let action =
-                        Action::new(ObjId(1), put, vec![k, value(&mut rng)], value(&mut rng));
-                    trace.push(Event::Action { tid, action });
-                }
-                7 | 8 => {
-                    let k = Value::Int(rng.gen_range(0..3));
-                    let action = Action::new(ObjId(1), get, vec![k], value(&mut rng));
-                    trace.push(Event::Action { tid, action });
-                }
-                _ => {
-                    let action =
-                        Action::new(ObjId(1), size, vec![], Value::Int(rng.gen_range(0..4)));
-                    trace.push(Event::Action { tid, action });
-                }
-            }
-        }
-        trace
-    }
-
-    /// Theorem 5.1 (both directions) cross-checked on random traces:
-    /// Algorithm 1 reports a race iff the oracle finds a racing pair, and
-    /// the direct detector's count equals the oracle's pair count.
-    #[test]
-    fn detectors_agree_with_oracle_on_random_traces() {
-        let spec = builtin::dictionary();
-        let compiled = Arc::new(translate(&spec).unwrap());
-        for seed in 0..30u64 {
-            let trace = random_trace(seed, 60);
-            let registry: HashMap<_, _> = [(ObjId(1), spec.clone())].into();
-            let oracle_races = find_races(&trace, &registry);
-
-            let rd2 = TraceDetector::new();
-            rd2.register(ObjId(1), Arc::clone(&compiled));
-            let rd2_report = replay(&trace, &rd2);
-
-            let direct = Direct::new();
-            direct.register(ObjId(1), Arc::new(spec.clone()));
-            let direct_report = replay(&trace, &direct);
-
-            assert_eq!(
-                rd2_report.total() > 0,
-                !oracle_races.is_empty(),
-                "seed {seed}: rd2 = {rd2_report:?}, oracle = {oracle_races:?}\n{trace}"
-            );
-            assert_eq!(
-                direct_report.total() as usize,
-                oracle_races.len(),
-                "seed {seed}: direct disagrees with oracle\n{trace}"
-            );
-        }
-    }
 
     #[test]
     fn oracle_ignores_unregistered_objects_and_cross_object_pairs() {

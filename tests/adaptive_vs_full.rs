@@ -7,117 +7,47 @@
 //! complete vector clock, exactly as Algorithm 1 is written in the paper.
 //!
 //! The representations must be observationally identical: for any trace,
-//! both modes must produce *bit-for-bit equal* [`RaceReport`]s — same
+//! both modes must produce *bit-for-bit equal* `RaceReport`s — same
 //! total, same distinct race-class count, same per-class counts, same
-//! sample records. This file replays randomly generated well-formed traces
-//! through both modes and asserts exactly that.
+//! sample records. This file runs random well-formed traces through
+//! `common::assert_all_paths_agree`, which replays them in both modes, and
+//! checks that the adaptive mode really takes its epoch path.
 
-use std::sync::Arc;
+mod common;
 
-use crace::core::oracle;
+use common::{assert_all_paths_agree, monitored, random_trace};
 use crace::model::replay;
 use crace::spec::builtin;
-use crace::{
-    translate, Action, ClockMode, Event, LockId, ObjId, RaceReport, ThreadId, Trace, TraceDetector,
-    Value,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crace::{Action, ClockMode, ClockStats, Event, ObjId, ThreadId, Trace, TraceDetector, Value};
 
-/// Generates a random well-formed dictionary trace over two monitored
-/// objects: forks, joins (which retire the joined thread — no events of a
-/// thread after it is joined), lock acquire/release pairs, and put / get /
-/// size actions with small keys so that conflicts are frequent.
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let size = spec.method_id("size").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    let value = |rng: &mut StdRng| -> Value {
-        if rng.gen_bool(0.3) {
-            Value::Nil
-        } else {
-            Value::Int(rng.gen_range(0..3))
-        }
-    };
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..2));
-        match rng.gen_range(0..10) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=6 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, value(&mut rng)], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            7 | 8 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            _ => {
-                let action = Action::new(obj, size, vec![], Value::Int(rng.gen_range(0..4)));
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
+const OBJECTS: u64 = 2;
 
-/// Replays `trace` through a detector in the given mode, with both objects
-/// registered against the builtin dictionary specification.
-fn run(trace: &Trace, mode: ClockMode) -> (RaceReport, crace::ClockStats) {
-    let spec = builtin::dictionary();
-    let compiled = Arc::new(translate(&spec).unwrap());
-    let detector = TraceDetector::with_mode(mode);
-    detector.register(ObjId(1), compiled.clone());
-    detector.register(ObjId(2), compiled);
-    let report = replay(trace, &detector);
-    (report, detector.clock_stats())
+/// The access-point clock statistics of a dictionary replay of `trace` in
+/// the given mode.
+fn clock_stats(trace: &Trace, mode: ClockMode) -> ClockStats {
+    let detector = monitored(
+        TraceDetector::with_mode(mode),
+        &builtin::dictionary(),
+        OBJECTS,
+    );
+    replay(trace, &detector);
+    detector.clock_stats()
 }
 
 /// The tentpole guarantee: on random traces the epoch fast path produces a
-/// report *identical* to the full-vector reference — `RaceReport` derives
-/// `Eq`, so this compares totals, the distinct race-class set, per-class
-/// counts, and the retained sample records all at once.
+/// report *identical* to the full-vector reference — the harness compares
+/// the serial, live and pipeline detectors in both modes bit for bit, and
+/// anchors them to the quadratic oracle (Theorem 5.1).
 #[test]
 fn adaptive_reports_equal_full_vector_reports_on_random_traces() {
+    let spec = builtin::dictionary();
     let mut epoch_updates = 0u64;
     let mut promotions = 0u64;
     for seed in 0..80u64 {
-        let trace = random_trace(seed, 120);
-        let (adaptive, stats) = run(&trace, ClockMode::Adaptive);
-        let (full, full_stats) = run(&trace, ClockMode::FullVector);
-        assert_eq!(
-            adaptive, full,
-            "seed {seed}: adaptive and full-vector reports diverge"
-        );
-        assert_eq!(adaptive.total(), full.total(), "seed {seed}");
-        assert_eq!(adaptive.distinct(), full.distinct(), "seed {seed}");
+        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        assert_all_paths_agree(&spec, &trace, OBJECTS);
+        let stats = clock_stats(&trace, ClockMode::Adaptive);
+        let full_stats = clock_stats(&trace, ClockMode::FullVector);
         epoch_updates += stats.epoch_updates;
         promotions += stats.promotions;
         // The reference mode must never take the epoch path.
@@ -128,28 +58,6 @@ fn adaptive_reports_equal_full_vector_reports_on_random_traces() {
     // O(1) epoch path and the promotion path.
     assert!(epoch_updates > 0, "no trace ever hit the epoch fast path");
     assert!(promotions > 0, "no trace ever promoted an epoch");
-}
-
-/// Both modes also agree with the quadratic oracle (Theorem 5.1): whatever
-/// representation `pt.vc` uses, Algorithm 1 still reports a race iff some
-/// pair of actions races.
-#[test]
-fn both_modes_agree_with_the_quadratic_oracle() {
-    let spec = builtin::dictionary();
-    for seed in 200..220u64 {
-        let trace = random_trace(seed, 60);
-        let registry: std::collections::HashMap<_, _> =
-            [(ObjId(1), spec.clone()), (ObjId(2), spec.clone())].into();
-        let oracle_races = oracle::find_races(&trace, &registry);
-        let (adaptive, _) = run(&trace, ClockMode::Adaptive);
-        let (full, _) = run(&trace, ClockMode::FullVector);
-        assert_eq!(adaptive, full, "seed {seed}");
-        assert_eq!(
-            adaptive.is_empty(),
-            oracle_races.is_empty(),
-            "seed {seed}: detector and oracle disagree on race existence"
-        );
-    }
 }
 
 /// A purely single-threaded trace never leaves the epoch representation:
@@ -170,8 +78,8 @@ fn single_threaded_traces_stay_entirely_on_the_epoch_path() {
             ),
         });
     }
-    let (report, stats) = run(&trace, ClockMode::Adaptive);
-    assert!(report.is_empty());
+    assert!(assert_all_paths_agree(&spec, &trace, OBJECTS).is_empty());
+    let stats = clock_stats(&trace, ClockMode::Adaptive);
     assert!(stats.epoch_updates > 0);
     assert_eq!(stats.promotions, 0);
     assert_eq!(stats.vector_updates, 0);
@@ -208,8 +116,9 @@ fn fork_join_pipelines_transfer_epoch_ownership_without_promotion() {
         });
         prev = child;
     }
-    let (report, stats) = run(&trace, ClockMode::Adaptive);
+    let report = assert_all_paths_agree(&spec, &trace, OBJECTS);
     assert!(report.is_empty(), "{report:?}");
+    let stats = clock_stats(&trace, ClockMode::Adaptive);
     assert_eq!(stats.promotions, 0);
     assert_eq!(stats.vector_updates, 0);
     assert!(stats.epoch_updates >= 4);

@@ -10,8 +10,9 @@
 //! This file proves that equivalence bit-for-bit (`RaceReport` derives
 //! `Eq`) on randomly generated well-formed programs, split at random
 //! boundaries, for every checkpointable detector: the offline
-//! [`TraceDetector`], the live [`Rd2`], the [`FastTrack`] baseline, and
-//! the sharded [`ParallelRd2`] at worker counts 1/2/4/8. The three RD2
+//! [`TraceDetector`], the live [`Rd2`], and the sharded [`ParallelRd2`]
+//! at worker counts 1/2/4/8 here, and the [`FastTrack`] baseline inside
+//! `common::assert_all_paths_agree`, which every sweep runs. The three RD2
 //! front-ends share one checkpoint kind, so every one of them must also
 //! restore every other's checkpoint, at any width. It also checks
 //! the fail-closed half of the contract — a version-bumped, truncated,
@@ -20,203 +21,43 @@
 //! supervision half: a worker panic mid-stream heals from its last
 //! snapshot and the final report still equals serial exactly.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, WIDTHS};
 use crace::core::{builtin_resolver, Checkpoint, ParallelConfig, ParallelRd2, TraceDetector};
-use crace::model::{replay, LocId};
+use crace::model::replay;
 use crace::spec::builtin;
 use crace::vclock::CkptError;
-use crace::{
-    translate, Action, Analysis, Event, FastTrack, LockId, ObjId, Rd2, ThreadId, Trace, Value,
-};
+use crace::{Action, Analysis, Event, FastTrack, ObjId, Rd2, ThreadId, Trace, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-const NUM_OBJECTS: u64 = 4;
-
-/// Generates a random well-formed program mixing high-level dictionary
-/// actions (for the RD2 detectors) with low-level reads and writes (for
-/// FastTrack), plus forks, joins and lock acquire/release pairs. Small
-/// key and location spaces keep conflicts frequent.
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let size = spec.method_id("size").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    let value = |rng: &mut StdRng| -> Value {
-        if rng.gen_bool(0.3) {
-            Value::Nil
-        } else {
-            Value::Int(rng.gen_range(0..3))
-        }
-    };
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..NUM_OBJECTS));
-        match rng.gen_range(0..13) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=5 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, value(&mut rng)], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            6 | 7 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            8 => {
-                let action = Action::new(obj, size, vec![], Value::Int(rng.gen_range(0..4)));
-                trace.push(Event::Action { tid, action });
-            }
-            9 | 10 => trace.push(Event::Write {
-                tid,
-                loc: LocId(rng.gen_range(0..4)),
-            }),
-            _ => trace.push(Event::Read {
-                tid,
-                loc: LocId(rng.gen_range(0..4)),
-            }),
-        }
-    }
-    trace
-}
-
-fn compiled_dict() -> Arc<crace::core::CompiledSpec> {
-    Arc::new(translate(&builtin::dictionary()).unwrap())
-}
-
-/// The core equivalence check, generic over any checkpointable
-/// detector: folding the whole trace uninterrupted, pausing at `split`
-/// to checkpoint (the live detector keeps running afterwards — a
-/// checkpoint must be observation-only), and restoring that checkpoint
-/// into a freshly-configured detector all produce the same report.
-fn assert_checkpoint_equivalence<D, F>(label: &str, make: F, trace: &Trace, split: usize)
-where
-    D: Analysis + Checkpoint,
-    F: Fn() -> D,
-{
-    let resolve = builtin_resolver();
-    let uninterrupted = replay(trace, &make());
-    let (prefix, suffix) = trace.events().split_at(split);
-
-    let live = make();
-    for event in prefix {
-        live.on_event(event);
-    }
-    let blob = live.checkpoint();
-    for event in suffix {
-        live.on_event(event);
-    }
-    assert_eq!(
-        live.report(),
-        uninterrupted,
-        "{label}: taking a checkpoint perturbed the live detector"
-    );
-
-    let restored = make();
-    restored
-        .restore(&blob, &resolve)
-        .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
-    for event in suffix {
-        restored.on_event(event);
-    }
-    assert_eq!(
-        restored.report(),
-        uninterrupted,
-        "{label}: restore(checkpoint(fold(prefix))) != fold(prefix)"
-    );
-    assert_eq!(
-        restored.report().to_json(),
-        uninterrupted.to_json(),
-        "{label}: JSON reports diverge after restore"
-    );
-}
-
-fn make_rd2() -> Rd2 {
-    let detector = Rd2::new();
-    let compiled = compiled_dict();
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    detector
-}
-
-fn make_trace_detector() -> TraceDetector {
-    let detector = TraceDetector::new();
-    let compiled = compiled_dict();
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    detector
-}
-
-fn make_parallel(workers: usize, cfg: &ParallelConfig) -> ParallelRd2 {
-    let detector = ParallelRd2::with_config(workers, cfg.clone());
-    let compiled = compiled_dict();
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    detector
-}
+const OBJECTS: u64 = 4;
 
 /// `restore(checkpoint(fold(prefix))) ≡ fold(prefix)` for the serial
-/// detectors — Rd2, TraceDetector, FastTrack in both provenance modes —
-/// on random programs split at random boundaries.
+/// detectors — Rd2 and TraceDetector, each restoring its own checkpoint —
+/// on random programs split at random boundaries. The harness adds a
+/// cross-front-end restore and FastTrack in both provenance modes.
 #[test]
 fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
+    let spec = builtin::dictionary();
     for seed in 0..40u64 {
-        let trace = random_trace(seed, 140);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC4E9);
-        let split = rng.gen_range(0..=trace.len());
-        assert_checkpoint_equivalence(
-            &format!("rd2 seed {seed} split {split}"),
-            make_rd2,
+        let trace = random_trace(&spec, seed, 140, OBJECTS);
+        let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
+        let split = StdRng::seed_from_u64(seed ^ 0xC4E9).gen_range(0..=trace.len());
+        let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+        let serial = || monitored(TraceDetector::new(), &spec, OBJECTS);
+        let label = |kind: &str| format!("{kind} seed {seed} split {split}");
+        assert_resumes(&label("rd2"), &rd2(), &rd2(), &trace, split, &expected);
+        assert_resumes(
+            &label("serial"),
+            &serial(),
+            &serial(),
             &trace,
             split,
-        );
-        assert_checkpoint_equivalence(
-            &format!("trace-detector seed {seed} split {split}"),
-            make_trace_detector,
-            &trace,
-            split,
-        );
-        assert_checkpoint_equivalence(
-            &format!("fasttrack seed {seed} split {split}"),
-            FastTrack::new,
-            &trace,
-            split,
-        );
-        assert_checkpoint_equivalence(
-            &format!("fasttrack+prov seed {seed} split {split}"),
-            FastTrack::with_provenance,
-            &trace,
-            split,
+            &expected,
         );
     }
 }
@@ -227,21 +68,31 @@ fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
 /// fed the suffix merges to the exact serial report.
 #[test]
 fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
+    let spec = builtin::dictionary();
     for seed in 100..125u64 {
-        let trace = random_trace(seed, 120);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37);
-        let split = rng.gen_range(0..=trace.len());
+        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
+        let split = StdRng::seed_from_u64(seed ^ 0x9E37).gen_range(0..=trace.len());
         let batch = [1usize, 3, 512][seed as usize % 3];
         for workers in WIDTHS {
             let cfg = ParallelConfig {
                 batch,
                 ..ParallelConfig::default()
             };
-            assert_checkpoint_equivalence(
+            let pipeline = || {
+                monitored(
+                    ParallelRd2::with_config(workers, cfg.clone()),
+                    &spec,
+                    OBJECTS,
+                )
+            };
+            assert_resumes(
                 &format!("parallel w{workers} seed {seed} split {split} batch {batch}"),
-                || make_parallel(workers, &cfg),
+                &pipeline(),
+                &pipeline(),
                 &trace,
                 split,
+                &expected,
             );
         }
     }
@@ -254,16 +105,17 @@ fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
 /// supervisor counters record every respawn.
 #[test]
 fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
+    let spec = builtin::dictionary();
     for seed in 700..720u64 {
-        let trace = random_trace(seed, 140);
-        let serial = replay(&trace, &make_rd2());
+        let trace = random_trace(&spec, seed, 140, OBJECTS);
+        let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in [1usize, 4] {
             let cfg = ParallelConfig {
                 batch: 4,
                 snapshot_every: 16,
                 ..ParallelConfig::default()
             };
-            let detector = make_parallel(workers, &cfg);
+            let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
             let events = trace.events();
             let injections = [events.len() / 3, 2 * events.len() / 3];
             for (i, event) in events.iter().enumerate() {
@@ -298,8 +150,10 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
 /// half-restored.
 #[test]
 fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
-    let trace = random_trace(7, 120);
-    let detector = make_rd2();
+    let spec = builtin::dictionary();
+    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let trace = random_trace(&spec, 7, 120, OBJECTS);
+    let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
     }
@@ -312,7 +166,7 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
 
     // A version bump from a future writer must be refused.
     let bumped = blob.replacen("#%crace-ckpt v1 ", "#%crace-ckpt v2 ", 1);
-    let err = make_rd2().restore(&bumped, &resolve).unwrap_err();
+    let err = rd2().restore(&bumped, &resolve).unwrap_err();
     assert!(
         err.to_string().contains("v"),
         "version error should mention the version: {err}"
@@ -321,17 +175,17 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
     // An RD2 checkpoint refuses to restore into FastTrack (and vice
     // versa): the kinds differ.
     assert!(FastTrack::new().restore(&blob, &resolve).is_err());
-    assert!(make_rd2()
+    assert!(rd2()
         .restore(&FastTrack::new().checkpoint(), &resolve)
         .is_err());
 
     // A resolver that cannot supply the referenced spec fails the
     // restore closed instead of silently dropping the object.
     let none: &crace::core::SpecResolver<'_> = &|_: &str| None;
-    assert!(make_rd2().restore(&blob, none).is_err());
+    assert!(rd2().restore(&blob, none).is_err());
 
     // An empty blob is damage, not an empty detector.
-    assert!(make_rd2().restore("", &resolve).is_err());
+    assert!(rd2().restore("", &resolve).is_err());
 }
 
 /// Truncation property: cutting the checkpoint anywhere that loses
@@ -340,8 +194,10 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
 /// nothing but trailing whitespace.
 #[test]
 fn truncated_checkpoints_fail_closed() {
-    let trace = random_trace(11, 100);
-    let detector = make_rd2();
+    let spec = builtin::dictionary();
+    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let trace = random_trace(&spec, 11, 100, OBJECTS);
+    let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
     }
@@ -349,7 +205,7 @@ fn truncated_checkpoints_fail_closed() {
     let resolve = builtin_resolver();
     for cut in (0..blob.len()).step_by(17).chain([blob.len() - 1]) {
         let truncated = &blob[..cut];
-        if make_rd2().restore(truncated, &resolve).is_ok() {
+        if rd2().restore(truncated, &resolve).is_ok() {
             assert!(
                 blob[cut..].trim().is_empty(),
                 "cut at {cut} lost content but restored cleanly"
@@ -365,11 +221,13 @@ fn truncated_checkpoints_fail_closed() {
 /// checkpoint never produces a *wrong* report.
 #[test]
 fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
-    let trace = random_trace(13, 100);
+    let spec = builtin::dictionary();
+    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let trace = random_trace(&spec, 13, 100, OBJECTS);
     let split = trace.len() / 2;
-    let uninterrupted = replay(&trace, &make_rd2());
+    let uninterrupted = replay(&trace, &rd2());
     let (prefix, suffix) = trace.events().split_at(split);
-    let detector = make_rd2();
+    let detector = rd2();
     for event in prefix {
         detector.on_event(event);
     }
@@ -384,7 +242,7 @@ fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
             continue;
         };
         tried += 1;
-        let fresh = make_rd2();
+        let fresh = rd2();
         match fresh.restore(&flipped, &resolve) {
             Err(_) => rejected += 1,
             Ok(()) => {
@@ -407,47 +265,17 @@ fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
     );
 }
 
-/// The RD2 front-ends checkpointing into the one `rd2` kind.
-trait Durable: Analysis + Checkpoint {}
-impl<D: Analysis + Checkpoint> Durable for D {}
-
-type Make = Box<dyn Fn() -> Box<dyn Durable>>;
-
-/// Serial, live, and the pipeline at every width.
-fn front_ends() -> Vec<(String, Make)> {
-    let mut all: Vec<(String, Make)> = vec![
-        (
-            "serial".into(),
-            Box::new(|| Box::new(make_trace_detector())),
-        ),
-        ("rd2".into(), Box::new(|| Box::new(make_rd2()))),
-    ];
-    for workers in WIDTHS {
-        // One width sweeps with epoch GC, so restore must rebuild a
-        // sound GC live set too.
-        let cfg = ParallelConfig {
-            batch: 3,
-            gc_every: if workers == 4 { 5 } else { 0 },
-            ..ParallelConfig::default()
-        };
-        all.push((
-            format!("w{workers}"),
-            Box::new(move || Box::new(make_parallel(workers, &cfg))),
-        ));
-    }
-    all
-}
-
 /// Cross-width durability: a checkpoint taken by any RD2 front-end at any
 /// width restores into every other one, and the resumed run's report is
 /// bit-for-bit the uninterrupted serial report.
 #[test]
 fn checkpoints_restore_across_every_front_end_and_width() {
+    let spec = builtin::dictionary();
     let resolve = builtin_resolver();
-    let fronts = front_ends();
+    let fronts = front_ends(&spec, OBJECTS, 3);
     for seed in 200..208u64 {
-        let trace = random_trace(seed, 120);
-        let expected = replay(&trace, &make_trace_detector());
+        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0x77AA).gen_range(0..=trace.len());
         let (prefix, suffix) = trace.events().split_at(split);
         for (from, make_from) in &fronts {
@@ -484,14 +312,15 @@ fn checkpoints_restore_across_every_front_end_and_width() {
 /// initializes it the way the serial detector does.
 #[test]
 fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
+    let spec = builtin::dictionary();
     let orphan = ThreadId(99);
-    let put = builtin::dictionary().method_id("put").unwrap();
+    let put = spec.method_id("put").unwrap();
     for seed in 300..308u64 {
-        let mut events = random_trace(seed, 120).events().to_vec();
+        let mut events = random_trace(&spec, seed, 120, OBJECTS).events().to_vec();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         for key in 0..2 {
             let action = Action::new(
-                ObjId(1 + seed % NUM_OBJECTS),
+                ObjId(1 + seed % OBJECTS),
                 put,
                 vec![Value::Int(key), Value::Int(1)],
                 Value::Nil,
@@ -510,7 +339,7 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
             trace.push(event);
         }
         let trace = Arc::new(trace);
-        let serial = make_trace_detector();
+        let serial = monitored(TraceDetector::new(), &spec, OBJECTS);
         for event in trace.events() {
             serial.on_event(event);
         }
@@ -521,11 +350,15 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
                 batch: [1usize, 5, 512][seed as usize % 3],
                 ..ParallelConfig::default()
             };
-            let online = make_parallel(workers, &cfg);
+            let online = monitored(
+                ParallelRd2::with_config(workers, cfg.clone()),
+                &spec,
+                OBJECTS,
+            );
             for event in trace.events() {
                 online.on_event(event);
             }
-            let shared = make_parallel(workers, &cfg);
+            let shared = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
             shared.ingest_shared(&trace);
             for (path, pipeline) in [("online", online), ("shared", shared)] {
                 assert_eq!(
@@ -543,9 +376,10 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
 /// `CkptError`, which the daemon turns into a full capture replay.
 #[test]
 fn retired_rd2_checkpoint_kinds_are_rejected() {
+    let spec = builtin::dictionary();
     let resolve = builtin_resolver();
-    let trace = random_trace(17, 100);
-    let detector = make_trace_detector();
+    let trace = random_trace(&spec, 17, 100, OBJECTS);
+    let detector = monitored(TraceDetector::new(), &spec, OBJECTS);
     for event in trace.events() {
         detector.on_event(event);
     }
@@ -553,7 +387,7 @@ fn retired_rd2_checkpoint_kinds_are_rejected() {
     assert!(blob.starts_with("#%crace-ckpt v1 rd2\n"), "{blob:.40}");
     for kind in ["rd2-trace", "rd2-parallel"] {
         let old = blob.replacen(" rd2\n", &format!(" {kind}\n"), 1);
-        for (name, make) in front_ends() {
+        for (name, make) in front_ends(&spec, OBJECTS, 3) {
             let err: CkptError = make()
                 .restore(&old, &resolve)
                 .expect_err(&format!("{name} restored a `{kind}` checkpoint"));

@@ -7,80 +7,19 @@
 //! counted exactly, one tenant's failure never touches another, and no
 //! session or connection leaks.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{assert_all_paths_agree, random_trace};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
-use crace::model::replay;
 use crace::obs::MetricValue;
 use crace::spec::builtin;
-use crace::{
-    translate, Action, Event, LockId, ObjId, RaceReport, ThreadId, Trace, TraceDetector, Value,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crace::{RaceReport, Trace};
 
-const NUM_OBJECTS: u64 = 4;
-
-/// Same generator as `daemon_vs_replay.rs` (duplicated on purpose: each
-/// differential file stays self-contained).
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..NUM_OBJECTS));
-        match rng.gen_range(0..10) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=7 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, Value::Int(1)], Value::Nil);
-                trace.push(Event::Action { tid, action });
-            }
-            _ => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], Value::Nil);
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
-
-fn offline_report(trace: &Trace) -> RaceReport {
-    let detector = TraceDetector::new();
-    let compiled = Arc::new(translate(&builtin::dictionary()).unwrap());
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    replay(trace, &detector)
-}
+const OBJECTS: u64 = 4;
 
 fn start_server(cfg: ServerConfig) -> Server {
     Server::start(&Endpoint::Tcp("127.0.0.1:0".to_string()), cfg).expect("bind test server")
@@ -125,7 +64,7 @@ fn wait_no_sessions(server: &Server) {
 fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
     let server = start_server(ServerConfig::default());
     let spec = builtin::dictionary();
-    let trace = random_trace(11, 60);
+    let trace = random_trace(&spec, 11, 60, OBJECTS);
     let lines: Vec<String> = trace
         .events()
         .iter()
@@ -162,9 +101,9 @@ fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
     for event in &trace.events()[..cut] {
         prefix.push(event.clone());
     }
+    let expected = assert_all_paths_agree(&spec, &prefix, OBJECTS).to_json();
     assert_eq!(
-        outcome.report_json,
-        offline_report(&prefix).to_json(),
+        outcome.report_json, expected,
         "torn-prefix report must equal offline replay of the prefix"
     );
 
@@ -185,7 +124,7 @@ fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
     let damage = outcome.damage.expect("no BYE means torn");
     assert_eq!(damage.lost_bytes, 0);
     assert_eq!(damage.lost_records, 0);
-    assert_eq!(outcome.report_json, offline_report(&prefix).to_json());
+    assert_eq!(outcome.report_json, expected);
 
     wait_no_sessions(&server);
     server.shutdown();
@@ -197,7 +136,7 @@ fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
 fn damaged_record_tears_the_session_and_counts_the_bad_line() {
     let server = start_server(ServerConfig::default());
     let spec = builtin::dictionary();
-    let trace = random_trace(12, 30);
+    let trace = random_trace(&spec, 12, 30, OBJECTS);
     let lines: Vec<String> = trace
         .events()
         .iter()
@@ -231,7 +170,10 @@ fn damaged_record_tears_the_session_and_counts_the_bad_line() {
     for event in &trace.events()[..20] {
         prefix.push(event.clone());
     }
-    assert_eq!(outcome.report_json, offline_report(&prefix).to_json());
+    assert_eq!(
+        outcome.report_json,
+        assert_all_paths_agree(&spec, &prefix, OBJECTS).to_json()
+    );
     wait_no_sessions(&server);
     server.shutdown();
 }
@@ -244,8 +186,8 @@ fn damaged_record_tears_the_session_and_counts_the_bad_line() {
 fn injected_detector_panic_is_isolated_to_its_tenant() {
     let server = Arc::new(start_server(ServerConfig::default()));
     let spec = builtin::dictionary();
-    let trace = random_trace(13, 80);
-    let offline = offline_report(&trace);
+    let trace = random_trace(&spec, 13, 80, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS);
 
     // The clean tenant runs concurrently with the panicking one.
     let clean_server = Arc::clone(&server);
@@ -323,9 +265,10 @@ fn fault_plans_are_rejected_when_not_allowed() {
 }
 
 /// Forced overload: a tiny ring, a near-zero grace, and an injected
-/// dispatch delay stall the dispatcher so the ladder must shed. Sync
-/// events still all arrive (backpressure), only data-plane events are
-/// shed, every shed is counted, and the report is a subreport.
+/// dispatch delay on every slot keep the dispatcher slower than the
+/// producer, so the ladder must shed. Sync events still all arrive
+/// (backpressure), only data-plane events are shed, every shed is
+/// counted, and the report is a subreport.
 #[test]
 fn overload_sheds_data_plane_only_and_counts_every_loss() {
     let server = start_server(ServerConfig {
@@ -334,19 +277,20 @@ fn overload_sheds_data_plane_only_and_counts_every_loss() {
         ..ServerConfig::default()
     });
     let spec = builtin::dictionary();
-    let trace = random_trace(14, 120);
+    let trace = random_trace(&spec, 14, 120, OBJECTS);
     let sync_events = trace.events().iter().filter(|e| e.is_sync()).count() as u64;
-    let offline = offline_report(&trace);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS);
     let mut client = Client::connect(server.endpoint()).expect("connect");
-    // Stall the dispatcher 30ms on each of the first three dispatches;
-    // with a 2-slot ring and 1ms grace the producer must shed.
+    // Stall the dispatcher 2ms on every dispatch; with a 2-slot ring and
+    // 1ms grace the producer must shed. Stalling only a few slots is not
+    // enough: while the handler is held back by a sync event's
+    // backpressure the ring drains, so whether a data event ever meets a
+    // full ring would depend on the trace's mix of sync and data events.
+    let delays: Vec<String> = (0..trace.len())
+        .map(|i| format!("delay@{i}:2000"))
+        .collect();
     client
-        .hello(
-            "overload",
-            "dictionary",
-            0,
-            Some("delay@0:30000,delay@1:30000,delay@2:30000"),
-        )
+        .hello("overload", "dictionary", 0, Some(&delays.join(",")))
         .expect("HELLO");
     for event in trace.events() {
         client.send_event(event, &spec).expect("send");
@@ -396,7 +340,7 @@ fn soak_survives_connect_disconnect_churn_with_monotone_counters() {
                 round += 1;
                 let seed = worker * 1_000_000 + round;
                 let name = format!("soak-{worker}-{round}");
-                let trace = random_trace(seed, 40);
+                let trace = random_trace(&spec, seed, 40, OBJECTS);
                 match round % 5 {
                     // Clean run: the report must stay exact even while
                     // neighbors are being killed and panicked.
@@ -409,7 +353,11 @@ fn soak_survives_connect_disconnect_churn_with_monotone_counters() {
                             client.send_event(event, &spec).expect("send");
                         }
                         let (report, _) = client.bye().expect("BYE");
-                        assert_eq!(report, offline_report(&trace).to_json(), "{name} diverged");
+                        assert_eq!(
+                            report,
+                            assert_all_paths_agree(&spec, &trace, OBJECTS).to_json(),
+                            "{name} diverged"
+                        );
                     }
                     // Mid-stream kill.
                     2 => {

@@ -13,89 +13,18 @@
 //! resumed session appends to its original capture instead of forking a
 //! `-2` sibling.
 
-use std::sync::Arc;
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{assert_all_paths_agree, random_trace};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
-use crace::model::replay;
 use crace::spec::builtin;
-use crace::{translate, Action, Event, LockId, ObjId, ThreadId, Trace, TraceDetector, Value};
+use crace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const NUM_OBJECTS: u64 = 4;
-
-/// Same generator shape as `daemon_vs_replay.rs`: forks, joins, lock
-/// pairs, and put/get/size over four objects with tiny keys.
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let size = spec.method_id("size").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    let value = |rng: &mut StdRng| -> Value {
-        if rng.gen_bool(0.3) {
-            Value::Nil
-        } else {
-            Value::Int(rng.gen_range(0..3))
-        }
-    };
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..NUM_OBJECTS));
-        match rng.gen_range(0..10) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=6 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, value(&mut rng)], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            7 | 8 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            _ => {
-                let action = Action::new(obj, size, vec![], Value::Int(rng.gen_range(0..4)));
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
-
-/// The uninterrupted ground truth: a serial replay's report JSON.
-fn offline_json(trace: &Trace) -> String {
-    let detector = TraceDetector::new();
-    let compiled = Arc::new(translate(&builtin::dictionary()).unwrap());
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    replay(trace, &detector).to_json()
-}
+const OBJECTS: u64 = 4;
 
 /// A fresh per-test record dir under the system temp dir.
 fn record_dir(tag: &str) -> std::path::PathBuf {
@@ -180,10 +109,11 @@ fn resume_and_finish(
 /// to the uninterrupted offline replay.
 #[test]
 fn killed_and_resumed_sessions_report_bit_for_bit() {
+    let spec = builtin::dictionary();
     let widths = [0usize, 1, 2, 4, 8];
     for seed in 0..20u64 {
-        let trace = random_trace(seed, 120);
-        let offline = offline_json(&trace);
+        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let workers = widths[seed as usize % widths.len()];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         for cut in 0..5 {
@@ -215,9 +145,10 @@ fn killed_and_resumed_sessions_report_bit_for_bit() {
 /// reports bit-for-bit.
 #[test]
 fn resume_at_a_changed_width_restores_from_the_checkpoint() {
+    let spec = builtin::dictionary();
     for (i, (before, after)) in [(0usize, 4usize), (2, 0), (8, 1)].into_iter().enumerate() {
-        let trace = random_trace(107 + i as u64, 140);
-        let offline = offline_json(&trace);
+        let trace = random_trace(&spec, 107 + i as u64, 140, OBJECTS);
+        let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let dir = record_dir(&format!("width-{i}"));
         let session = format!("width-{i}");
         stream_then_kill(durable_config(&dir, 16), &session, &trace, before, 100);
@@ -248,8 +179,9 @@ fn resume_at_a_changed_width_restores_from_the_checkpoint() {
 /// replay and still reports bit-for-bit.
 #[test]
 fn resume_without_a_checkpoint_replays_the_full_capture() {
-    let trace = random_trace(31, 150);
-    let offline = offline_json(&trace);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 31, 150, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let dir = record_dir("nockpt");
     stream_then_kill(durable_config(&dir, 0), "nockpt", &trace, 2, 90);
     assert!(
@@ -268,8 +200,9 @@ fn resume_without_a_checkpoint_replays_the_full_capture() {
 /// full, and the report is still exact.
 #[test]
 fn corrupt_checkpoints_fall_closed_to_capture_replay() {
-    let trace = random_trace(47, 140);
-    let offline = offline_json(&trace);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 47, 140, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     for (i, corrupt) in [
         |b: &mut Vec<u8>| {
             let mid = b.len() / 2;
@@ -314,8 +247,9 @@ fn corrupt_checkpoints_fall_closed_to_capture_replay() {
 /// record so nothing is lost end-to-end.
 #[test]
 fn torn_capture_tails_are_clipped_with_exact_accounting() {
-    let trace = random_trace(59, 130);
-    let offline = offline_json(&trace);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 59, 130, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let dir = record_dir("torn");
     stream_then_kill(durable_config(&dir, 32), "torn", &trace, 2, 80);
     // Half a record, no newline: exactly what a SIGKILL mid-write leaves.
@@ -343,7 +277,6 @@ fn torn_capture_tails_are_clipped_with_exact_accounting() {
     assert_eq!(field("lost_bytes"), tail.len() as u64, "{ok}");
     assert_eq!(field("lost_records"), 1, "{ok}");
     assert_eq!(recovered, 80, "the valid prefix is everything sent");
-    let spec = builtin::dictionary();
     for event in &trace.events()[recovered as usize..] {
         client.send_event(event, &spec).expect("resend");
     }
@@ -367,7 +300,8 @@ fn torn_capture_tails_are_clipped_with_exact_accounting() {
 /// holding the entire stream.
 #[test]
 fn resumed_sessions_append_to_their_original_capture_lineage() {
-    let trace = random_trace(73, 110);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 73, 110, OBJECTS);
     let dir = record_dir("lineage");
     stream_then_kill(durable_config(&dir, 16), "lineage", &trace, 0, 60);
     let (_, _, server) = resume_and_finish(durable_config(&dir, 16), "lineage", &trace, 0);
@@ -377,7 +311,6 @@ fn resumed_sessions_append_to_their_original_capture_lineage() {
         !dir.join("lineage-2.framed.trace").exists(),
         "resume forked a -2 capture lineage"
     );
-    let spec = builtin::dictionary();
     let text = std::fs::read_to_string(dir.join("lineage.framed.trace")).unwrap();
     let (reparsed, torn) = crace::cli::parse_framed_tolerant(&text, &spec);
     assert!(torn.is_none());
@@ -393,9 +326,9 @@ fn resumed_sessions_append_to_their_original_capture_lineage() {
 /// resume, and a future session reusing the name starts unshadowed.
 #[test]
 fn clean_bye_retires_the_checkpoint() {
-    let trace = random_trace(91, 120);
-    let dir = record_dir("retire");
     let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 91, 120, OBJECTS);
+    let dir = record_dir("retire");
     let server = start(durable_config(&dir, 8));
     let mut client = Client::connect(server.endpoint()).expect("connect");
     client

@@ -9,93 +9,20 @@
 //! streamed whole, chunked, or dribbled one byte at a time, alone or as
 //! one of eight simultaneous tenants — the `REPORT` JSON coming back
 //! over the wire must equal `RaceReport::to_json()` of an offline serial
-//! replay of the same events, byte for byte.
+//! replay of the same events, byte for byte. That offline report comes
+//! from `common::assert_all_paths_agree`, so it is itself checked against
+//! every other path and the quadratic oracle.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{assert_all_paths_agree, random_trace, WIDTHS};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
-use crace::model::replay;
 use crace::spec::builtin;
-use crace::{translate, Action, Event, LockId, ObjId, Spec, ThreadId, Trace, TraceDetector, Value};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crace::{Spec, Trace};
 
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-const NUM_OBJECTS: u64 = 4;
-
-/// Same shape as the `parallel_vs_serial` generator: forks, joins,
-/// acquire/release pairs, and put/get/size actions over four objects
-/// with tiny keys so conflicts are frequent.
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let size = spec.method_id("size").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    let value = |rng: &mut StdRng| -> Value {
-        if rng.gen_bool(0.3) {
-            Value::Nil
-        } else {
-            Value::Int(rng.gen_range(0..3))
-        }
-    };
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..NUM_OBJECTS));
-        match rng.gen_range(0..10) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=6 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, value(&mut rng)], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            7 | 8 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            _ => {
-                let action = Action::new(obj, size, vec![], Value::Int(rng.gen_range(0..4)));
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
-
-/// The offline ground truth: a serial replay's report JSON — exactly the
-/// bytes `crace replay --json` prints for the same events.
-fn offline_json(trace: &Trace) -> String {
-    let detector = TraceDetector::new();
-    let compiled = Arc::new(translate(&builtin::dictionary()).unwrap());
-    for obj in 1..=NUM_OBJECTS {
-        detector.register(ObjId(obj), Arc::clone(&compiled));
-    }
-    replay(trace, &detector).to_json()
-}
+const OBJECTS: u64 = 4;
 
 fn start_server() -> Server {
     Server::start(
@@ -148,8 +75,8 @@ fn daemon_reports_equal_offline_replay_on_random_programs() {
     // 1-byte dribble (kept for the smaller corpus below — it is slow).
     let chunks = [0usize, 4096, 17, 3];
     for seed in 0..100u64 {
-        let trace = random_trace(seed, 100);
-        let offline = offline_json(&trace);
+        let trace = random_trace(&spec, seed, 100, OBJECTS);
+        let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let workers = WIDTHS[seed as usize % WIDTHS.len()];
         let chunk = chunks[seed as usize % chunks.len()];
         let wire = stream_session(
@@ -176,8 +103,8 @@ fn every_width_and_the_one_byte_dribble_agree() {
     let server = start_server();
     let spec = builtin::dictionary();
     for seed in 1000..1010u64 {
-        let trace = random_trace(seed, 60);
-        let offline = offline_json(&trace);
+        let trace = random_trace(&spec, seed, 60, OBJECTS);
+        let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         for workers in WIDTHS {
             let wire = stream_session(
                 &server,
@@ -207,8 +134,8 @@ fn concurrent_tenants_each_get_their_own_report() {
             workers_threads.push(std::thread::spawn(move || {
                 let spec = builtin::dictionary();
                 let seed = 2000 + (tenants * 100 + t) as u64;
-                let trace = random_trace(seed, 120);
-                let offline = offline_json(&trace);
+                let trace = random_trace(&spec, seed, 120, OBJECTS);
+                let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
                 let wire = stream_session(
                     &server,
                     &format!("tenant-{tenants}-{t}"),
@@ -236,8 +163,8 @@ fn concurrent_tenants_each_get_their_own_report() {
 fn interim_reports_do_not_perturb_the_final_report() {
     let server = start_server();
     let spec = builtin::dictionary();
-    let trace = random_trace(77, 150);
-    let offline = offline_json(&trace);
+    let trace = random_trace(&spec, 77, 150, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let mut client = Client::connect(server.endpoint()).expect("connect");
     client
         .hello("interim", "dictionary", 4, None)
@@ -267,7 +194,7 @@ fn fixture_trace_streams_verbatim_to_the_fixture_answer() {
     let spec = builtin::dictionary();
     let body = std::fs::read_to_string("crates/cli/tests/data/fig3.framed.trace").unwrap();
     let trace = crace::cli::parse_trace(&body, &spec).unwrap();
-    let offline = offline_json(&trace);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
 
     for (chunk, name) in [(4096usize, "fixture-whole"), (1, "fixture-dribble")] {
         let mut client = Client::connect(server.endpoint()).expect("connect");

@@ -1,106 +1,18 @@
 //! Integration test for Theorem 5.1: Algorithm 1 reports a commutativity
 //! race **iff** the observed trace contains one — validated against the
-//! quadratic oracle across several object specifications and many random
-//! traces.
+//! quadratic oracle for every builtin specification on many random traces,
+//! through every detector path (see `common::assert_all_paths_agree`).
 
-use crace::core::oracle::find_races;
-use crace::{translate, Action, Direct, Event, ObjId, ThreadId, Trace, TraceDetector, Value};
-use crace_model::replay;
+mod common;
+
+use common::{assert_all_paths_agree, random_trace};
 use crace_spec::{builtin, Spec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
 
-const OBJ: ObjId = ObjId(1);
-
-/// Random action for `spec`, with slot values from a small universe so
-/// that collisions (and hence races) are common.
-fn random_action(spec: &Spec, rng: &mut StdRng) -> Action {
-    let m = rng.gen_range(0..spec.num_methods());
-    let method = crace::MethodId(m as u32);
-    let sig = spec.sig(method);
-    let value = |rng: &mut StdRng| match rng.gen_range(0..4) {
-        0 => Value::Nil,
-        1 => Value::Bool(rng.gen_bool(0.5)),
-        _ => Value::Int(rng.gen_range(0..3)),
-    };
-    let args: Vec<Value> = (0..sig.num_args()).map(|_| value(rng)).collect();
-    let ret = value(rng);
-    Action::new(OBJ, method, args, ret)
-}
-
-/// Random trace: forks, joins, lock pairs and actions of `spec`.
-fn random_trace(spec: &Spec, seed: u64, len: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Trace::new();
-    let mut live = vec![0u32];
-    let mut next = 1u32;
-    for _ in 0..len {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        match rng.gen_range(0..12) {
-            0 if live.len() < 6 => {
-                let child = ThreadId(next);
-                next += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let victim = live[rng.gen_range(0..live.len())];
-                if victim != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(victim),
-                    });
-                    live.retain(|&t| t != victim);
-                }
-            }
-            2 | 3 => {
-                let lock = crace::LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            _ => {
-                trace.push(Event::Action {
-                    tid,
-                    action: random_action(spec, &mut rng),
-                });
-            }
-        }
-    }
-    trace
-}
+const OBJECTS: u64 = 2;
 
 fn check_spec(spec: &Spec, seeds: std::ops::Range<u64>) {
-    let compiled = Arc::new(translate(spec).expect("builtins are ECL"));
     for seed in seeds {
-        let trace = random_trace(spec, seed, 80);
-        let registry: HashMap<_, _> = [(OBJ, spec.clone())].into();
-        let oracle = find_races(&trace, &registry);
-
-        let rd2 = TraceDetector::new();
-        rd2.register(OBJ, Arc::clone(&compiled));
-        let rd2_report = replay(&trace, &rd2);
-
-        let direct = Direct::new();
-        direct.register(OBJ, Arc::new(spec.clone()));
-        let direct_report = replay(&trace, &direct);
-
-        // Theorem 5.1: a race is reported iff one exists.
-        assert_eq!(
-            rd2_report.total() > 0,
-            !oracle.is_empty(),
-            "{} seed {seed}: rd2 = {rd2_report:?} vs oracle {} races\n{trace}",
-            spec.name(),
-            oracle.len(),
-        );
-        // The direct detector enumerates exactly the oracle's pairs.
-        assert_eq!(
-            direct_report.total() as usize,
-            oracle.len(),
-            "{} seed {seed}\n{trace}",
-            spec.name(),
-        );
+        assert_all_paths_agree(spec, &random_trace(spec, seed, 100, OBJECTS), OBJECTS);
     }
 }
 
@@ -132,30 +44,4 @@ fn register_matches_oracle() {
 #[test]
 fn queue_matches_oracle() {
     check_spec(&builtin::queue(), 500..530);
-}
-
-/// The online sharded detector (`Rd2`) and the single-lock trace detector
-/// agree exactly when fed the same serialized event stream.
-#[test]
-fn online_and_trace_detectors_agree() {
-    let spec = builtin::dictionary();
-    let compiled = Arc::new(translate(&spec).unwrap());
-    for seed in 600..640u64 {
-        let trace = random_trace(&spec, seed, 100);
-
-        let offline = TraceDetector::new();
-        offline.register(OBJ, Arc::clone(&compiled));
-        let offline_report = replay(&trace, &offline);
-
-        let online = crace::Rd2::new();
-        online.register(OBJ, Arc::clone(&compiled));
-        let online_report = replay(&trace, &online);
-
-        assert_eq!(
-            offline_report.total(),
-            online_report.total(),
-            "seed {seed}\n{trace}"
-        );
-        assert_eq!(offline_report.distinct(), online_report.distinct());
-    }
 }

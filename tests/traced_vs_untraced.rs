@@ -1,153 +1,52 @@
 //! Differential guarantees for the tracing plane.
 //!
 //! Span tracing is observability, not semantics: wiring a [`Tracer`]
-//! into any detector must not change a single bit of its [`RaceReport`],
+//! into any detector must not change a single bit of its `RaceReport`,
 //! at any worker count, with GC on or off. This file replays random
 //! well-formed programs through the serial detectors and the parallel
-//! pipeline with tracing enabled, disabled, and absent, and asserts the
-//! reports are identical — then checks the timeline itself: every
-//! pipeline phase shows up as at least one span, the Chrome export
-//! parses under the repo's RFC 8259 validator, the collapsed stacks are
-//! non-empty, and per-worker occupancy derived from span payloads agrees
-//! with the pipeline's own `parallel.*` counters.
+//! pipeline with tracing enabled, and asserts the reports are identical
+//! to the untraced reference of `common::assert_all_paths_agree` — then
+//! checks the timeline itself: every pipeline phase shows up as at least
+//! one span, the Chrome export parses under the repo's RFC 8259
+//! validator, the collapsed stacks are non-empty, and per-worker occupancy
+//! derived from span payloads agrees with the pipeline's own `parallel.*`
+//! counters.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{assert_all_paths_agree, monitored, random_trace, WIDTHS};
 use crace::core::{ParallelConfig, ParallelRd2};
 use crace::model::replay;
 use crace::obs::EventKind;
 use crace::spec::builtin;
-use crace::{
-    translate, Action, Analysis, Event, LockId, ObjId, RaceReport, Rd2, ThreadId, Trace,
-    TraceDetector, Tracer, Value,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crace::{Analysis, Rd2, TraceDetector, Tracer};
 
-const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-const NUM_OBJECTS: u64 = 4;
-
-/// Random well-formed dictionary programs over four monitored objects —
-/// the same generator shape as `parallel_vs_serial.rs`.
-fn random_trace(seed: u64, events: usize) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = builtin::dictionary();
-    let put = spec.method_id("put").unwrap();
-    let get = spec.method_id("get").unwrap();
-    let size = spec.method_id("size").unwrap();
-    let mut trace = Trace::new();
-    let mut live: Vec<u32> = vec![0];
-    let mut next_tid = 1u32;
-    let value = |rng: &mut StdRng| -> Value {
-        if rng.gen_bool(0.3) {
-            Value::Nil
-        } else {
-            Value::Int(rng.gen_range(0..3))
-        }
-    };
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        let obj = ObjId(1 + rng.gen_range(0..NUM_OBJECTS));
-        match rng.gen_range(0..10) {
-            0 => {
-                let child = ThreadId(next_tid);
-                next_tid += 1;
-                trace.push(Event::Fork { parent: tid, child });
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let other = live[rng.gen_range(0..live.len())];
-                if other != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(other),
-                    });
-                    live.retain(|&t| t != other);
-                }
-            }
-            2 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            3..=6 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, put, vec![k, value(&mut rng)], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            7 | 8 => {
-                let k = Value::Int(rng.gen_range(0..3));
-                let action = Action::new(obj, get, vec![k], value(&mut rng));
-                trace.push(Event::Action { tid, action });
-            }
-            _ => {
-                let action = Action::new(obj, size, vec![], Value::Int(rng.gen_range(0..4)));
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
-
-fn compiled_dict() -> Arc<crace::core::CompiledSpec> {
-    Arc::new(translate(&builtin::dictionary()).unwrap())
-}
-
-fn register_all<A: Analysis, F: Fn(&A, ObjId)>(detector: &A, register: F) -> &A {
-    for obj in 1..=NUM_OBJECTS {
-        register(detector, ObjId(obj));
-    }
-    detector
-}
-
-fn run_trace_detector(trace: &Trace, tracer: Option<&Tracer>, sample: u64) -> RaceReport {
-    let detector = match tracer {
-        Some(t) => TraceDetector::with_tracer(t, sample),
-        None => TraceDetector::new(),
-    };
-    let compiled = compiled_dict();
-    register_all(&detector, |d, obj| d.register(obj, Arc::clone(&compiled)));
-    replay(trace, &detector)
-}
-
-fn run_rd2(trace: &Trace, tracer: Option<&Tracer>, sample: u64) -> RaceReport {
-    let detector = match tracer {
-        Some(t) => Rd2::with_tracer(t, sample),
-        None => Rd2::new(),
-    };
-    let compiled = compiled_dict();
-    register_all(&detector, |d, obj| d.register(obj, Arc::clone(&compiled)));
-    replay(trace, &detector)
-}
-
-fn run_parallel(trace: &Trace, workers: usize, cfg: ParallelConfig) -> (RaceReport, ParallelRd2) {
-    let detector = ParallelRd2::with_config(workers, cfg);
-    let compiled = compiled_dict();
-    register_all(&detector, |d, obj| d.register(obj, Arc::clone(&compiled)));
-    let report = replay(trace, &detector);
-    (report, detector)
-}
+const OBJECTS: u64 = 4;
 
 /// Serial detectors: the report with a tracer attached (at several
-/// sampling periods, including every-action) is bit-for-bit the report
-/// without one.
+/// sampling periods, including every-action) is bit-for-bit the untraced
+/// reference.
 #[test]
 fn serial_reports_are_identical_traced_and_untraced() {
+    let spec = builtin::dictionary();
     for seed in 0..30u64 {
-        let trace = random_trace(seed, 120);
-        let base_td = run_trace_detector(&trace, None, 0);
-        let base_rd2 = run_rd2(&trace, None, 0);
+        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for sample in [1u64, 64] {
             let tracer = Tracer::new();
+            let detector = monitored(TraceDetector::with_tracer(&tracer, sample), &spec, OBJECTS);
             assert_eq!(
-                run_trace_detector(&trace, Some(&tracer), sample),
-                base_td,
+                replay(&trace, &detector),
+                reference,
                 "seed {seed}, sample {sample}: TraceDetector report changed under tracing"
             );
             let tracer = Tracer::new();
+            let detector = monitored(Rd2::with_tracer(&tracer, sample), &spec, OBJECTS);
             assert_eq!(
-                run_rd2(&trace, Some(&tracer), sample),
-                base_rd2,
+                replay(&trace, &detector),
+                reference,
                 "seed {seed}, sample {sample}: Rd2 report changed under tracing"
             );
         }
@@ -155,27 +54,25 @@ fn serial_reports_are_identical_traced_and_untraced() {
 }
 
 /// The pipeline: at widths 1/2/4/8, with GC off and aggressively on, the
-/// traced report equals the untraced one bit for bit.
+/// traced report equals the untraced reference bit for bit.
 #[test]
 fn parallel_reports_are_identical_traced_and_untraced_at_every_width() {
+    let spec = builtin::dictionary();
     for seed in 100..130u64 {
-        let trace = random_trace(seed, 150);
+        let trace = random_trace(&spec, seed, 150, OBJECTS);
+        let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in WIDTHS {
             for gc_every in [0usize, 8] {
                 let cfg = ParallelConfig {
                     batch: 16,
                     gc_every,
+                    tracer: Some(Arc::new(Tracer::new())),
                     ..ParallelConfig::default()
                 };
-                let (untraced, _) = run_parallel(&trace, workers, cfg.clone());
-                let tracer = Arc::new(Tracer::new());
-                let traced_cfg = ParallelConfig {
-                    tracer: Some(Arc::clone(&tracer)),
-                    ..cfg
-                };
-                let (traced, _) = run_parallel(&trace, workers, traced_cfg);
+                let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
                 assert_eq!(
-                    traced, untraced,
+                    replay(&trace, &detector),
+                    reference,
                     "seed {seed}, {workers} worker(s), gc {gc_every}: tracing changed the report"
                 );
             }
@@ -203,7 +100,8 @@ fn aux_by_phase(tracer: &Tracer) -> std::collections::BTreeMap<String, (u64, u64
 /// one span — and both exports are well-formed.
 #[test]
 fn parallel_timeline_covers_every_phase_and_exports_validate() {
-    let trace = random_trace(4242, 400);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 4242, 400, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
@@ -211,7 +109,10 @@ fn parallel_timeline_covers_every_phase_and_exports_validate() {
         tracer: Some(Arc::clone(&tracer)),
         ..ParallelConfig::default()
     };
-    let (_, _detector) = run_parallel(&trace, 4, cfg);
+    replay(
+        &trace,
+        &monitored(ParallelRd2::with_config(4, cfg), &spec, OBJECTS),
+    );
 
     let by_phase = aux_by_phase(&tracer);
     for phase in [
@@ -246,14 +147,16 @@ fn parallel_timeline_covers_every_phase_and_exports_validate() {
 /// the construction makes it exact.
 #[test]
 fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
-    let trace = random_trace(777, 600);
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 777, 600, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
         tracer: Some(Arc::clone(&tracer)),
         ..ParallelConfig::default()
     };
-    let (_, detector) = run_parallel(&trace, 4, cfg);
+    let detector = monitored(ParallelRd2::with_config(4, cfg), &spec, OBJECTS);
+    replay(&trace, &detector);
     let stats = detector.stats();
 
     let total_events: u64 = stats.workers.iter().map(|w| w.events).sum();
@@ -284,22 +187,15 @@ fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
 /// timeline.
 #[test]
 fn shared_ingestion_is_unchanged_by_tracing() {
-    let trace = Arc::new(random_trace(999, 300));
-    let untraced = {
-        let detector = ParallelRd2::with_config(4, ParallelConfig::default());
-        let compiled = compiled_dict();
-        register_all(&detector, |d, obj| d.register(obj, Arc::clone(&compiled)));
-        detector.ingest_shared(&trace);
-        detector.report()
-    };
+    let spec = builtin::dictionary();
+    let trace = Arc::new(random_trace(&spec, 999, 300, OBJECTS));
+    let untraced = assert_all_paths_agree(&spec, &trace, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         tracer: Some(Arc::clone(&tracer)),
         ..ParallelConfig::default()
     };
-    let detector = ParallelRd2::with_config(4, cfg);
-    let compiled = compiled_dict();
-    register_all(&detector, |d, obj| d.register(obj, Arc::clone(&compiled)));
+    let detector = monitored(ParallelRd2::with_config(4, cfg), &spec, OBJECTS);
     detector.ingest_shared(&trace);
     assert_eq!(detector.report(), untraced, "tracing changed the report");
     let by_phase = aux_by_phase(&tracer);
