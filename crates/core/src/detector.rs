@@ -2,6 +2,7 @@
 
 use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
+use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
 use crate::shard::{Abandoned, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
@@ -93,14 +94,20 @@ impl TraceDetector {
     /// `rd2.on_action`), like [`crate::Rd2::with_tracer`].
     /// `sample_every == 0` disables the sampling.
     pub fn with_tracer(tracer: &crace_obs::Tracer, sample_every: u64) -> TraceDetector {
-        let mut detector = TraceDetector::new();
-        detector.tracer = Some(crace_obs::SampledSpans::new(
+        TraceDetector::new().traced(tracer, sample_every)
+    }
+
+    /// This detector, recording spans as [`TraceDetector::with_tracer`]
+    /// does; `TraceDetector::with_provenance(w).traced(t, n)` collects
+    /// both provenance and spans.
+    pub fn traced(mut self, tracer: &crace_obs::Tracer, sample_every: u64) -> TraceDetector {
+        self.tracer = Some(crace_obs::SampledSpans::new(
             tracer,
             "rd2",
             "rd2.on_action",
             sample_every,
         ));
-        detector
+        self
     }
 
     /// Registers `obj` to be checked against `spec`. Re-registering an
@@ -227,6 +234,16 @@ impl Analysis for TraceDetector {
 
     fn report(&self) -> RaceReport {
         self.inner.lock().shard.findings().report.clone()
+    }
+}
+
+impl crate::FrontEnd for TraceDetector {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
+        TraceDetector::register(self, obj, spec);
+    }
+
+    fn feed(&self, registry: &crace_obs::Registry, prefix: &str) {
+        feed_work(registry, prefix, self.num_probes(), &self.clock_stats());
     }
 }
 

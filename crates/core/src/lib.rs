@@ -10,7 +10,8 @@
 //!   replacement) — [`translate`],
 //! * **Algorithm 1**, the online commutativity race detector combining the
 //!   access points with vector clocks (§5.3) — [`TraceDetector`] for
-//!   recorded traces and [`Rd2`] for live multi-threaded programs,
+//!   recorded traces and [`Rd2`] for live multi-threaded programs, plus the
+//!   [`ParallelRd2`] pipeline; all three implement [`FrontEnd`],
 //! * the **direct detector** (§5.1), which checks the logical specification
 //!   pairwise against all previous actions — the Θ(|A|)-per-action baseline
 //!   the access-point representation improves on — [`DirectDetector`] /
@@ -61,6 +62,7 @@ pub mod checkpoint;
 mod detector;
 mod direct;
 mod engine;
+mod front_end;
 pub mod oracle;
 mod points;
 mod shard;
@@ -70,6 +72,7 @@ pub use checkpoint::{builtin_resolver, Checkpoint, SpecResolver};
 pub use detector::TraceDetector;
 pub use direct::{Direct, DirectDetector};
 pub use engine::{ClockMode, ObjState, RaceHit};
+pub use front_end::FrontEnd;
 pub use points::{AccessPoint, ClassId, CompiledSpec, PointKind, TranslationStats};
 pub use translate::{
     translate, translate_with, OptPass, TranslateError, A3_PIPELINE, MAX_ATOMS_PER_METHOD,

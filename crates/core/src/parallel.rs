@@ -61,6 +61,7 @@
 
 use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
+use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
 use crate::rd2::OBJ_SHARDS;
 use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
@@ -391,31 +392,17 @@ impl ParallelStats {
     /// degradation flags as gauges. Safe to call repeatedly — counters are
     /// advanced by delta, never double-counted.
     pub fn feed(&self, registry: &Registry) {
-        fn bump(registry: &Registry, name: &str, now: u64) {
-            let counter = registry.counter(name);
-            let cur = counter.get();
-            if now > cur {
-                counter.add(now - cur);
-            }
+        let sum = |field: fn(&WorkerStats) -> u64| self.workers.iter().map(field).sum();
+        for (name, total) in [
+            ("parallel.events_in", self.events_in),
+            ("parallel.sync_broadcasts", self.sync_broadcasts),
+            ("parallel.events_shed", self.events_shed),
+            ("supervisor.respawns", sum(|w| w.respawns)),
+            ("supervisor.healed_events", sum(|w| w.healed_events)),
+            ("supervisor.heal_micros", sum(|w| w.heal_micros)),
+        ] {
+            registry.counter(name).advance_to(total);
         }
-        bump(registry, "parallel.events_in", self.events_in);
-        bump(registry, "parallel.sync_broadcasts", self.sync_broadcasts);
-        bump(registry, "parallel.events_shed", self.events_shed);
-        bump(
-            registry,
-            "supervisor.respawns",
-            self.workers.iter().map(|w| w.respawns).sum(),
-        );
-        bump(
-            registry,
-            "supervisor.healed_events",
-            self.workers.iter().map(|w| w.healed_events).sum(),
-        );
-        bump(
-            registry,
-            "supervisor.heal_micros",
-            self.workers.iter().map(|w| w.heal_micros).sum(),
-        );
         registry.set_gauge("parallel.workers", self.workers.len() as f64);
         let total: u64 = self.workers.iter().map(|w| w.events).sum();
         for (i, w) in self.workers.iter().enumerate() {
@@ -893,15 +880,20 @@ impl ParallelRd2 {
             events_shed: self.events_shed(),
         }
     }
+}
 
-    /// Exports the `parallel.*` metrics into `registry` — see
-    /// [`ParallelStats::feed`].
-    pub fn feed(&self, registry: &Registry) {
+impl crate::FrontEnd for ParallelRd2 {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
+        ParallelRd2::register(self, obj, spec);
+    }
+
+    /// Both the work measure and the clock statistics are report barriers.
+    fn feed(&self, registry: &Registry, prefix: &str) {
+        feed_work(registry, prefix, self.num_probes(), &self.clock_stats());
         self.stats().feed(registry);
     }
 
-    /// True iff any worker has degraded (caught a panic and is shedding).
-    pub fn degraded(&self) -> bool {
+    fn degraded(&self) -> bool {
         self.shared
             .iter()
             .any(|s| s.degraded.load(Ordering::Relaxed))
@@ -1315,7 +1307,7 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
 mod tests {
     use super::*;
     use crate::translate;
-    use crate::Rd2;
+    use crate::{FrontEnd, Rd2};
     use crace_model::Value;
     use crace_spec::builtin;
 
@@ -1887,7 +1879,7 @@ mod tests {
         assert!(stats.workers.iter().all(|w| w.events > 0));
 
         let registry = Registry::new();
-        rd2.feed(&registry);
+        rd2.feed(&registry, "rd2");
         let snap = registry.snapshot();
         assert_eq!(
             snap.get("parallel.events_in"),
@@ -1896,7 +1888,7 @@ mod tests {
         assert!(snap.get("parallel.w0.occupancy").is_some());
         assert!(snap.get("parallel.w1.queue_depth_max").is_some());
         // Feeding twice must not double-count.
-        rd2.feed(&registry);
+        rd2.feed(&registry, "rd2");
         assert_eq!(
             registry.snapshot().get("parallel.events_in"),
             Some(&crace_obs::MetricValue::Counter(41))

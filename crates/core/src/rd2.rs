@@ -4,6 +4,7 @@
 
 use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
+use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
 use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
@@ -248,6 +249,16 @@ impl Analysis for Rd2 {
 
     fn report(&self) -> RaceReport {
         Findings::merge(self.lock_all().iter().map(|s| s.findings()))
+    }
+}
+
+impl crate::FrontEnd for Rd2 {
+    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
+        Rd2::register(self, obj, spec);
+    }
+
+    fn feed(&self, registry: &crace_obs::Registry, prefix: &str) {
+        feed_work(registry, prefix, self.num_probes(), &self.clock_stats());
     }
 }
 

@@ -4,10 +4,11 @@
 //! A session is the unit of isolation. Each owns:
 //!
 //! * its compiled spec (and the [`Spec`] used to decode wire records),
-//! * its detector — serial [`TraceDetector`] or sharded [`ParallelRd2`],
-//!   wrapped as `Isolated<FaultedAnalysis<…>>` so an analysis panic
-//!   (organic or injected through the `faults=` test plane) quarantines
-//!   *this* session and fails open, leaving other tenants untouched,
+//! * its detector — serial [`TraceDetector`] or sharded [`ParallelRd2`]
+//!   behind one [`FrontEnd`] — wrapped as `Isolated<FaultedAnalysis<…>>`
+//!   so an analysis panic (organic or injected through the `faults=` test
+//!   plane) quarantines *this* session and fails open, leaving other
+//!   tenants untouched,
 //! * its own [`Registry`] and [`Tracer`] — tenants never share detector
 //!   state, so they never physically conflict (the Scalable
 //!   Commutativity Rule posture),
@@ -23,9 +24,9 @@
 use crate::ring::IngressRing;
 use crace_cli::{parse_framed_record, FramedWriter, TraceParseError};
 use crace_core::{
-    Checkpoint, CompiledSpec, ParallelConfig, ParallelRd2, SpecResolver, TraceDetector,
+    CompiledSpec, FrontEnd, ParallelConfig, ParallelRd2, SpecResolver, TraceDetector,
 };
-use crace_model::{Analysis, Event, Isolated, ObjId, RaceReport};
+use crace_model::{Action, Analysis, Event, Isolated, LocId, LockId, ObjId, RaceReport, ThreadId};
 use crace_obs::{Registry, Tracer};
 use crace_runtime::{FaultInjector, FaultPlan, FaultedAnalysis};
 use crace_spec::Spec;
@@ -128,151 +129,13 @@ impl Default for SessionConfig {
     }
 }
 
-/// The detector behind a session: the serial reference or the sharded
-/// pipeline, behind one face.
-enum DetectorCore {
-    Serial(TraceDetector),
-    Parallel(ParallelRd2),
-}
-
-impl DetectorCore {
-    fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        match self {
-            DetectorCore::Serial(d) => d.register(obj, spec),
-            DetectorCore::Parallel(d) => d.register(obj, spec),
-        }
-    }
-
-    fn feed(&self, registry: &Registry) {
-        match self {
-            DetectorCore::Serial(d) => {
-                let stats = d.clock_stats();
-                registry.counter("rd2.conflict_probes").add(
-                    d.num_probes()
-                        .saturating_sub(registry.counter("rd2.conflict_probes").get()),
-                );
-                registry
-                    .gauge("rd2.clock.epoch_hit_rate")
-                    .set(stats.epoch_hit_rate());
-            }
-            DetectorCore::Parallel(d) => d.feed(registry),
-        }
-    }
-
-    fn degraded(&self) -> bool {
-        match self {
-            DetectorCore::Serial(_) => false,
-            DetectorCore::Parallel(d) => d.degraded(),
-        }
-    }
-
-    fn respawns(&self) -> u64 {
-        match self {
-            DetectorCore::Serial(_) => 0,
-            DetectorCore::Parallel(d) => d.stats().workers.iter().map(|w| w.respawns).sum(),
-        }
-    }
-}
-
-impl Checkpoint for DetectorCore {
-    fn checkpoint_kind(&self) -> &'static str {
-        match self {
-            DetectorCore::Serial(d) => d.checkpoint_kind(),
-            DetectorCore::Parallel(d) => d.checkpoint_kind(),
-        }
-    }
-
-    fn checkpoint(&self) -> String {
-        match self {
-            DetectorCore::Serial(d) => d.checkpoint(),
-            DetectorCore::Parallel(d) => d.checkpoint(),
-        }
-    }
-
-    fn restore(&self, text: &str, resolve: &SpecResolver<'_>) -> Result<(), CkptError> {
-        match self {
-            DetectorCore::Serial(d) => d.restore(text, resolve),
-            DetectorCore::Parallel(d) => d.restore(text, resolve),
-        }
-    }
-}
-
-impl Analysis for DetectorCore {
-    fn name(&self) -> &str {
-        "rd2"
-    }
-
-    fn on_fork(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_fork(parent, child),
-            DetectorCore::Parallel(d) => d.on_fork(parent, child),
-        }
-    }
-
-    fn on_join(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_join(parent, child),
-            DetectorCore::Parallel(d) => d.on_join(parent, child),
-        }
-    }
-
-    fn on_acquire(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_acquire(tid, lock),
-            DetectorCore::Parallel(d) => d.on_acquire(tid, lock),
-        }
-    }
-
-    fn on_release(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_release(tid, lock),
-            DetectorCore::Parallel(d) => d.on_release(tid, lock),
-        }
-    }
-
-    fn on_action(&self, tid: crace_model::ThreadId, action: &crace_model::Action) {
-        match self {
-            DetectorCore::Serial(d) => d.on_action(tid, action),
-            DetectorCore::Parallel(d) => d.on_action(tid, action),
-        }
-    }
-
-    fn on_read(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_read(tid, loc),
-            DetectorCore::Parallel(d) => d.on_read(tid, loc),
-        }
-    }
-
-    fn on_write(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        match self {
-            DetectorCore::Serial(d) => d.on_write(tid, loc),
-            DetectorCore::Parallel(d) => d.on_write(tid, loc),
-        }
-    }
-
-    fn abandon_thread(&self, tid: crace_model::ThreadId) {
-        match self {
-            DetectorCore::Serial(d) => d.abandon_thread(tid),
-            DetectorCore::Parallel(d) => d.abandon_thread(tid),
-        }
-    }
-
-    fn report(&self) -> RaceReport {
-        match self {
-            DetectorCore::Serial(d) => d.report(),
-            DetectorCore::Parallel(d) => d.report(),
-        }
-    }
-}
-
 /// The analysis a session's dispatcher drives: lazy object registration
-/// in front of the detector core.
+/// in front of the detector, whose metrics it exports under `rd2` at
+/// every width.
 struct SessionAnalysis {
-    core: DetectorCore,
+    detector: Box<dyn FrontEnd>,
     compiled: Arc<CompiledSpec>,
     registered: Mutex<BTreeSet<ObjId>>,
-    delivered: AtomicU64,
 }
 
 impl SessionAnalysis {
@@ -282,54 +145,47 @@ impl SessionAnalysis {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         if seen.insert(obj) {
-            self.core.register(obj, Arc::clone(&self.compiled));
+            self.detector.register(obj, Arc::clone(&self.compiled));
         }
     }
 }
 
 impl Analysis for SessionAnalysis {
     fn name(&self) -> &str {
-        self.core.name()
+        "rd2"
     }
 
-    fn on_fork(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_fork(parent, child);
+    fn on_fork(&self, parent: ThreadId, child: ThreadId) {
+        self.detector.on_fork(parent, child);
     }
 
-    fn on_join(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_join(parent, child);
+    fn on_join(&self, parent: ThreadId, child: ThreadId) {
+        self.detector.on_join(parent, child);
     }
 
-    fn on_acquire(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_acquire(tid, lock);
+    fn on_acquire(&self, tid: ThreadId, lock: LockId) {
+        self.detector.on_acquire(tid, lock);
     }
 
-    fn on_release(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_release(tid, lock);
+    fn on_release(&self, tid: ThreadId, lock: LockId) {
+        self.detector.on_release(tid, lock);
     }
 
-    fn on_action(&self, tid: crace_model::ThreadId, action: &crace_model::Action) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
+    fn on_action(&self, tid: ThreadId, action: &Action) {
         self.ensure_registered(action.obj());
-        self.core.on_action(tid, action);
+        self.detector.on_action(tid, action);
     }
 
-    fn on_read(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_read(tid, loc);
+    fn on_read(&self, tid: ThreadId, loc: LocId) {
+        self.detector.on_read(tid, loc);
     }
 
-    fn on_write(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.core.on_write(tid, loc);
+    fn on_write(&self, tid: ThreadId, loc: LocId) {
+        self.detector.on_write(tid, loc);
     }
 
     fn report(&self) -> RaceReport {
-        self.core.report()
+        self.detector.report()
     }
 }
 
@@ -422,24 +278,23 @@ impl Session {
         cfg: SessionConfig,
     ) -> std::io::Result<Arc<Session>> {
         let tracer = cfg.traced.then(|| Arc::new(Tracer::new()));
-        let core = if cfg.workers > 0 {
+        let detector: Box<dyn FrontEnd> = if cfg.workers > 0 {
             let pcfg = ParallelConfig {
                 tracer: tracer.clone(),
                 ..ParallelConfig::default()
             };
-            DetectorCore::Parallel(ParallelRd2::with_config(cfg.workers, pcfg))
+            Box::new(ParallelRd2::with_config(cfg.workers, pcfg))
         } else if let Some(t) = &tracer {
-            DetectorCore::Serial(TraceDetector::with_tracer(t, DISPATCH_SPAN_EVERY))
+            Box::new(TraceDetector::with_tracer(t, DISPATCH_SPAN_EVERY))
         } else {
-            DetectorCore::Serial(TraceDetector::new())
+            Box::new(TraceDetector::new())
         };
         let injector = Arc::new(FaultInjector::new(cfg.faults.unwrap_or_default()));
         let faulted = FaultedAnalysis::new(
             SessionAnalysis {
-                core,
+                detector,
                 compiled,
                 registered: Mutex::new(BTreeSet::new()),
-                delivered: AtomicU64::new(0),
             },
             Arc::clone(&injector),
         );
@@ -583,7 +438,7 @@ impl Session {
             }
             w.rec(&rec);
         }
-        w.rec(&format!("detector {}", esc(&sa.core.checkpoint())));
+        w.rec(&format!("detector {}", esc(&sa.detector.checkpoint())));
         (w.finish(), seq)
     }
 
@@ -636,7 +491,7 @@ impl Session {
         }
         let blob =
             detector_blob.ok_or_else(|| CkptError::at(0, "checkpoint has no `detector` record"))?;
-        sa.core.restore(&blob, resolve)?;
+        sa.detector.restore(&blob, resolve)?;
         {
             let mut seen = sa.registered.lock().unwrap_or_else(PoisonError::into_inner);
             seen.clear();
@@ -671,27 +526,20 @@ impl Session {
     /// session registry (idempotent where the sources are).
     pub fn feed_metrics(&self) {
         let r = &*self.registry;
-        let set_counter = |name: &str, now: u64| {
-            let c = r.counter(name);
-            let cur = c.get();
-            if now > cur {
-                c.add(now - cur);
-            }
-        };
-        set_counter(
-            "ingress.events",
+        r.counter("ingress.events").advance_to(
             self.restored_seq.load(Ordering::Relaxed) + self.ring.pushed() + self.ring.shed(),
         );
-        set_counter("shed.ring", self.ring.shed());
-        set_counter("shed.quarantine", self.analysis.events_shed());
+        r.counter("shed.ring").advance_to(self.ring.shed());
+        r.counter("shed.quarantine")
+            .advance_to(self.analysis.events_shed());
         r.set_gauge("ingress.depth", self.ring.depth() as f64);
         self.analysis.feed(r); // rd2.analysis_panics / events_shed / degraded_mode
         self.injector.feed(r); // fault.*
-        self.analysis.inner().inner().core.feed(r); // detector internals
-        set_counter(
-            "supervisor.respawns",
-            self.analysis.inner().inner().core.respawns(),
-        );
+        let sa = self.analysis.inner().inner();
+        sa.detector.feed(r, sa.name()); // rd2.conflict_probes / clock.*, parallel.* / supervisor.*
+                                        // Only the pipeline respawns workers, but every width exports the
+                                        // counter that `SessionOutcome::respawns` reads.
+        r.counter("supervisor.respawns");
         match self.checkpoint_state() {
             Some((seq, age)) => {
                 r.set_gauge("checkpoint.seq", seq as f64);
@@ -726,14 +574,12 @@ impl Session {
         let report = self.analysis.report();
         let report_json = report.to_json();
         let degraded = self.analysis.quarantined()
-            || self.analysis.inner().inner().core.degraded()
+            || self.analysis.inner().inner().detector.degraded()
             || damage.is_some();
         self.feed_metrics();
-        self.registry.counter("races.total").add(
-            report
-                .total()
-                .saturating_sub(self.registry.counter("races.total").get()),
-        );
+        self.registry
+            .counter("races.total")
+            .advance_to(report.total());
         if let Some(d) = &damage {
             self.registry.counter("stream.lost_bytes").add(d.lost_bytes);
             self.registry
@@ -757,7 +603,7 @@ impl Session {
             damage,
             checkpoint_seq,
             checkpoint_age_ms,
-            respawns: self.analysis.inner().inner().core.respawns(),
+            respawns: self.registry.counter("supervisor.respawns").get(),
             clean_bye,
             report,
             report_json,
@@ -814,6 +660,41 @@ mod tests {
             assert!(!outcome.degraded);
             assert!(outcome.report.total() > 0, "fig3 has the race");
         }
+    }
+
+    #[test]
+    fn every_width_feeds_the_same_detector_metrics() {
+        let (trace, spec) = fig3();
+        let fed = |workers: usize| {
+            let s = session(workers, SessionConfig::default());
+            for event in trace.iter() {
+                s.ingest_line(&frame_event(event, &spec)).unwrap();
+            }
+            s.finalize(true, None);
+            let snapshot = s.registry().snapshot();
+            let detector: Vec<(String, crace_obs::MetricValue)> = snapshot
+                .iter()
+                .filter(|(name, _)| name.starts_with("rd2."))
+                .cloned()
+                .collect();
+            (detector, snapshot.get("supervisor.respawns").cloned())
+        };
+        let (serial, serial_respawns) = fed(0);
+        let (sharded, sharded_respawns) = fed(4);
+        // The same Algorithm 1 work at every width, so equal values too.
+        assert_eq!(sharded, serial, "workers=4 vs workers=0");
+        assert_eq!(sharded_respawns, serial_respawns);
+        let names: Vec<&str> = serial.iter().map(|(name, _)| name.as_str()).collect();
+        for name in [
+            "rd2.conflict_probes",
+            "rd2.clock.epoch_updates",
+            "rd2.clock.promotions",
+            "rd2.clock.vector_updates",
+            "rd2.clock.epoch_hit_rate",
+        ] {
+            assert!(names.contains(&name), "session lacks {name}: {names:?}");
+        }
+        assert_eq!(serial_respawns, Some(crace_obs::MetricValue::Counter(0)));
     }
 
     #[test]

@@ -138,18 +138,12 @@ impl<A: Analysis> Isolated<A> {
     /// `<name>.degraded_mode` gauge (1.0 when quarantined, else 0.0).
     pub fn feed(&self, registry: &Registry) {
         let name = self.inner.name();
-        let panics = registry.counter(&format!("{name}.analysis_panics"));
-        let cur = panics.get();
-        let now = self.analysis_panics();
-        if now > cur {
-            panics.add(now - cur);
-        }
-        let shed = registry.counter(&format!("{name}.events_shed"));
-        let cur = shed.get();
-        let now = self.events_shed();
-        if now > cur {
-            shed.add(now - cur);
-        }
+        registry
+            .counter(&format!("{name}.analysis_panics"))
+            .advance_to(self.analysis_panics());
+        registry
+            .counter(&format!("{name}.events_shed"))
+            .advance_to(self.events_shed());
         registry
             .gauge(&format!("{name}.degraded_mode"))
             .set(if self.quarantined() { 1.0 } else { 0.0 });

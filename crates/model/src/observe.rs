@@ -126,11 +126,9 @@ impl<A: Analysis> Observer<A> {
             .gauge(&format!("{name}.races.distinct"))
             .set(report.distinct() as f64);
         for (site, count) in report.per_site() {
-            let c = self.registry.counter(&format!("{name}.races.site.{site}"));
-            let cur = c.get();
-            if count > cur {
-                c.add(count - cur);
-            }
+            self.registry
+                .counter(&format!("{name}.races.site.{site}"))
+                .advance_to(count);
         }
         self.registry.snapshot()
     }

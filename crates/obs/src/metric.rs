@@ -72,6 +72,16 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
+
+    /// Raises the counter to `total` when it is below it. This is how a
+    /// `feed` method exports a monotone total kept elsewhere: feeding the
+    /// same total again never double-counts. Assumes one feeder at a time.
+    pub fn advance_to(&self, total: u64) {
+        let cur = self.get();
+        if total > cur {
+            self.add(total - cur);
+        }
+    }
 }
 
 /// An instantaneous value: last write wins.

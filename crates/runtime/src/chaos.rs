@@ -26,10 +26,11 @@
 
 use crate::fault::FaultPlan;
 use crate::sim::{sim_dict_obj, simulate, simulate_with_faults, SimProgram};
-use crace_core::{ParallelRd2, TraceDetector};
+use crace_core::{translate, FrontEnd, ParallelRd2, TraceDetector};
 use crace_model::{replay, Analysis, Isolated, RaceReport, ThreadId, Trace};
 use crace_obs::Registry;
 use crace_spec::builtin;
+use std::sync::Arc;
 
 /// Bounds and seeds for [`run_chaos`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,11 +108,7 @@ impl ChaosReport {
             ("chaos.races", self.races),
             ("chaos.violations", self.violations.len() as u64),
         ] {
-            let counter = registry.counter(name);
-            let cur = counter.get();
-            if value > cur {
-                counter.add(value - cur);
-            }
+            registry.counter(name).advance_to(value);
         }
     }
 }
@@ -120,25 +117,17 @@ impl ChaosReport {
 /// pipeline, by `workers` — with the program's dictionary specifications
 /// registered, wrapped in [`Isolated`] so a panicking analysis degrades
 /// instead of killing the campaign.
-fn armed_detector(program: &SimProgram, workers: usize) -> Isolated<Box<dyn Analysis>> {
-    let dict = builtin::dictionary();
-    let detector: Box<dyn Analysis> = if workers > 0 {
-        let detector = ParallelRd2::new(workers);
-        for d in 0..program.num_dicts {
-            detector
-                .register_spec(sim_dict_obj(d), &dict)
-                .expect("the dictionary specification is ECL");
-        }
-        Box::new(detector)
+fn armed_detector(program: &SimProgram, workers: usize) -> Isolated<Box<dyn FrontEnd>> {
+    let detector: Box<dyn FrontEnd> = if workers > 0 {
+        Box::new(ParallelRd2::new(workers))
     } else {
-        let detector = TraceDetector::new();
-        for d in 0..program.num_dicts {
-            detector
-                .register_spec(sim_dict_obj(d), &dict)
-                .expect("the dictionary specification is ECL");
-        }
-        Box::new(detector)
+        Box::new(TraceDetector::new())
     };
+    let dict =
+        Arc::new(translate(&builtin::dictionary()).expect("the dictionary specification is ECL"));
+    for d in 0..program.num_dicts {
+        detector.register(sim_dict_obj(d), Arc::clone(&dict));
+    }
     Isolated::new(detector)
 }
 

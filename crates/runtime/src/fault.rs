@@ -272,11 +272,7 @@ impl FaultInjector {
             ("fault.events_dropped", d.events_dropped),
             ("fault.events_delayed", d.events_delayed),
         ] {
-            let counter = registry.counter(name);
-            let cur = counter.get();
-            if now > cur {
-                counter.add(now - cur);
-            }
+            registry.counter(name).advance_to(now);
         }
     }
 }

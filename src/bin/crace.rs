@@ -42,12 +42,13 @@
 //! threshold.
 
 use crace_cli::{parse_program, parse_trace, render_program, render_trace};
-use crace_core::{translate, Direct, ParallelConfig, ParallelRd2, TraceDetector, TranslateError};
+use crace_core::{
+    translate, Direct, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector, TranslateError,
+};
 use crace_fasttrack::FastTrack;
 use crace_model::{replay, Analysis, Event, ObjId, Observer, RaceReport, Trace};
 use crace_obs::{json::Json, Registry, Snapshot, Tracer};
 use crace_spec::{builtin, Spec};
-use crace_vclock::ClockStats;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -472,23 +473,6 @@ struct Replayed {
     snapshot: Snapshot,
 }
 
-/// Feeds [`ClockStats`] into the registry under `<name>.clock.*` — the
-/// epoch-hit-rate view of the adaptive representation.
-fn feed_clock_stats(registry: &Registry, name: &str, stats: &ClockStats) {
-    registry
-        .counter(&format!("{name}.clock.epoch_updates"))
-        .add(stats.epoch_updates);
-    registry
-        .counter(&format!("{name}.clock.promotions"))
-        .add(stats.promotions);
-    registry
-        .counter(&format!("{name}.clock.vector_updates"))
-        .add(stats.vector_updates);
-    registry
-        .gauge(&format!("{name}.clock.epoch_hit_rate"))
-        .set(stats.epoch_hit_rate());
-}
-
 /// Replays `trace` through the named detector wrapped in an [`Observer`],
 /// returning the race report and the full metrics snapshot. `workers > 0`
 /// selects the sharded parallel pipeline (rd2 only). `sample_rate` is the
@@ -514,40 +498,22 @@ fn run_observed(
         ));
     }
     Ok(match detector {
-        "rd2" if workers > 0 => {
-            let cfg = ParallelConfig {
-                provenance_window: explain.then_some(EXPLAIN_WINDOW),
-                tracer: tracer.cloned(),
-                ..ParallelConfig::default()
-            };
-            let d = ParallelRd2::with_config(workers, cfg);
-            let compiled =
-                Arc::new(translate(spec).map_err(|e| render_translate_error(&e, spec, source))?);
-            for obj in objects_of(trace) {
-                d.register(obj, Arc::clone(&compiled));
-            }
-            let obs = Observer::with_sampling(d, Arc::new(Registry::new()), sample_rate);
-            let report = replay(trace, &obs);
-            feed_clock_stats(obs.registry(), obs.name(), &obs.inner().clock_stats());
-            obs.registry()
-                .counter(&format!("{}.conflict_probes", obs.name()))
-                .add(obs.inner().num_probes());
-            obs.inner().feed(obs.registry());
-            if let Some(t) = tracer {
-                t.feed_timeline(obs.registry());
-            }
-            Replayed {
-                report,
-                snapshot: obs.snapshot(),
-            }
-        }
         "rd2" => {
-            let d = if explain {
-                TraceDetector::with_provenance(EXPLAIN_WINDOW)
-            } else if let Some(t) = tracer {
-                TraceDetector::with_tracer(t, TRACE_SAMPLE_EVERY)
+            let provenance_window = explain.then_some(EXPLAIN_WINDOW);
+            let d: Box<dyn FrontEnd> = if workers > 0 {
+                let cfg = ParallelConfig {
+                    provenance_window,
+                    tracer: tracer.cloned(),
+                    ..ParallelConfig::default()
+                };
+                Box::new(ParallelRd2::with_config(workers, cfg))
             } else {
-                TraceDetector::new()
+                let d = provenance_window
+                    .map_or_else(TraceDetector::new, TraceDetector::with_provenance);
+                Box::new(match tracer {
+                    Some(t) => d.traced(t, TRACE_SAMPLE_EVERY),
+                    None => d,
+                })
             };
             let compiled =
                 Arc::new(translate(spec).map_err(|e| render_translate_error(&e, spec, source))?);
@@ -556,10 +522,7 @@ fn run_observed(
             }
             let obs = Observer::with_sampling(d, Arc::new(Registry::new()), sample_rate);
             let report = replay(trace, &obs);
-            feed_clock_stats(obs.registry(), obs.name(), &obs.inner().clock_stats());
-            obs.registry()
-                .counter(&format!("{}.conflict_probes", obs.name()))
-                .add(obs.inner().num_probes());
+            obs.inner().feed(obs.registry(), obs.name());
             if let Some(t) = tracer {
                 t.feed_timeline(obs.registry());
             }
@@ -878,24 +841,20 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| render_translate_error(&e, &loaded.spec, &loaded.spec_source))?,
     );
     let tracer = Arc::new(Tracer::new());
-    let report = if workers > 0 {
+    let d: Box<dyn FrontEnd> = if workers > 0 {
         let cfg = ParallelConfig {
             gc_every: PROFILE_GC_EVERY,
             tracer: Some(Arc::clone(&tracer)),
             ..ParallelConfig::default()
         };
-        let d = ParallelRd2::with_config(workers, cfg);
-        for obj in objects_of(&loaded.trace) {
-            d.register(obj, Arc::clone(&compiled));
-        }
-        replay(&loaded.trace, &d)
+        Box::new(ParallelRd2::with_config(workers, cfg))
     } else {
-        let d = TraceDetector::with_tracer(&tracer, sample_rate);
-        for obj in objects_of(&loaded.trace) {
-            d.register(obj, Arc::clone(&compiled));
-        }
-        replay(&loaded.trace, &d)
+        Box::new(TraceDetector::with_tracer(&tracer, sample_rate))
     };
+    for obj in objects_of(&loaded.trace) {
+        d.register(obj, Arc::clone(&compiled));
+    }
+    let report = replay(&loaded.trace, &d);
     eprintln!(
         "profile: {} event(s) replayed, races: {}; {} span event(s), {} dropped",
         loaded.trace.len(),

@@ -26,7 +26,9 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, WIDTHS};
-use crace::core::{builtin_resolver, Checkpoint, ParallelConfig, ParallelRd2, TraceDetector};
+use crace::core::{
+    builtin_resolver, Checkpoint, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector,
+};
 use crace::model::replay;
 use crace::spec::builtin;
 use crace::vclock::CkptError;

@@ -188,3 +188,44 @@ fn fasttrack_detector_also_reports_through_the_observer() {
     assert_eq!(out.status.code(), Some(0));
     assert!(stdout(&out).contains("fasttrack.events.fork"));
 }
+
+/// `--trace-out` writes the span timeline at every width, and `--explain`
+/// does not turn it off: the serial detector records sampled
+/// `rd2.on_action` spans, the pipeline its `parallel.*` phases, and both
+/// still print provenance.
+#[test]
+fn replay_trace_out_records_spans_at_every_width_with_and_without_explain() {
+    for (workers, phase) in [("0", "\"rd2.on_action\""), ("4", "\"parallel.worker\"")] {
+        for explain in [false, true] {
+            let path = std::env::temp_dir().join(format!(
+                "crace-trace-out-{}-w{workers}-{explain}.json",
+                std::process::id()
+            ));
+            let (path, fig3) = (path.to_str().unwrap(), data("fig3.trace"));
+            let mut args = vec![
+                "replay",
+                &fig3,
+                "--spec",
+                "dictionary",
+                "--workers",
+                workers,
+            ];
+            args.extend(["--trace-out", path]);
+            if explain {
+                args.push("--explain");
+            }
+            let out = crace(&args);
+            assert_eq!(out.status.code(), Some(3), "{out:?}");
+            let chrome = std::fs::read_to_string(path).expect("trace file written");
+            let _ = std::fs::remove_file(path);
+            crace_obs::json::validate(&chrome).expect("valid chrome trace json");
+            let case = format!("workers {workers}, explain {explain}");
+            assert!(chrome.contains(phase), "{case}: no {phase} span\n{chrome}");
+            assert_eq!(
+                stdout(&out).contains("collision:"),
+                explain,
+                "{case}: provenance printed iff --explain"
+            );
+        }
+    }
+}

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crace::cli::frame_event;
-use crace::core::{builtin_resolver, oracle, Checkpoint, CompiledSpec, SpecResolver};
+use crace::core::{builtin_resolver, oracle, Checkpoint, CompiledSpec, FrontEnd, SpecResolver};
 use crace::daemon::SessionConfig;
 use crace::{
     replay, translate, Action, Analysis, ClockMode, Direct, Event, FastTrack, LocId, LockId,
@@ -98,38 +98,13 @@ pub fn random_trace(spec: &Spec, seed: u64, events: usize, objects: u64) -> Trac
     trace
 }
 
-/// An RD2 front-end: a detector that registers objects against a
-/// compiled spec and reads and writes the one `rd2` checkpoint kind.
-pub trait FrontEnd: Analysis + Checkpoint {
-    /// Monitors `obj` with `spec`.
-    fn monitor(&self, obj: ObjId, spec: Arc<CompiledSpec>);
-}
-
-impl FrontEnd for TraceDetector {
-    fn monitor(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        self.register(obj, spec);
-    }
-}
-
-impl FrontEnd for Rd2 {
-    fn monitor(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        self.register(obj, spec);
-    }
-}
-
-impl FrontEnd for ParallelRd2 {
-    fn monitor(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        self.register(obj, spec);
-    }
-}
-
 fn compile(spec: &Spec) -> Arc<CompiledSpec> {
     Arc::new(translate(spec).expect("builtin specs are ECL"))
 }
 
 fn register<D: FrontEnd + ?Sized>(detector: &D, spec: &Arc<CompiledSpec>, objects: u64) {
     for obj in 1..=objects {
-        detector.monitor(ObjId(obj), Arc::clone(spec));
+        detector.register(ObjId(obj), Arc::clone(spec));
     }
 }
 

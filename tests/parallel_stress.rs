@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use crace::core::FrontEnd;
 use crace::model::replay;
 use crace::{
     Action, Analysis, Event, Isolated, MonitoredDict, ObjId, ParallelRd2, Runtime, ThreadId, Trace,
