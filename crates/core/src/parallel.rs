@@ -11,21 +11,25 @@
 //!   by one worker and workers need no locks around their shadow state —
 //!   each worker runs Algorithm 1 through its own `Shard`, the same state
 //!   machine the serial detector is;
-//! * **one Table 1 replay** — the ingress is the only place synchronization
-//!   events are applied, on its master [`SyncClocks`]. Each
-//!   fork/join/acquire/release (and a thread's first action, which
-//!   initializes its clock as the serial detector does) yields the thread
-//!   clocks it set as `Arc`'d `ClockSet`s, and every worker receives them
-//!   *in ingress order*: broadcast one event at a time on the online path,
-//!   inside the chunk's message on the [`ParallelRd2::ingest_shared`] path.
-//!   A worker installs a clock with a pointer swap and never redoes a
-//!   join. Action events read `T(τ)` but never write it (the last row of
-//!   Table 1), so each worker's clocks are exactly the serial detector's at
-//!   every one of its actions;
-//! * **batched delivery** — events travel in batches through bounded
-//!   per-worker rings of `QUEUE_DEPTH` batches (producers block while a
-//!   ring is full); batch buffers are pooled and recycled between producer
-//!   and worker, so steady-state delivery does not allocate per batch;
+//! * **one admission step** — every event, fed online through the `on_*`
+//!   callbacks or recorded and passed to [`ParallelRd2::ingest_shared`],
+//!   goes through the same ingress step: the abandoned-thread shed filter,
+//!   Table 1 on the master [`SyncClocks`] (the only place synchronization
+//!   events are applied), and the pick of an action for its object's
+//!   owner. Each fork/join/acquire/release (and a thread's first action,
+//!   which initializes its clock as the serial detector does) yields the
+//!   thread clocks it set as `Arc`'d `ClockSet`s. A worker installs a
+//!   clock with a pointer swap and never redoes a join. Action events read
+//!   `T(τ)` but never write it (the last row of Table 1), so each worker's
+//!   clocks are exactly the serial detector's at every one of its actions;
+//! * **one chunk message** — events reach the workers in chunks of up to
+//!   `batch` consecutive events of one `Arc<Trace>`: the ingress's open
+//!   online chunk, or a slice of a shared recording, never copied. Each
+//!   worker receives the chunk with the offsets of its own actions and the
+//!   clock sets every worker shares. A chunk ships when full and always
+//!   before a control message or barrier, so each worker sees one ordered
+//!   stream. Messages travel through bounded per-worker rings of
+//!   `QUEUE_DEPTH` messages (producers block while a ring is full);
 //! * **deterministic merge** — every race is tagged with the global
 //!   ingress sequence number of its action; [`ParallelRd2::report`]
 //!   stably sorts the sampled records by that sequence number and rebuilds
@@ -38,15 +42,13 @@
 //!   (see [`ObjState::retire_quiesced`](crate::ObjState::retire_quiesced));
 //!   a retired point re-materializes
 //!   exactly if touched again, so GC never changes a report;
-//! * **supervision** — each event is processed under `catch_unwind`, and
-//!   a panicking worker is *healed* when that is sound: the worker keeps a
-//!   periodic in-memory snapshot of its shadow state plus a journal of the
-//!   batches processed since, rebuilds itself from the snapshot, replays
-//!   the journal, and skips only the poisoned message. Skipping an action
-//!   event can only *hide* a race (it removes a point update and a
-//!   detection), so the heal never invents one; a panic on a message that
-//!   writes clock or registry state (sync events, shared-stream views,
-//!   register/forget) cannot be healed by skipping — losing a
+//! * **supervision** — each message is processed under `catch_unwind`.
+//!   The worker keeps a periodic in-memory snapshot of its state plus a
+//!   journal of the messages processed since. A panic on the chaos
+//!   poison is *healed*: the worker rebuilds itself in place from the
+//!   snapshot, replays the journal, and skips only the poison. A panic on
+//!   any other message cannot be healed by skipping it — a chunk or a
+//!   register/forget writes clock or registry state, and losing a
 //!   happens-before edge could fabricate races — so the worker degrades
 //!   fail-open instead (sheds its further events, keeps the races found
 //!   before the panic, still answers report barriers). The contract:
@@ -75,20 +77,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Maximum recycled batch buffers kept per worker ring.
-const FREE_POOL: usize = 16;
-
-/// Maximum in-flight batches per worker ring; producers block (back
+/// Maximum in-flight messages per worker ring; producers block (back
 /// pressure) when a ring is full.
 const QUEUE_DEPTH: usize = 8;
 
 /// Tuning knobs of the parallel pipeline. The defaults favor throughput;
-/// tests shrink `batch` to exercise multi-batch delivery on small traces.
+/// tests shrink `batch` to exercise multi-chunk delivery on small traces.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
-    /// Events accumulated per worker before a batch is shipped (report
-    /// barriers flush partial batches). Larger batches amortize ring
-    /// synchronization; smaller ones reduce detection latency.
+    /// Events per chunk: the ingress ships its open chunk once it holds
+    /// this many events (barriers and control messages ship a partial
+    /// one). Larger chunks amortize ring synchronization; smaller ones
+    /// reduce detection latency.
     pub batch: usize,
     /// Access-point clock representation, as in the serial detectors.
     pub mode: ClockMode,
@@ -100,14 +100,14 @@ pub struct ParallelConfig {
     pub gc_every: usize,
     /// Refresh each worker's in-memory supervision snapshot every this
     /// many processed events; `0` disables supervision entirely (a panic
-    /// then degrades the worker forever, the pre-PR-10 behavior). Between
-    /// refreshes the worker journals its processed batches, so a heal
-    /// costs one snapshot clone plus a bounded replay — there is no
-    /// per-event cloning on the hot path.
+    /// then degrades the worker forever). Between refreshes the worker
+    /// journals its processed messages, so a heal costs one snapshot
+    /// clone plus a bounded replay — there is no per-event cloning on the
+    /// hot path.
     pub snapshot_every: usize,
     /// When set, the pipeline records span timelines into this tracer:
-    /// ingress batch pushes, sync broadcasts, per-worker batch dispatch,
-    /// GC sweeps, worker heals, and the report merge, plus
+    /// ingress chunk shipments, sync-event admissions, per-worker message
+    /// dispatch, GC sweeps, worker heals, and the report merge, plus
     /// ring-queue-depth counter samples. `None` (the default) records
     /// nothing and adds no work to any path — the same double-gating
     /// discipline as `provenance_window`.
@@ -136,23 +136,14 @@ impl Default for ParallelConfig {
     }
 }
 
-/// One message on a worker ring. Clock updates and control messages are
-/// broadcast to all workers; actions go to their object's owner only.
+/// One message on a worker ring. Every event travels inside a `Chunk`;
+/// the rest are control messages, sent only after the open chunk ships.
 enum Msg {
-    /// The thread clocks one online event set at the ingress.
-    Clocks(Arc<Vec<ClockSet>>),
-    Action {
-        /// Global ingress sequence number — the merge key.
-        seq: u64,
-        tid: ThreadId,
-        action: Action,
-    },
-    /// A zero-copy view into a shared recorded trace
-    /// ([`ParallelRd2::ingest_shared`]): the ingress indexed the chunk
-    /// once and each worker receives only the trace offsets of its
-    /// shard's actions — no per-event clone, no per-event message, no
-    /// per-worker rescan — plus the thread clocks the chunk's events set.
-    Shared {
+    /// Consecutive events of one shared trace — the ingress's open online
+    /// chunk or a slice of a recording — with what this worker needs of
+    /// them: no per-event clone, no per-event message, no per-worker
+    /// rescan.
+    Chunk {
         /// `base + 1 + offset` is an event's global sequence number.
         base: u64,
         trace: Arc<Trace>,
@@ -161,6 +152,8 @@ enum Msg {
         /// The thread clocks the chunk's events set, ascending by offset,
         /// shared by all workers.
         sets: Arc<Vec<ClockSet>>,
+        /// Synchronization events in the chunk.
+        syncs: u64,
     },
     Register(ObjId, Arc<CompiledSpec>),
     Forget(ObjId),
@@ -177,8 +170,7 @@ enum Msg {
 }
 
 /// One thread clock set by the ingress's replay of Table 1: `tid`'s clock
-/// *after* the event at trace offset `off` (`0` on the online path, where
-/// each message carries one event's sets).
+/// *after* the event at trace offset `off`.
 struct ClockSet {
     off: u32,
     tid: ThreadId,
@@ -189,94 +181,64 @@ struct ClockSet {
 }
 
 impl Msg {
-    /// How many events this message stands for in a worker's counters
-    /// (shared views span many; barriers none; everything else is one).
+    /// How many events this message stands for in a worker's counters: a
+    /// chunk's actions for this worker plus its synchronization events;
+    /// barriers none; every other control message one.
     fn weight(&self) -> u64 {
         match self {
-            Msg::Shared { picks, .. } => picks.len() as u64,
+            Msg::Chunk { picks, syncs, .. } => picks.len() as u64 + syncs,
             Msg::Visit(_) | Msg::Install(_) => 0,
             _ => 1,
         }
     }
-
-    /// Barrier/control messages the worker loop answers itself; a heal
-    /// replay skips them (they were already answered).
-    fn is_control(&self) -> bool {
-        matches!(self, Msg::Visit(_) | Msg::Install(_))
-    }
-
-    /// Whether a panic on this message can be healed by skipping it.
-    /// Only pure detection work qualifies: dropping an action removes a
-    /// point update and a detection, which can only *hide* a race.
-    /// Everything that writes clock or registry state is
-    /// excluded — skipping one of those could delete a happens-before
-    /// edge and make a later pair look concurrent, i.e. invent a race —
-    /// so those degrade instead.
-    fn heals_by_skipping(&self) -> bool {
-        matches!(self, Msg::Action { .. } | Msg::Poison)
-    }
 }
 
-/// The bounded ring between the ingress and one worker: a batch queue plus
-/// a free list of recycled batch buffers.
+/// The bounded message queue between the ingress and one worker.
+#[derive(Default)]
 struct Ring {
     state: Mutex<RingState>,
     can_pop: Condvar,
     can_push: Condvar,
-    cap: usize,
 }
 
 #[derive(Default)]
 struct RingState {
-    queue: VecDeque<Vec<Msg>>,
-    free: Vec<Vec<Msg>>,
+    queue: VecDeque<Msg>,
     closed: bool,
 }
 
 impl Ring {
-    fn new(cap: usize) -> Ring {
-        Ring {
-            state: Mutex::new(RingState::default()),
-            can_pop: Condvar::new(),
-            can_push: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, RingState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Ships one batch, blocking while the ring is full (back pressure).
-    /// Returns a recycled buffer for the producer's next batch.
-    fn push(&self, batch: Vec<Msg>, shared: &WorkerShared) -> Vec<Msg> {
+    /// Ships one message, blocking while the ring is full (back pressure).
+    fn push(&self, msg: Msg, shared: &WorkerShared) {
         let mut state = self.lock();
-        while state.queue.len() >= self.cap && !state.closed {
+        while state.queue.len() >= QUEUE_DEPTH && !state.closed {
             state = self
                 .can_push
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
         if !state.closed {
-            state.queue.push_back(batch);
+            state.queue.push_back(msg);
             shared
                 .max_queue_depth
                 .fetch_max(state.queue.len() as u64, Ordering::Relaxed);
         }
-        let spare = state.free.pop().unwrap_or_default();
         drop(state);
         self.can_pop.notify_one();
-        spare
     }
 
-    /// Takes the next batch; `None` once the ring is closed and drained.
-    fn pop(&self, shared: &WorkerShared) -> Option<Vec<Msg>> {
+    /// Takes the next message; `None` once the ring is closed and drained.
+    fn pop(&self, shared: &WorkerShared) -> Option<Msg> {
         let mut state = self.lock();
         loop {
-            if let Some(batch) = state.queue.pop_front() {
+            if let Some(msg) = state.queue.pop_front() {
                 drop(state);
                 self.can_push.notify_one();
-                return Some(batch);
+                return Some(msg);
             }
             if state.closed {
                 return None;
@@ -289,22 +251,13 @@ impl Ring {
         }
     }
 
-    /// Returns a drained batch buffer to the free pool.
-    fn recycle(&self, mut batch: Vec<Msg>) {
-        batch.clear();
-        let mut state = self.lock();
-        if state.free.len() < FREE_POOL {
-            state.free.push(batch);
-        }
-    }
-
     fn close(&self) {
         self.lock().closed = true;
         self.can_pop.notify_all();
         self.can_push.notify_all();
     }
 
-    /// Batches currently queued (traced runs sample this after pushes).
+    /// Messages currently queued (traced runs sample this after pushes).
     fn depth(&self) -> usize {
         self.lock().queue.len()
     }
@@ -347,18 +300,21 @@ struct WorkerShared {
 /// Snapshot of one worker's pipeline counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Messages this worker processed (actions, sync events, control).
+    /// Events this worker processed: each chunk's actions for this worker
+    /// plus its synchronization events, and one per register, forget,
+    /// abandon or poison message.
     pub events: u64,
-    /// Batches this worker drained from its ring.
+    /// Messages (chunks, control messages, barriers) this worker drained
+    /// from its ring.
     pub batches: u64,
-    /// High-watermark of the ring's queued-batch depth.
+    /// High-watermark of the ring's queued-message depth.
     pub max_queue_depth: u64,
     /// Times the worker slept waiting for work (idle transitions).
     pub parks: u64,
     /// Panics caught inside this worker.
     pub panics: u64,
-    /// Events shed after the worker degraded (plus one per message
-    /// skipped by a heal).
+    /// Events shed after the worker degraded (plus one per poison skipped
+    /// by a heal).
     pub events_shed: u64,
     /// True once a panic tripped this worker into shedding mode (healing
     /// failed or supervision is off).
@@ -424,71 +380,34 @@ impl ParallelStats {
     }
 }
 
-/// Producer-side state, serialized by the ingress lock: the global
-/// sequence counter, the per-worker pending batches, and the master
-/// clocks.
+/// Producer-side state, serialized by the ingress lock.
 struct Ingress {
+    /// The global sequence counter: one per accepted online event, one
+    /// per offset of a shared recording.
     seq: u64,
-    pending: Vec<Vec<Msg>>,
     /// The Table 1 clocks: the one copy the pipeline applies
     /// synchronization events to.
     sync: SyncClocks,
+    /// The open online chunk: the events accepted since it last shipped.
+    open: Trace,
+    /// What the chunk being cut holds for the workers.
+    cut: Cut,
 }
 
-impl Ingress {
-    /// Table 1 on the master clocks: applies `event` (at trace offset
-    /// `off`) and appends every thread clock it sets to `sets`. Returns
-    /// true for a synchronization event.
-    fn replay(&mut self, event: &Event, off: u32, sets: &mut Vec<ClockSet>) -> bool {
-        let sync = &mut self.sync;
-        let mut set = |sync: &mut SyncClocks, tid: ThreadId, dead: bool| {
-            sets.push(ClockSet {
-                off,
-                tid,
-                clock: Arc::new(sync.clock(tid).clone()),
-                dead,
-            });
-        };
-        match *event {
-            Event::Fork { parent, child } => {
-                sync.fork(parent, child);
-                set(sync, parent, false);
-                set(sync, child, false);
-            }
-            Event::Join { parent, child } => {
-                sync.join(parent, child);
-                set(sync, parent, false);
-                // A joined thread emits no further events (well-formed
-                // traces), so it leaves the GC live set.
-                set(sync, child, true);
-            }
-            Event::Acquire { tid, lock } => {
-                sync.acquire(tid, lock);
-                set(sync, tid, false);
-            }
-            Event::Release { tid, lock } => {
-                sync.release(tid, lock);
-                set(sync, tid, false);
-            }
-            // A thread whose first event is an action starts at its fresh
-            // clock, exactly as the serial detector initializes it.
-            Event::Action { tid, .. } => {
-                if sync.peek_clock(tid).is_none() {
-                    set(sync, tid, false);
-                }
-                return false;
-            }
-            Event::Read { .. } | Event::Write { .. } => return false,
-        }
-        true
-    }
+/// The per-worker content of the chunk being cut, filled by
+/// [`ParallelRd2::admit`] and emptied by [`ParallelRd2::ship`].
+struct Cut {
+    /// Per worker, the offsets of the actions it owns.
+    picks: Vec<Vec<u32>>,
+    sets: Vec<ClockSet>,
+    syncs: u64,
 }
 
 /// The sharded parallel commutativity race detector.
 ///
 /// Functionally identical to the serial [`Rd2`](crate::Rd2) — the
 /// differential suite asserts bit-for-bit equal [`RaceReport`]s — but the
-/// per-event work is split between a thin ingress (route, stamp, batch)
+/// per-event work is split between a thin ingress (admit, route, chunk)
 /// and N single-owner workers that run phase 1/phase 2 of Algorithm 1
 /// without any locking around their shadow state.
 ///
@@ -566,12 +485,8 @@ impl ParallelRd2 {
             batch: cfg.batch.max(1),
             ..cfg
         };
-        let rings: Vec<Arc<Ring>> = (0..workers)
-            .map(|_| Arc::new(Ring::new(QUEUE_DEPTH)))
-            .collect();
-        let shared: Vec<Arc<WorkerShared>> = (0..workers)
-            .map(|_| Arc::new(WorkerShared::default()))
-            .collect();
+        let rings: Vec<Arc<Ring>> = (0..workers).map(|_| Arc::default()).collect();
+        let shared: Vec<Arc<WorkerShared>> = (0..workers).map(|_| Arc::default()).collect();
         let handles = rings
             .iter()
             .zip(&shared)
@@ -596,8 +511,13 @@ impl ParallelRd2 {
         ParallelRd2 {
             ingress: Mutex::new(Ingress {
                 seq: 0,
-                pending: (0..workers).map(|_| Vec::new()).collect(),
                 sync: SyncClocks::new(),
+                open: Trace::new(),
+                cut: Cut {
+                    picks: vec![Vec::new(); workers],
+                    sets: Vec::new(),
+                    syncs: 0,
+                },
             }),
             rings,
             shared,
@@ -627,66 +547,143 @@ impl ParallelRd2 {
         self.ingress.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends `msg` to worker `w`'s pending batch, shipping the batch
-    /// when it reaches the configured size.
-    fn enqueue(&self, ingress: &mut Ingress, w: usize, msg: Msg) {
-        ingress.pending[w].push(msg);
-        if ingress.pending[w].len() >= self.cfg.batch {
-            self.flush(ingress, w);
+    /// The one admission step of every event, online or shared: the
+    /// abandoned-thread shed filter, Table 1 on the master clocks (each
+    /// thread clock the event sets joins `cut` at trace offset `off`), and
+    /// the pick of an action for its object's owner. Returns whether the
+    /// event was accepted; reads and writes never are, RD2 ignores them.
+    fn admit(&self, sync: &mut SyncClocks, cut: &mut Cut, event: &Event, off: u32) -> bool {
+        let other = match *event {
+            Event::Fork { child, .. } | Event::Join { child, .. } => child,
+            Event::Read { .. } | Event::Write { .. } => return false,
+            _ => event.tid(),
+        };
+        if self.abandoned.sheds(&[event.tid(), other]) {
+            return false;
+        }
+        self.events_in.fetch_add(1, Ordering::Relaxed);
+        let _span = (self.trace.as_ref())
+            .filter(|_| event.is_sync())
+            .map(|t| t.lane.span(t.p_sync));
+        let mut set = |sync: &mut SyncClocks, tid: ThreadId, dead: bool| {
+            cut.sets.push(ClockSet {
+                off,
+                tid,
+                clock: Arc::new(sync.clock(tid).clone()),
+                dead,
+            });
+        };
+        match *event {
+            Event::Fork { parent, child } => {
+                sync.fork(parent, child);
+                set(sync, parent, false);
+                set(sync, child, false);
+            }
+            Event::Join { parent, child } => {
+                sync.join(parent, child);
+                set(sync, parent, false);
+                // A joined thread emits no further events (well-formed
+                // traces), so it leaves the GC live set.
+                set(sync, child, true);
+            }
+            Event::Acquire { tid, lock } => {
+                sync.acquire(tid, lock);
+                set(sync, tid, false);
+            }
+            Event::Release { tid, lock } => {
+                sync.release(tid, lock);
+                set(sync, tid, false);
+            }
+            Event::Action { tid, ref action } => {
+                // A thread whose first event is an action starts at its
+                // fresh clock, exactly as the serial detector initializes it.
+                if sync.peek_clock(tid).is_none() {
+                    set(sync, tid, false);
+                }
+                cut.picks[self.route(action.obj())].push(off);
+                return true;
+            }
+            Event::Read { .. } | Event::Write { .. } => return false,
+        }
+        cut.syncs += 1;
+        self.sync_broadcasts.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Ships the chunk `cut` describes — `events` events of `trace`, whose
+    /// offset `off` has sequence number `base + 1 + off` — to every worker
+    /// it concerns, leaving `cut` empty.
+    fn ship(&self, cut: &mut Cut, trace: &Arc<Trace>, base: u64, events: usize) {
+        let _span = self.trace.as_ref().map(|t| {
+            let mut span = t.lane.span(t.p_ingress);
+            span.set_aux(events as u64);
+            span
+        });
+        let sets = Arc::new(std::mem::take(&mut cut.sets));
+        let syncs = std::mem::take(&mut cut.syncs);
+        for (w, picks) in cut.picks.iter_mut().enumerate() {
+            if picks.is_empty() && sets.is_empty() {
+                continue;
+            }
+            let chunk = Msg::Chunk {
+                base,
+                trace: Arc::clone(trace),
+                picks: std::mem::take(picks),
+                sets: Arc::clone(&sets),
+                syncs,
+            };
+            self.push(w, chunk);
         }
     }
 
-    /// Ships worker `w`'s pending batch (if any), leaving a recycled
-    /// buffer in its place.
-    fn flush(&self, ingress: &mut Ingress, w: usize) {
-        if ingress.pending[w].is_empty() {
+    /// Ships the open online chunk, if it holds any event.
+    fn seal(&self, ingress: &mut Ingress) {
+        if ingress.open.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut ingress.pending[w]);
-        let span = self.trace.as_ref().map(|t| {
-            let mut span = t.lane.span(t.p_ingress);
-            span.set_aux(batch.len() as u64);
-            span
-        });
-        ingress.pending[w] = self.rings[w].push(batch, &self.shared[w]);
-        drop(span);
+        let trace = Arc::new(std::mem::take(&mut ingress.open));
+        let base = ingress.seq - trace.len() as u64;
+        self.ship(&mut ingress.cut, &trace, base, trace.len());
+    }
+
+    fn push(&self, w: usize, msg: Msg) {
+        self.rings[w].push(msg, &self.shared[w]);
         if let Some(t) = &self.trace {
             t.lane.counter(t.p_depth, self.rings[w].depth() as u64);
         }
     }
 
-    /// Applies one online event to the master clocks and broadcasts the
-    /// thread clocks it set, in ingress order, to every worker.
-    fn replay_online(&self, ingress: &mut Ingress, event: &Event) {
-        let mut sets = Vec::new();
-        ingress.replay(event, 0, &mut sets);
-        if !sets.is_empty() {
-            let sets = Arc::new(sets);
-            for w in 0..self.workers {
-                self.enqueue(ingress, w, Msg::Clocks(Arc::clone(&sets)));
-            }
-        }
+    /// Sends a control message to worker `w` behind the open chunk, so
+    /// the worker sees events and controls in stream order.
+    fn send(&self, ingress: &mut Ingress, w: usize, msg: Msg) {
+        self.seal(ingress);
+        self.push(w, msg);
     }
 
-    /// One online synchronization event naming `tids`.
-    fn sync_event(&self, tids: &[ThreadId], event: Event) {
+    /// Admits one online event into the open chunk, which ships once it
+    /// holds `batch` events.
+    fn online(&self, event: Event) {
         let mut ingress = self.lock_ingress();
-        if self.abandoned.sheds(tids) {
-            return;
+        let Ingress {
+            seq,
+            sync,
+            open,
+            cut,
+        } = &mut *ingress;
+        if self.admit(sync, cut, &event, open.len() as u32) {
+            open.push(event);
+            *seq += 1;
+            if open.len() >= self.cfg.batch {
+                self.seal(&mut ingress);
+            }
         }
-        ingress.seq += 1;
-        self.events_in.fetch_add(1, Ordering::Relaxed);
-        self.sync_broadcasts.fetch_add(1, Ordering::Relaxed);
-        let _span = self.trace.as_ref().map(|t| t.lane.span(t.p_sync));
-        self.replay_online(&mut ingress, &event);
     }
 
     /// Registers `obj` to be checked against `spec`. Actions on
     /// unregistered objects are ignored (selective instrumentation).
     pub fn register(&self, obj: ObjId, spec: Arc<CompiledSpec>) {
-        let mut ingress = self.lock_ingress();
         let w = self.route(obj);
-        self.enqueue(&mut ingress, w, Msg::Register(obj, spec));
+        self.send(&mut self.lock_ingress(), w, Msg::Register(obj, spec));
     }
 
     /// Registers `obj` against an uncompiled specification, translating on
@@ -706,9 +703,7 @@ impl ParallelRd2 {
 
     /// Drops all shadow state of `obj` (the §5.3 reclamation).
     pub fn forget(&self, obj: ObjId) {
-        let mut ingress = self.lock_ingress();
-        let w = self.route(obj);
-        self.enqueue(&mut ingress, w, Msg::Forget(obj));
+        self.send(&mut self.lock_ingress(), self.route(obj), Msg::Forget(obj));
     }
 
     /// Number of events shed at the ingress because they named an
@@ -726,91 +721,40 @@ impl ParallelRd2 {
     /// its further events but keeps the races found so far and still
     /// answers report barriers.
     pub fn inject_worker_panic(&self, worker: usize) {
-        let mut ingress = self.lock_ingress();
-        let w = worker % self.workers;
-        self.enqueue(&mut ingress, w, Msg::Poison);
+        self.send(&mut self.lock_ingress(), worker % self.workers, Msg::Poison);
     }
 
     /// Zero-copy offline ingestion: feeds an entire recorded trace
     /// through the pipeline without cloning a single event. The ingress
-    /// scans the trace once, chunk by chunk (`batch` events per chunk),
-    /// replays the chunk's synchronization events on its master clocks,
-    /// and ships each worker the trace *offsets* of its shard's actions
-    /// plus the thread clocks the chunk set (one `Arc`'d clock per set,
-    /// shared by all workers). A worker installs each clock in O(1) and
-    /// detects only its own actions, so sync-clock maintenance does not
-    /// multiply by the worker count. Sequence numbers derive from the
-    /// trace position, so the deterministic merge — and hence the report —
-    /// is bit-for-bit what per-event dispatch produces, and the two paths
-    /// compose freely within one stream.
-    ///
-    /// Falls back to per-event dispatch once any thread has been
-    /// abandoned, because the ingress shed filter must then inspect
-    /// every event individually.
+    /// ships its open online chunk, then cuts the recording into chunks of
+    /// `batch` events, admitting each event exactly as the online path
+    /// does; every chunk message points into the one shared trace.
+    /// Sequence numbers derive from the trace position, so the
+    /// deterministic merge — and hence the report — is bit-for-bit what
+    /// per-event dispatch produces, and the two paths compose freely
+    /// within one stream.
     pub fn ingest_shared(&self, trace: &Arc<Trace>) {
-        if trace.is_empty() {
-            return;
-        }
-        if self.abandoned.any() {
-            for event in trace.events() {
-                self.on_event(event);
-            }
-            return;
-        }
-        let events = trace.events();
         let mut ingress = self.lock_ingress();
+        self.seal(&mut ingress);
+        let Ingress { seq, sync, cut, .. } = &mut *ingress;
         // Each event's sequence number is `base + 1 + trace offset`;
-        // unpicked offsets (reads/writes) leave gaps, which the merge
-        // tolerates, and online dispatch can resume after the stream.
-        let base = ingress.seq;
-        ingress.seq += events.len() as u64;
-        let mut start = 0usize;
-        while start < events.len() {
-            let end = start.saturating_add(self.cfg.batch).min(events.len());
-            let _span = self.trace.as_ref().map(|t| {
-                let mut span = t.lane.span(t.p_ingress);
-                span.set_aux((end - start) as u64);
-                span
-            });
-            let mut picks: Vec<Vec<u32>> = vec![Vec::new(); self.workers];
-            let mut sets: Vec<ClockSet> = Vec::new();
-            let (mut syncs, mut actions) = (0u64, 0u64);
-            for (i, event) in events[start..end].iter().enumerate() {
-                let off = (start + i) as u32;
-                if ingress.replay(event, off, &mut sets) {
-                    syncs += 1;
-                } else if let Event::Action { action, .. } = event {
-                    actions += 1;
-                    picks[self.route(action.obj())].push(off);
-                }
+        // unpicked offsets (reads, writes, shed events) leave gaps, which
+        // the merge tolerates.
+        let base = *seq;
+        *seq += trace.len() as u64;
+        let batch = self.cfg.batch;
+        for (i, chunk) in trace.events().chunks(batch).enumerate() {
+            for (j, event) in chunk.iter().enumerate() {
+                self.admit(sync, cut, event, (i * batch + j) as u32);
             }
-            self.events_in.fetch_add(syncs + actions, Ordering::Relaxed);
-            self.sync_broadcasts.fetch_add(syncs, Ordering::Relaxed);
-            let sets = Arc::new(sets);
-            for (w, p) in picks.into_iter().enumerate() {
-                if p.is_empty() && sets.is_empty() {
-                    continue;
-                }
-                self.enqueue(
-                    &mut ingress,
-                    w,
-                    Msg::Shared {
-                        base,
-                        trace: Arc::clone(trace),
-                        picks: p,
-                        sets: Arc::clone(&sets),
-                    },
-                );
-                self.flush(&mut ingress, w);
-            }
-            start = end;
+            self.ship(cut, trace, base, chunk.len());
         }
     }
 
-    /// Barrier: flushes all pending batches and runs `read` on every
-    /// worker's shard once it has absorbed them. `at` runs on the ingress
-    /// state under the same lock, so both sides describe exactly the same
-    /// stream prefix.
+    /// Barrier: ships the open chunk and runs `read` on every worker's
+    /// shard once it has absorbed it. `at` runs on the ingress state under
+    /// the same lock, so both sides describe exactly the same stream
+    /// prefix.
     fn barrier<T: Send + 'static, U>(
         &self,
         read: fn(&Shard) -> T,
@@ -822,8 +766,7 @@ impl ParallelRd2 {
                 // The one-shot reply slot for this worker's answer.
                 let (reply, answer) = mpsc::sync_channel(1);
                 let visit = move |shard: &Shard| drop(reply.send(read(shard)));
-                ingress.pending[w].push(Msg::Visit(Box::new(visit)));
-                self.flush(&mut ingress, w);
+                self.send(&mut ingress, w, Msg::Visit(Box::new(visit)));
                 answer
             })
             .collect();
@@ -943,9 +886,7 @@ impl crate::Checkpoint for ParallelRd2 {
                     clocks: clocks.clone(),
                     shard,
                 };
-                ingress.pending[w].clear();
-                ingress.pending[w].push(Msg::Install(Box::new(worker)));
-                self.flush(&mut ingress, w);
+                self.send(&mut ingress, w, Msg::Install(Box::new(worker)));
             }
             ingress.sync = state.sync;
             self.abandoned.restore(state.abandoned, state.meta.shed);
@@ -965,38 +906,26 @@ impl Analysis for ParallelRd2 {
     }
 
     fn on_fork(&self, parent: ThreadId, child: ThreadId) {
-        self.sync_event(&[parent, child], Event::Fork { parent, child });
+        self.online(Event::Fork { parent, child });
     }
 
     fn on_join(&self, parent: ThreadId, child: ThreadId) {
-        self.sync_event(&[parent, child], Event::Join { parent, child });
+        self.online(Event::Join { parent, child });
     }
 
     fn on_acquire(&self, tid: ThreadId, lock: LockId) {
-        self.sync_event(&[tid], Event::Acquire { tid, lock });
+        self.online(Event::Acquire { tid, lock });
     }
 
     fn on_release(&self, tid: ThreadId, lock: LockId) {
-        self.sync_event(&[tid], Event::Release { tid, lock });
+        self.online(Event::Release { tid, lock });
     }
 
     fn on_action(&self, tid: ThreadId, action: &Action) {
-        let mut ingress = self.lock_ingress();
-        if self.abandoned.sheds(&[tid]) {
-            return;
-        }
-        ingress.seq += 1;
-        let seq = ingress.seq;
-        self.events_in.fetch_add(1, Ordering::Relaxed);
-        let event = Event::Action {
+        self.online(Event::Action {
             tid,
             action: action.clone(),
-        };
-        self.replay_online(&mut ingress, &event);
-        if let Event::Action { action, .. } = event {
-            let w = self.route(action.obj());
-            self.enqueue(&mut ingress, w, Msg::Action { seq, tid, action });
-        }
+        });
     }
 
     /// Finalizes a dead thread exactly as the serial detectors do: later
@@ -1007,7 +936,7 @@ impl Analysis for ParallelRd2 {
         self.abandoned.insert(tid);
         ingress.sync.retire(tid);
         for w in 0..self.workers {
-            self.enqueue(&mut ingress, w, Msg::Abandon(tid));
+            self.send(&mut ingress, w, Msg::Abandon(tid));
         }
     }
 
@@ -1024,12 +953,7 @@ impl Analysis for ParallelRd2 {
 
 impl Drop for ParallelRd2 {
     fn drop(&mut self) {
-        {
-            let mut ingress = self.lock_ingress();
-            for w in 0..self.workers {
-                self.flush(&mut ingress, w);
-            }
-        }
+        self.seal(&mut self.lock_ingress());
         for ring in &self.rings {
             ring.close();
         }
@@ -1067,23 +991,16 @@ impl WorkerState {
         self.shard.observe(set.tid, !set.dead);
     }
 
-    /// Applies one message; returns how many events of this worker's
-    /// sub-stream it processed (for the occupancy counters). Takes the
-    /// message by reference so the worker loop can journal processed
-    /// batches for heal replay without cloning the hot path.
-    fn process(&mut self, msg: &Msg, trace: Option<&WorkerTrace>) -> u64 {
+    /// Applies one message. Takes it by reference so the worker loop can
+    /// journal processed messages for heal replay without cloning.
+    fn process(&mut self, msg: &Msg, trace: Option<&WorkerTrace>) {
         match msg {
-            Msg::Clocks(sets) => {
-                for set in sets.iter() {
-                    self.clock_set(set);
-                }
-            }
-            Msg::Action { seq, tid, action } => self.action(*seq, *tid, action, trace),
-            Msg::Shared {
+            Msg::Chunk {
                 base,
                 trace: events,
                 picks,
                 sets,
+                ..
             } => {
                 let events = events.events();
                 let mut next = 0usize;
@@ -1105,7 +1022,6 @@ impl WorkerState {
                 for set in &sets[next..] {
                     self.clock_set(set);
                 }
-                return picks.len() as u64;
             }
             Msg::Register(obj, spec) => self.shard.register(*obj, Arc::clone(spec)),
             Msg::Forget(obj) => self.shard.forget(*obj),
@@ -1119,7 +1035,6 @@ impl WorkerState {
                 unreachable!("barriers handled by the worker loop")
             }
         }
-        1
     }
 
     /// Algorithm 1 on one routed action, then the epoch-GC sweep when due.
@@ -1136,56 +1051,41 @@ impl WorkerState {
     }
 }
 
-/// The supervisor's view of one worker: the last known-good snapshot and
-/// the journal of batches processed since. Each journal entry carries the
-/// index of the first message to replay (messages before it are already
-/// folded into the snapshot by a mid-batch install or heal).
+/// The supervisor's view of one worker: the last known-good snapshot, the
+/// journal of messages processed since, and their total weight.
 struct Supervisor {
     snap: Option<Box<WorkerState>>,
-    journal: Vec<(Vec<Msg>, usize)>,
+    journal: Vec<Msg>,
     events_since_snap: u64,
 }
 
 impl Supervisor {
-    /// Refreshes the snapshot to `state`'s current value and recycles the
-    /// journal buffers back to the ring.
-    fn refresh(&mut self, state: &WorkerState, ring: &Ring) {
+    /// Refreshes the snapshot to `state`'s current value and empties the
+    /// journal.
+    fn refresh(&mut self, state: &WorkerState) {
         self.snap = Some(Box::new(state.clone()));
-        for (batch, _) in self.journal.drain(..) {
-            ring.recycle(batch);
-        }
+        self.journal.clear();
         self.events_since_snap = 0;
     }
 
-    /// Rebuilds a worker from the snapshot, replaying the journal and the
-    /// current batch up to (but excluding) the panicking message at
-    /// `batch[at]`. Returns the healed state and the number of events
-    /// replayed, or `None` when the replay itself panics (healing failed
-    /// — the caller degrades).
-    fn replay(
-        &self,
-        trace: Option<&WorkerTrace>,
-        batch: &[Msg],
-        from: usize,
-        at: usize,
-    ) -> Option<(WorkerState, u64)> {
+    /// Rebuilds a worker in place from the snapshot by replaying the
+    /// journal. Returns the healed state and the number of events
+    /// replayed, or `None` without a snapshot or when the replay itself
+    /// panics (healing failed — the caller degrades).
+    fn replay(&self, trace: Option<&WorkerTrace>) -> Option<(WorkerState, u64)> {
         let mut fresh = (**self.snap.as_ref()?).clone();
-        let mut replayed = 0u64;
         let ok = catch_unwind(AssertUnwindSafe(|| {
-            let journal = self.journal.iter().map(|(b, start)| &b[*start..]);
-            for msgs in journal.chain(std::iter::once(&batch[from..at])) {
-                for msg in msgs.iter().filter(|m| !m.is_control()) {
-                    replayed += fresh.process(msg, trace);
-                }
+            for msg in &self.journal {
+                fresh.process(msg, trace);
             }
         }));
-        ok.ok().map(|()| (fresh, replayed))
+        ok.ok().map(|()| (fresh, self.events_since_snap))
     }
 }
 
-/// The worker loop: drain batches, process each message under a panic
-/// shield, answer barriers even when degraded, and heal from the
-/// supervision snapshot when a panic hits pure detection work.
+/// The worker loop: drain messages, process each under a panic shield,
+/// answer barriers even when degraded, and heal from the supervision
+/// snapshot when the panic was the chaos poison.
 fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usize) {
     let trace = cfg.tracer.as_ref().map(|t| WorkerTrace {
         lane: t.lane(&format!("worker{w}")),
@@ -1201,104 +1101,85 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
         journal: Vec::new(),
         events_since_snap: 0,
     };
-    while let Some(batch) = ring.pop(shared) {
+    while let Some(msg) = ring.pop(shared) {
         shared.batches.fetch_add(1, Ordering::Relaxed);
-        // The batch span's `aux` accumulates exactly what `events` gets:
-        // the span-derived per-worker occupancy share is the counter-based
-        // `parallel.*` one by construction.
-        let mut span = trace.map(|t| t.lane.span(t.p_batch));
-        // First index of this batch not yet folded into the snapshot.
-        let mut replay_from = 0usize;
-        for idx in 0..batch.len() {
-            match &batch[idx] {
-                // Fail-open: even a degraded worker answers barriers with
-                // what it has, and a visitor that panics trips the
-                // quarantine and answers as an empty shard, so the
-                // barrier never waits on a dead worker.
-                Msg::Visit(visit) => {
-                    if catch_unwind(AssertUnwindSafe(|| visit(&state.shard))).is_err() {
-                        shared.panics.fetch_add(1, Ordering::Relaxed);
-                        shared.degraded.store(true, Ordering::Relaxed);
-                        visit(&Shard::new(cfg.shard_config(), 0));
-                    }
-                    continue;
+        match &msg {
+            // Fail-open: even a degraded worker answers barriers with what
+            // it has, and a visitor that panics trips the quarantine and
+            // answers as an empty shard, so the barrier never waits on a
+            // dead worker.
+            Msg::Visit(visit) => {
+                if catch_unwind(AssertUnwindSafe(|| visit(&state.shard))).is_err() {
+                    shared.panics.fetch_add(1, Ordering::Relaxed);
+                    shared.degraded.store(true, Ordering::Relaxed);
+                    visit(&Shard::new(cfg.shard_config(), 0));
                 }
-                Msg::Install(installed) => {
-                    // Restore: replace the state wholesale and clear any
-                    // degradation — the state is rebuilt, so the
-                    // quarantine reason is gone.
-                    state = (**installed).clone();
-                    shared.degraded.store(false, Ordering::Relaxed);
-                    if supervise {
-                        sup.refresh(&state, ring);
-                        replay_from = idx + 1;
-                    }
-                    continue;
-                }
-                _ => {}
-            }
-            if shared.degraded.load(Ordering::Relaxed) {
-                shared
-                    .shed
-                    .fetch_add(batch[idx].weight(), Ordering::Relaxed);
                 continue;
             }
-            match catch_unwind(AssertUnwindSafe(|| state.process(&batch[idx], trace))) {
-                Ok(processed) => {
-                    shared.events.fetch_add(processed, Ordering::Relaxed);
-                    sup.events_since_snap += processed;
-                    if let Some(span) = span.as_mut() {
-                        span.add_aux(processed);
-                    }
+            // Restore: replace the state wholesale and clear any
+            // degradation — the state is rebuilt, so the quarantine
+            // reason is gone.
+            Msg::Install(installed) => {
+                state = (**installed).clone();
+                shared.degraded.store(false, Ordering::Relaxed);
+                if supervise {
+                    sup.refresh(&state);
                 }
-                Err(_) => {
-                    shared.panics.fetch_add(1, Ordering::Relaxed);
-                    let healed = batch[idx].heals_by_skipping() && sup.snap.is_some() && {
-                        let started = std::time::Instant::now();
-                        let _hspan = trace.map(|t| t.lane.span(t.p_heal));
-                        match sup.replay(trace, &batch, replay_from, idx) {
-                            Some((fresh, replayed)) => {
-                                state = fresh;
-                                // The poisoned message is skipped —
-                                // shed, exactly one.
-                                shared
-                                    .shed
-                                    .fetch_add(batch[idx].weight().max(1), Ordering::Relaxed);
-                                shared.respawns.fetch_add(1, Ordering::Relaxed);
-                                shared.healed_events.fetch_add(replayed, Ordering::Relaxed);
-                                shared.heal_micros.fetch_add(
-                                    started.elapsed().as_micros() as u64,
-                                    Ordering::Relaxed,
-                                );
-                                // Re-baseline right away so the skipped
-                                // message never re-enters a replay.
-                                sup.refresh(&state, ring);
-                                replay_from = idx + 1;
-                                true
-                            }
-                            None => false,
-                        }
-                    };
-                    if !healed {
-                        // Healing impossible (sync-class message, no
-                        // snapshot) or the replay panicked too: quarantine.
-                        shared.degraded.store(true, Ordering::Relaxed);
-                        sup.snap = None;
-                        for (b, _) in sup.journal.drain(..) {
-                            ring.recycle(b);
-                        }
-                    }
+                continue;
+            }
+            _ => {}
+        }
+        let weight = msg.weight();
+        if shared.degraded.load(Ordering::Relaxed) {
+            shared.shed.fetch_add(weight, Ordering::Relaxed);
+            continue;
+        }
+        // The span's `aux` is exactly what `events` gets: the span-derived
+        // per-worker occupancy share is the counter-based `parallel.*` one
+        // by construction.
+        let mut span = trace.map(|t| t.lane.span(t.p_batch));
+        if catch_unwind(AssertUnwindSafe(|| state.process(&msg, trace))).is_ok() {
+            shared.events.fetch_add(weight, Ordering::Relaxed);
+            if let Some(span) = span.as_mut() {
+                span.set_aux(weight);
+            }
+            if sup.snap.is_some() {
+                sup.journal.push(msg);
+                sup.events_since_snap += weight;
+                if sup.events_since_snap >= cfg.snapshot_every as u64 {
+                    sup.refresh(&state);
                 }
             }
+            continue;
         }
         drop(span);
-        if supervise && sup.snap.is_some() {
-            sup.journal.push((batch, replay_from));
-            if sup.events_since_snap >= cfg.snapshot_every as u64 {
-                sup.refresh(&state, ring);
-            }
+        shared.panics.fetch_add(1, Ordering::Relaxed);
+        // Only the poison heals by skipping: it writes nothing. Skipping
+        // a chunk could delete a happens-before edge and make a later pair
+        // look concurrent, i.e. invent a race, and skipping a register,
+        // forget or abandon leaves registry or clock state wrong, so
+        // those degrade instead.
+        let started = std::time::Instant::now();
+        let healed = matches!(msg, Msg::Poison)
+            .then(|| {
+                let _span = trace.map(|t| t.lane.span(t.p_heal));
+                sup.replay(trace)
+            })
+            .flatten();
+        if let Some((fresh, replayed)) = healed {
+            state = fresh;
+            shared.shed.fetch_add(weight, Ordering::Relaxed);
+            shared.respawns.fetch_add(1, Ordering::Relaxed);
+            shared.healed_events.fetch_add(replayed, Ordering::Relaxed);
+            let micros = started.elapsed().as_micros() as u64;
+            shared.heal_micros.fetch_add(micros, Ordering::Relaxed);
+            sup.refresh(&state);
         } else {
-            ring.recycle(batch);
+            // Healing impossible (not the poison, no snapshot) or the
+            // replay panicked too: quarantine.
+            shared.degraded.store(true, Ordering::Relaxed);
+            sup.snap = None;
+            sup.journal.clear();
         }
     }
 }
@@ -1475,7 +1356,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_ingestion_falls_back_to_the_shed_filter_after_abandonment() {
+    fn shared_ingestion_sheds_events_of_abandoned_threads() {
         let (spec, compiled) = dict_pair();
         let rd2 = ParallelRd2::new(2);
         rd2.register(ObjId(1), Arc::clone(&compiled));
@@ -1607,6 +1488,50 @@ mod tests {
             assert!(!rd2.degraded());
             let stats = rd2.stats();
             assert_eq!(stats.workers.iter().map(|w| w.respawns).sum::<u64>(), 6);
+        });
+    }
+
+    /// A worker that owns no action still counts the synchronization
+    /// events of every chunk toward its snapshot cadence, so its journal
+    /// stays bounded and a heal replays at most one cadence plus a chunk.
+    #[test]
+    fn an_idle_worker_heals_from_a_bounded_journal() {
+        quiet(|| {
+            let (spec, compiled) = dict_pair();
+            let cfg = ParallelConfig {
+                batch: 8,
+                snapshot_every: 16,
+                ..ParallelConfig::default()
+            };
+            let rd2 = ParallelRd2::with_config(2, cfg.clone());
+            let owned = ObjId(2);
+            assert_eq!(rd2.route(owned), 0, "worker 1 must own no action");
+            rd2.register(owned, Arc::clone(&compiled));
+            let mut trace = Trace::new();
+            trace.push(Event::Fork {
+                parent: ThreadId(0),
+                child: ThreadId(1),
+            });
+            for i in 0..2000i64 {
+                let (tid, lock) = (ThreadId(1), LockId(1));
+                trace.push(Event::Acquire { tid, lock });
+                trace.push(Event::Action {
+                    tid,
+                    action: put(&spec, owned.0, i, 1, Value::Nil),
+                });
+                trace.push(Event::Release { tid, lock });
+            }
+            rd2.ingest_shared(&Arc::new(trace));
+            rd2.inject_worker_panic(1);
+            assert!(rd2.report().is_empty());
+            let idle = &rd2.stats().workers[1];
+            assert_eq!((idle.respawns, idle.degraded), (1, false));
+            let bound = (cfg.snapshot_every + cfg.batch) as u64;
+            assert!(
+                (1..=bound).contains(&idle.healed_events),
+                "healed {} events, bound {bound}",
+                idle.healed_events
+            );
         });
     }
 

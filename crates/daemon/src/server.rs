@@ -531,29 +531,29 @@ fn drive_protocol(
                     }
                 }
             }
-            Request::Record(record) => match &state {
+            Request::Record(record) => match state.take() {
                 Some(s) => {
                     if let Err(e) = s.session.ingest_line(&record) {
-                        let s = state.take().expect("checked");
                         let lost = (record.len() + 1) as u64;
                         finish_torn(inner, writer, s, lost, 1, &e.message);
                         return;
                     }
                     maybe_checkpoint(inner, &s.session);
+                    state = Some(s);
                 }
                 None => {
                     protocol_error(inner, writer, "HELLO first");
                     return;
                 }
             },
-            Request::Report => match &state {
+            Request::Report => match state.take() {
                 Some(s) => {
                     let json = s.session.report_now().to_json();
                     if write_report(writer, &json).is_err() {
-                        let s = state.take().expect("checked");
                         finish_torn(inner, writer, s, 0, 0, "write failed mid-report");
                         return;
                     }
+                    state = Some(s);
                 }
                 None => {
                     protocol_error(inner, writer, "HELLO first");

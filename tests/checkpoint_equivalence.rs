@@ -311,7 +311,10 @@ fn checkpoints_restore_across_every_front_end_and_width() {
 /// `ingest_shared` — write byte-identical `rd2` checkpoints. Each stream
 /// has a thread that acts without any synchronization event ever naming
 /// it, whose fresh clock only exists if the pipeline's ingress
-/// initializes it the way the serial detector does.
+/// initializes it the way the serial detector does. Each stream is also
+/// fed a second time with a forked thread abandoned mid-stream, so the
+/// shed filter runs on both ingress paths and the blob's shed count and
+/// abandoned set must agree too.
 #[test]
 fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
     let spec = builtin::dictionary();
@@ -336,38 +339,67 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
                 },
             );
         }
-        let mut trace = Trace::new();
-        for event in events {
-            trace.push(event);
-        }
-        let trace = Arc::new(trace);
-        let serial = monitored(TraceDetector::new(), &spec, OBJECTS);
-        for event in trace.events() {
-            serial.on_event(event);
-        }
-        let expected = serial.checkpoint();
-        assert!(expected.contains(" thread 99 "), "seed {seed}: {expected}");
-        for workers in WIDTHS {
-            let cfg = ParallelConfig {
-                batch: [1usize, 5, 512][seed as usize % 3],
-                ..ParallelConfig::default()
+        // The abandoned thread: the child forked before the cut that the
+        // suffix names most often.
+        let (prefix, suffix) = events.split_at(events.len() / 2);
+        let names = |e: &Event, t: ThreadId| {
+            e.tid() == t
+                || matches!(e, Event::Fork { child, .. } | Event::Join { child, .. } if *child == t)
+        };
+        let victim = prefix
+            .iter()
+            .filter_map(|e| match e {
+                Event::Fork { child, .. } => Some(*child),
+                _ => None,
+            })
+            .max_by_key(|&t| suffix.iter().filter(|e| names(e, t)).count())
+            .expect("a fork before the cut");
+        assert!(suffix.iter().any(|e| names(e, victim)), "seed {seed}");
+        let trace = |events: &[Event]| Arc::new(events.iter().cloned().collect::<Trace>());
+        let inputs = [
+            ("whole", [trace(&events), trace(&[])], None),
+            ("abandoned", [trace(prefix), trace(suffix)], Some(victim)),
+        ];
+        for (input, parts, abandon) in inputs {
+            let online = |detector: &dyn FrontEnd| {
+                for (i, part) in parts.iter().enumerate() {
+                    if let (1, Some(t)) = (i, abandon) {
+                        detector.abandon_thread(t);
+                    }
+                    for event in part.events() {
+                        detector.on_event(event);
+                    }
+                }
             };
-            let online = monitored(
-                ParallelRd2::with_config(workers, cfg.clone()),
-                &spec,
-                OBJECTS,
-            );
-            for event in trace.events() {
-                online.on_event(event);
-            }
-            let shared = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
-            shared.ingest_shared(&trace);
-            for (path, pipeline) in [("online", online), ("shared", shared)] {
-                assert_eq!(
-                    pipeline.checkpoint(),
-                    expected,
-                    "seed {seed}, {workers} worker(s), {path}"
+            let serial = monitored(TraceDetector::new(), &spec, OBJECTS);
+            online(&serial);
+            assert_eq!(serial.events_shed() > 0, abandon.is_some(), "seed {seed}");
+            let expected = serial.checkpoint();
+            assert!(expected.contains(" thread 99 "), "seed {seed}: {expected}");
+            for workers in WIDTHS {
+                let cfg = ParallelConfig {
+                    batch: [1usize, 5, 512][seed as usize % 3],
+                    ..ParallelConfig::default()
+                };
+                let per_event = monitored(
+                    ParallelRd2::with_config(workers, cfg.clone()),
+                    &spec,
+                    OBJECTS,
                 );
+                online(&per_event);
+                let shared = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
+                shared.ingest_shared(&parts[0]);
+                if let Some(t) = abandon {
+                    shared.abandon_thread(t);
+                }
+                shared.ingest_shared(&parts[1]);
+                for (path, pipeline) in [("online", per_event), ("shared", shared)] {
+                    assert_eq!(
+                        pipeline.checkpoint(),
+                        expected,
+                        "seed {seed}, {input}, {workers} worker(s), {path}"
+                    );
+                }
             }
         }
     }
