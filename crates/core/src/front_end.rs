@@ -45,13 +45,14 @@ pub trait FrontEnd: Analysis + Checkpoint {
     /// `<prefix>.conflict_probes` counter, the
     /// `<prefix>.clock.{epoch_updates,promotions,vector_updates}` counters
     /// and the `<prefix>.clock.epoch_hit_rate` gauge; the pipeline adds the
-    /// unprefixed `parallel.*` and `supervisor.*` metrics of
+    /// unprefixed `parallel.*` and `supervisor.respawns` metrics of
     /// [`ParallelStats::feed`](crate::ParallelStats::feed). Counters advance
     /// by delta, so feeding again never double-counts.
     fn feed(&self, registry: &Registry, prefix: &str);
 
-    /// True iff a pipeline worker degraded (caught a panic it could not
-    /// heal and sheds events). The serial front-ends never degrade.
+    /// True iff a pipeline worker degraded (caught a panic other than the
+    /// chaos poison and sheds events until a checkpoint restore). The
+    /// serial front-ends never degrade.
     fn degraded(&self) -> bool {
         false
     }

@@ -42,18 +42,14 @@
 //!   (see [`ObjState::retire_quiesced`](crate::ObjState::retire_quiesced));
 //!   a retired point re-materializes
 //!   exactly if touched again, so GC never changes a report;
-//! * **supervision** — each message is processed under `catch_unwind`.
-//!   The worker keeps a periodic in-memory snapshot of its state plus a
-//!   journal of the messages processed since. A panic on the chaos
-//!   poison is *healed*: the worker rebuilds itself in place from the
-//!   snapshot, replays the journal, and skips only the poison. A panic on
-//!   any other message cannot be healed by skipping it — a chunk or a
-//!   register/forget writes clock or registry state, and losing a
-//!   happens-before edge could fabricate races — so the worker degrades
-//!   fail-open instead (sheds its further events, keeps the races found
-//!   before the panic, still answers report barriers). The contract:
-//!   *heal when possible, shed only when healing fails, never invent
-//!   races*;
+//! * **panic shield** — each message is processed under `catch_unwind`.
+//!   The chaos poison panics before it writes anything, so the worker
+//!   skips it and carries on with its state. Any other panic may have
+//!   left clock or registry state half-written, and losing a
+//!   happens-before edge could fabricate races, so the worker degrades
+//!   fail-open instead: it sheds its further events, keeps the races
+//!   found before the panic and still answers barriers. Only a checkpoint
+//!   restore rebuilds a worker. The contract: *never invent races*;
 //! * **checkpoint/restore** — the pipeline implements
 //!   [`Checkpoint`](crate::Checkpoint) in the one `rd2` format every RD2
 //!   front-end shares: a barrier gathers the master clocks, the union of
@@ -98,16 +94,9 @@ pub struct ParallelConfig {
     /// worker; `0` disables GC. Enabling GC assumes a fork-structured
     /// stream (every thread except the root enters via a fork event).
     pub gc_every: usize,
-    /// Refresh each worker's in-memory supervision snapshot every this
-    /// many processed events; `0` disables supervision entirely (a panic
-    /// then degrades the worker forever). Between refreshes the worker
-    /// journals its processed messages, so a heal costs one snapshot
-    /// clone plus a bounded replay — there is no per-event cloning on the
-    /// hot path.
-    pub snapshot_every: usize,
     /// When set, the pipeline records span timelines into this tracer:
     /// ingress chunk shipments, sync-event admissions, per-worker message
-    /// dispatch, GC sweeps, worker heals, and the report merge, plus
+    /// dispatch, GC sweeps and the report merge, plus
     /// ring-queue-depth counter samples. `None` (the default) records
     /// nothing and adds no work to any path — the same double-gating
     /// discipline as `provenance_window`.
@@ -130,7 +119,6 @@ impl Default for ParallelConfig {
             mode: ClockMode::Adaptive,
             provenance_window: None,
             gc_every: 0,
-            snapshot_every: 4096,
             tracer: None,
         }
     }
@@ -158,8 +146,8 @@ enum Msg {
     Register(ObjId, Arc<CompiledSpec>),
     Forget(ObjId),
     Abandon(ThreadId),
-    /// Chaos hook: makes the worker panic while processing, exercising the
-    /// supervision path (heal, or degrade without a snapshot) end to end.
+    /// Chaos hook: makes the worker panic while processing, before it
+    /// writes anything, exercising the panic shield end to end.
     Poison,
     /// Barrier: run the visitor on the worker's shard (it fills a reply
     /// slot), in stream order — reports, statistics and checkpoints.
@@ -278,7 +266,6 @@ struct WorkerTrace {
     lane: Arc<Lane>,
     p_batch: PhaseId,
     p_gc: PhaseId,
-    p_heal: PhaseId,
 }
 
 /// Lock-free per-worker counters, shared between the worker thread and
@@ -293,8 +280,6 @@ struct WorkerShared {
     shed: AtomicU64,
     degraded: AtomicBool,
     respawns: AtomicU64,
-    healed_events: AtomicU64,
-    heal_micros: AtomicU64,
 }
 
 /// Snapshot of one worker's pipeline counters.
@@ -313,19 +298,14 @@ pub struct WorkerStats {
     pub parks: u64,
     /// Panics caught inside this worker.
     pub panics: u64,
-    /// Events shed after the worker degraded (plus one per poison skipped
-    /// by a heal).
+    /// Events shed after the worker degraded, plus one per poison skipped.
     pub events_shed: u64,
-    /// True once a panic tripped this worker into shedding mode (healing
-    /// failed or supervision is off).
+    /// True once a panic other than the chaos poison tripped this worker
+    /// into shedding mode; a checkpoint restore clears it.
     pub degraded: bool,
-    /// Times the supervisor rebuilt this worker from its snapshot after
-    /// a panic.
+    /// Chaos poisons caught and skipped in place (the worker's state is
+    /// untouched, so it carries on).
     pub respawns: u64,
-    /// Journal events replayed across all heals.
-    pub healed_events: u64,
-    /// Total wall-clock microseconds spent healing.
-    pub heal_micros: u64,
 }
 
 /// Snapshot of the whole pipeline's counters — the `parallel.*` metrics.
@@ -354,8 +334,6 @@ impl ParallelStats {
             ("parallel.sync_broadcasts", self.sync_broadcasts),
             ("parallel.events_shed", self.events_shed),
             ("supervisor.respawns", sum(|w| w.respawns)),
-            ("supervisor.healed_events", sum(|w| w.healed_events)),
-            ("supervisor.heal_micros", sum(|w| w.heal_micros)),
         ] {
             registry.counter(name).advance_to(total);
         }
@@ -713,13 +691,9 @@ impl ParallelRd2 {
     }
 
     /// Chaos hook: delivers a poison message to `worker` (modulo the pool
-    /// size), making it panic in-stream. With supervision enabled
-    /// ([`ParallelConfig::snapshot_every`] > 0, the default) the worker
-    /// heals: it rebuilds from its last snapshot, replays its journal,
-    /// skips only the poisoned message, and the report stays bit-for-bit
-    /// equal to serial. Without supervision it degrades fail-open: sheds
-    /// its further events but keeps the races found so far and still
-    /// answers report barriers.
+    /// size), making it panic in-stream. The poison panics before it
+    /// writes anything, so the worker skips it and carries on, and the
+    /// report stays bit-for-bit equal to serial.
     pub fn inject_worker_panic(&self, worker: usize) {
         self.send(&mut self.lock_ingress(), worker % self.workers, Msg::Poison);
     }
@@ -814,8 +788,6 @@ impl ParallelRd2 {
                     events_shed: s.shed.load(Ordering::Relaxed),
                     degraded: s.degraded.load(Ordering::Relaxed),
                     respawns: s.respawns.load(Ordering::Relaxed),
-                    healed_events: s.healed_events.load(Ordering::Relaxed),
-                    heal_micros: s.heal_micros.load(Ordering::Relaxed),
                 })
                 .collect(),
             events_in: self.events_in.load(Ordering::Relaxed),
@@ -946,7 +918,7 @@ impl Analysis for ParallelRd2 {
     /// the serial detector would have produced.
     fn report(&self) -> RaceReport {
         let _span = self.trace.as_ref().map(|t| t.lane.span(t.p_merge));
-        let findings = self.barrier(|shard| shard.findings().clone(), |_| ()).1;
+        let findings = self.barrier(|shard| Arc::clone(shard.findings()), |_| ()).1;
         Findings::merge(&findings)
     }
 }
@@ -969,9 +941,7 @@ impl Drop for ParallelRd2 {
 }
 
 /// A worker's complete state: the thread clocks the ingress set and its
-/// Algorithm 1 shard. It is a plain value, so a clone is the supervision
-/// snapshot a heal rebuilds from, and restore installs one.
-#[derive(Clone)]
+/// Algorithm 1 shard. Restore installs a fresh one.
 struct WorkerState {
     clocks: HashMap<ThreadId, Arc<VectorClock>>,
     shard: Shard,
@@ -991,9 +961,8 @@ impl WorkerState {
         self.shard.observe(set.tid, !set.dead);
     }
 
-    /// Applies one message. Takes it by reference so the worker loop can
-    /// journal processed messages for heal replay without cloning.
-    fn process(&mut self, msg: &Msg, trace: Option<&WorkerTrace>) {
+    /// Applies one message.
+    fn process(&mut self, msg: Msg, trace: Option<&WorkerTrace>) {
         match msg {
             Msg::Chunk {
                 base,
@@ -1004,7 +973,7 @@ impl WorkerState {
             } => {
                 let events = events.events();
                 let mut next = 0usize;
-                for &off in picks {
+                for off in picks {
                     // A set at the action's own offset is its thread's
                     // first clock, so it goes in before the action.
                     while next < sets.len() && sets[next].off <= off {
@@ -1014,7 +983,7 @@ impl WorkerState {
                     // The ingress only picks action offsets; anything else
                     // would be an indexing bug, so don't detect on it.
                     if let Event::Action { tid, action } = &events[off as usize] {
-                        self.action(*base + 1 + u64::from(off), *tid, action, trace);
+                        self.action(base + 1 + u64::from(off), *tid, action, trace);
                     }
                 }
                 // Sets past the last pick still matter: later actions read
@@ -1023,11 +992,11 @@ impl WorkerState {
                     self.clock_set(set);
                 }
             }
-            Msg::Register(obj, spec) => self.shard.register(*obj, Arc::clone(spec)),
-            Msg::Forget(obj) => self.shard.forget(*obj),
+            Msg::Register(obj, spec) => self.shard.register(obj, spec),
+            Msg::Forget(obj) => self.shard.forget(obj),
             Msg::Abandon(tid) => {
-                self.clocks.remove(tid);
-                self.shard.observe(*tid, false);
+                self.clocks.remove(&tid);
+                self.shard.observe(tid, false);
             }
             Msg::Poison => panic!("injected worker panic"),
             // Handled by the worker loop, never forwarded here.
@@ -1051,59 +1020,19 @@ impl WorkerState {
     }
 }
 
-/// The supervisor's view of one worker: the last known-good snapshot, the
-/// journal of messages processed since, and their total weight.
-struct Supervisor {
-    snap: Option<Box<WorkerState>>,
-    journal: Vec<Msg>,
-    events_since_snap: u64,
-}
-
-impl Supervisor {
-    /// Refreshes the snapshot to `state`'s current value and empties the
-    /// journal.
-    fn refresh(&mut self, state: &WorkerState) {
-        self.snap = Some(Box::new(state.clone()));
-        self.journal.clear();
-        self.events_since_snap = 0;
-    }
-
-    /// Rebuilds a worker in place from the snapshot by replaying the
-    /// journal. Returns the healed state and the number of events
-    /// replayed, or `None` without a snapshot or when the replay itself
-    /// panics (healing failed — the caller degrades).
-    fn replay(&self, trace: Option<&WorkerTrace>) -> Option<(WorkerState, u64)> {
-        let mut fresh = (**self.snap.as_ref()?).clone();
-        let ok = catch_unwind(AssertUnwindSafe(|| {
-            for msg in &self.journal {
-                fresh.process(msg, trace);
-            }
-        }));
-        ok.ok().map(|()| (fresh, self.events_since_snap))
-    }
-}
-
 /// The worker loop: drain messages, process each under a panic shield,
-/// answer barriers even when degraded, and heal from the supervision
-/// snapshot when the panic was the chaos poison.
+/// answer barriers even when degraded, and skip the chaos poison in place.
 fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usize) {
     let trace = cfg.tracer.as_ref().map(|t| WorkerTrace {
         lane: t.lane(&format!("worker{w}")),
         p_batch: t.phase("parallel.worker"),
         p_gc: t.phase("parallel.gc"),
-        p_heal: t.phase("parallel.heal"),
     });
     let trace = trace.as_ref();
     let mut state = WorkerState::new(cfg);
-    let supervise = cfg.snapshot_every > 0;
-    let mut sup = Supervisor {
-        snap: supervise.then(|| Box::new(state.clone())),
-        journal: Vec::new(),
-        events_since_snap: 0,
-    };
     while let Some(msg) = ring.pop(shared) {
         shared.batches.fetch_add(1, Ordering::Relaxed);
-        match &msg {
+        let msg = match msg {
             // Fail-open: even a degraded worker answers barriers with what
             // it has, and a visitor that panics trips the quarantine and
             // answers as an empty shard, so the barrier never waits on a
@@ -1120,66 +1049,42 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
             // degradation — the state is rebuilt, so the quarantine
             // reason is gone.
             Msg::Install(installed) => {
-                state = (**installed).clone();
+                state = *installed;
                 shared.degraded.store(false, Ordering::Relaxed);
-                if supervise {
-                    sup.refresh(&state);
-                }
                 continue;
             }
-            _ => {}
-        }
+            msg => msg,
+        };
         let weight = msg.weight();
         if shared.degraded.load(Ordering::Relaxed) {
             shared.shed.fetch_add(weight, Ordering::Relaxed);
             continue;
         }
+        let poison = matches!(msg, Msg::Poison);
         // The span's `aux` is exactly what `events` gets: the span-derived
         // per-worker occupancy share is the counter-based `parallel.*` one
         // by construction.
         let mut span = trace.map(|t| t.lane.span(t.p_batch));
-        if catch_unwind(AssertUnwindSafe(|| state.process(&msg, trace))).is_ok() {
+        if catch_unwind(AssertUnwindSafe(|| state.process(msg, trace))).is_ok() {
             shared.events.fetch_add(weight, Ordering::Relaxed);
             if let Some(span) = span.as_mut() {
                 span.set_aux(weight);
-            }
-            if sup.snap.is_some() {
-                sup.journal.push(msg);
-                sup.events_since_snap += weight;
-                if sup.events_since_snap >= cfg.snapshot_every as u64 {
-                    sup.refresh(&state);
-                }
             }
             continue;
         }
         drop(span);
         shared.panics.fetch_add(1, Ordering::Relaxed);
-        // Only the poison heals by skipping: it writes nothing. Skipping
-        // a chunk could delete a happens-before edge and make a later pair
-        // look concurrent, i.e. invent a race, and skipping a register,
-        // forget or abandon leaves registry or clock state wrong, so
-        // those degrade instead.
-        let started = std::time::Instant::now();
-        let healed = matches!(msg, Msg::Poison)
-            .then(|| {
-                let _span = trace.map(|t| t.lane.span(t.p_heal));
-                sup.replay(trace)
-            })
-            .flatten();
-        if let Some((fresh, replayed)) = healed {
-            state = fresh;
+        // Only the poison is skipped: it panics before it writes, so the
+        // state is exactly what it was. A panic anywhere else may have
+        // half-applied a chunk, and a lost happens-before edge could make
+        // a later pair look concurrent, i.e. invent a race; a register,
+        // forget or abandon may have left registry or clock state wrong.
+        // Those quarantine the worker until a restore.
+        if poison {
             shared.shed.fetch_add(weight, Ordering::Relaxed);
             shared.respawns.fetch_add(1, Ordering::Relaxed);
-            shared.healed_events.fetch_add(replayed, Ordering::Relaxed);
-            let micros = started.elapsed().as_micros() as u64;
-            shared.heal_micros.fetch_add(micros, Ordering::Relaxed);
-            sup.refresh(&state);
         } else {
-            // Healing impossible (not the poison, no snapshot) or the
-            // replay panicked too: quarantine.
             shared.degraded.store(true, Ordering::Relaxed);
-            sup.snap = None;
-            sup.journal.clear();
         }
     }
 }
@@ -1420,9 +1325,8 @@ mod tests {
     fn injected_worker_panic_heals_and_matches_serial() {
         quiet(|| {
             let (spec, compiled) = dict_pair();
-            // Supervision on (the default): the worker rebuilds from its
-            // snapshot, replays its journal, skips only the poison, and
-            // the final report is bit-for-bit the serial one.
+            // The poison writes nothing, so the worker skips it in place
+            // and the final report is bit-for-bit the serial one.
             let rd2 = ParallelRd2::new(1);
             let serial = Rd2::new();
             rd2.register(ObjId(1), Arc::clone(&compiled));
@@ -1451,16 +1355,15 @@ mod tests {
     }
 
     #[test]
-    fn repeated_panics_heal_across_snapshot_refreshes() {
+    fn repeated_panics_on_every_worker_are_skipped_in_place() {
         quiet(|| {
             let (spec, compiled) = dict_pair();
-            // Tiny batches and a tiny snapshot interval: heals replay
-            // partially from refreshed snapshots, repeatedly.
+            // One-event chunks: every worker is poisoned between rounds,
+            // three times, and carries on each time.
             let rd2 = ParallelRd2::with_config(
                 2,
                 ParallelConfig {
                     batch: 1,
-                    snapshot_every: 2,
                     ..ParallelConfig::default()
                 },
             );
@@ -1491,19 +1394,17 @@ mod tests {
         });
     }
 
-    /// A worker that owns no action still counts the synchronization
-    /// events of every chunk toward its snapshot cadence, so its journal
-    /// stays bounded and a heal replays at most one cadence plus a chunk.
+    /// A worker that owns no action, poisoned after a long shared stream
+    /// of synchronization events, skips the poison and stays healthy.
     #[test]
-    fn an_idle_worker_heals_from_a_bounded_journal() {
+    fn an_idle_worker_skips_a_poison_after_a_long_stream() {
         quiet(|| {
             let (spec, compiled) = dict_pair();
             let cfg = ParallelConfig {
                 batch: 8,
-                snapshot_every: 16,
                 ..ParallelConfig::default()
             };
-            let rd2 = ParallelRd2::with_config(2, cfg.clone());
+            let rd2 = ParallelRd2::with_config(2, cfg);
             let owned = ObjId(2);
             assert_eq!(rd2.route(owned), 0, "worker 1 must own no action");
             rd2.register(owned, Arc::clone(&compiled));
@@ -1526,34 +1427,32 @@ mod tests {
             assert!(rd2.report().is_empty());
             let idle = &rd2.stats().workers[1];
             assert_eq!((idle.respawns, idle.degraded), (1, false));
-            let bound = (cfg.snapshot_every + cfg.batch) as u64;
-            assert!(
-                (1..=bound).contains(&idle.healed_events),
-                "healed {} events, bound {bound}",
-                idle.healed_events
-            );
         });
     }
 
+    /// Runs a barrier whose visitor panics on every shard with a
+    /// registered object and answers 7 on an empty one.
+    fn faulty_barrier(rd2: &ParallelRd2) -> Vec<u8> {
+        let visit = |shard: &Shard| {
+            assert!(shard.registered().next().is_none(), "visitor fault");
+            7u8
+        };
+        rd2.barrier(visit, |_| ()).1
+    }
+
     #[test]
-    fn panic_without_supervision_degrades_fail_open() {
+    fn a_worker_panic_degrades_fail_open() {
         quiet(|| {
             let (spec, compiled) = dict_pair();
-            // snapshot_every: 0 turns supervision off — the legacy
-            // degrade-forever contract: the race before the poison
-            // survives, events after it are shed, report still works.
-            let rd2 = ParallelRd2::with_config(
-                1,
-                ParallelConfig {
-                    snapshot_every: 0,
-                    ..ParallelConfig::default()
-                },
-            );
+            // A panic other than the poison quarantines the worker: the
+            // race before it survives, events after it are shed, report
+            // still works.
+            let rd2 = ParallelRd2::new(1);
             rd2.register(ObjId(1), Arc::clone(&compiled));
             rd2.on_fork(ThreadId(0), ThreadId(1));
             rd2.on_action(ThreadId(0), &put(&spec, 1, 1, 1, Value::Nil));
             rd2.on_action(ThreadId(1), &put(&spec, 1, 1, 2, Value::Int(1)));
-            rd2.inject_worker_panic(0);
+            faulty_barrier(&rd2);
             rd2.on_action(ThreadId(0), &put(&spec, 1, 2, 1, Value::Nil));
             rd2.on_action(ThreadId(1), &put(&spec, 1, 2, 2, Value::Int(1)));
             let report = rd2.report();
@@ -1665,14 +1564,7 @@ mod tests {
             let rd2 = ParallelRd2::new(2);
             rd2.register(ObjId(1), Arc::clone(&compiled));
             // Panics on the shard that owns object 1, not on an empty one.
-            let (_, answers) = rd2.barrier(
-                |shard| {
-                    assert!(shard.registered().next().is_none(), "visitor fault");
-                    7u8
-                },
-                |_| (),
-            );
-            assert_eq!(answers, vec![7, 7]);
+            assert_eq!(faulty_barrier(&rd2), vec![7, 7]);
             assert!(rd2.degraded());
             assert_eq!(rd2.stats().workers.iter().map(|w| w.panics).sum::<u64>(), 1);
             assert!(rd2.report().is_empty(), "barriers still answered");
@@ -1707,16 +1599,11 @@ mod tests {
         quiet(|| {
             let (spec, compiled) = dict_pair();
             let resolver = crate::builtin_resolver();
-            let cfg = ParallelConfig {
-                snapshot_every: 0, // supervision off: poison quarantines
-                ..ParallelConfig::default()
-            };
-            let rd2 = ParallelRd2::with_config(1, cfg.clone());
+            let rd2 = ParallelRd2::new(1);
             rd2.register(ObjId(1), Arc::clone(&compiled));
             rd2.on_fork(ThreadId(0), ThreadId(1));
             let blob = rd2.checkpoint();
-            rd2.inject_worker_panic(0);
-            let _ = rd2.report(); // deliver the poison
+            faulty_barrier(&rd2);
             assert!(rd2.degraded());
             // Installing a checkpoint rebuilds the state and clears the
             // quarantine.

@@ -63,7 +63,7 @@ impl Findings {
     /// over the whole stream would hold. The sort is stable, and one
     /// action's hits share a sequence number and a shard, so they keep
     /// their detection order.
-    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a Findings>) -> RaceReport {
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a Arc<Findings>>) -> RaceReport {
         let mut counts = RaceReport::with_sample_capacity(0);
         let mut samples: Vec<(u64, &RaceRecord)> = Vec::new();
         for part in parts {
@@ -114,7 +114,10 @@ pub(crate) struct Shard {
     gc_every: usize,
     registry: HashMap<ObjId, Arc<CompiledSpec>>,
     objects: HashMap<ObjId, ObjState>,
-    findings: Findings,
+    /// Copy-on-write, so a reader (a pipeline report barrier) takes a
+    /// reference instead of a deep copy, and the thread that allocated
+    /// the records is the one that frees them.
+    findings: Arc<Findings>,
     /// Threads that may still produce events (observed − joined −
     /// abandoned); the GC watermark is the meet of their clocks.
     live: HashSet<ThreadId>,
@@ -129,7 +132,7 @@ impl Shard {
             gc_every,
             registry: HashMap::new(),
             objects: HashMap::new(),
-            findings: Findings::new(),
+            findings: Arc::new(Findings::new()),
             live: HashSet::new(),
             since_gc: 0,
             gc: GcCounters::default(),
@@ -162,8 +165,8 @@ impl Shard {
     /// report's samples sort ahead of every later race (sequence numbers
     /// start at 1).
     pub fn set_base(&mut self, report: RaceReport, gc: GcCounters) {
-        self.findings.seqs = vec![0; report.samples().len()];
-        self.findings.report = report;
+        let seqs = vec![0; report.samples().len()];
+        self.findings = Arc::new(Findings { report, seqs });
         self.gc = gc;
     }
 
@@ -185,9 +188,9 @@ impl Shard {
             self.live.insert(tid);
             self.since_gc += 1;
         }
-        let report = &mut self.findings.report;
         // Rendering provenance is pointless once the sample buffer is full.
-        let want_detail = self.cfg.provenance_window.is_some() && report.wants_detail();
+        let want_detail =
+            self.cfg.provenance_window.is_some() && self.findings.report.wants_detail();
         let cfg = self.cfg;
         let state = self
             .objects
@@ -197,6 +200,7 @@ impl Shard {
         if hits.is_empty() {
             return;
         }
+        let Findings { report, seqs } = Arc::make_mut(&mut self.findings);
         let before = report.samples().len();
         let kind = RaceKind::Commutativity { obj: action.obj() };
         for hit in hits {
@@ -216,7 +220,6 @@ impl Shard {
         }
         let kept = report.samples().len() - before;
         if kept > 0 {
-            let seqs = &mut self.findings.seqs;
             seqs.resize(seqs.len() + kept, seq());
         }
     }
@@ -276,7 +279,7 @@ impl Shard {
         });
     }
 
-    pub fn findings(&self) -> &Findings {
+    pub fn findings(&self) -> &Arc<Findings> {
         &self.findings
     }
 

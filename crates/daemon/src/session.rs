@@ -231,7 +231,7 @@ pub struct SessionOutcome {
     pub checkpoint_seq: u64,
     /// Milliseconds since the last durable checkpoint (0 = never).
     pub checkpoint_age_ms: u64,
-    /// Detector workers the supervisor rebuilt after panics.
+    /// Chaos poisons the pipeline's workers caught and skipped.
     pub respawns: u64,
     /// True iff the client closed with BYE.
     pub clean_bye: bool,
@@ -536,9 +536,10 @@ impl Session {
         self.analysis.feed(r); // rd2.analysis_panics / events_shed / degraded_mode
         self.injector.feed(r); // fault.*
         let sa = self.analysis.inner().inner();
-        sa.detector.feed(r, sa.name()); // rd2.conflict_probes / clock.*, parallel.* / supervisor.*
-                                        // Only the pipeline respawns workers, but every width exports the
-                                        // counter that `SessionOutcome::respawns` reads.
+        // rd2.conflict_probes / clock.*, and at width > 0 parallel.* and
+        // supervisor.respawns. Only the pipeline counts respawns, but every
+        // width exports the counter that `SessionOutcome::respawns` reads.
+        sa.detector.feed(r, sa.name());
         r.counter("supervisor.respawns");
         match self.checkpoint_state() {
             Some((seq, age)) => {

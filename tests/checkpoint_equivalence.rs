@@ -18,8 +18,9 @@
 //! the fail-closed half of the contract — a version-bumped, truncated,
 //! or byte-flipped checkpoint must be rejected with an error, never
 //! silently restored into a detector that reports wrong races — and the
-//! supervision half: a worker panic mid-stream heals from its last
-//! snapshot and the final report still equals serial exactly.
+//! panic-shield half: a worker skips a chaos poison mid-stream in place,
+//! so the final report equals serial and the checkpoint equals an
+//! un-poisoned pipeline's, byte for byte.
 
 mod common;
 
@@ -100,11 +101,12 @@ fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
     }
 }
 
-/// Supervision differential: poison messages injected at several points
-/// mid-stream are healed — snapshot + journal replay, skipping only the
-/// poisoned message — and the final report is still bit-for-bit equal
-/// to serial. The pipeline never enters the degraded quarantine and the
-/// supervisor counters record every respawn.
+/// Panic-shield differential: poison messages injected at several points
+/// mid-stream are skipped in place, and the final report is still
+/// bit-for-bit equal to serial. The pipeline never enters the degraded
+/// quarantine, `respawns` counts every poison, and the checkpoint equals
+/// that of an un-poisoned pipeline fed the same trace (poisons are not
+/// ingress events), which catches lost state that no race shows.
 #[test]
 fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
     let spec = builtin::dictionary();
@@ -114,10 +116,16 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
         for workers in [1usize, 4] {
             let cfg = ParallelConfig {
                 batch: 4,
-                snapshot_every: 16,
                 ..ParallelConfig::default()
             };
-            let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
+            let pipeline = || {
+                monitored(
+                    ParallelRd2::with_config(workers, cfg.clone()),
+                    &spec,
+                    OBJECTS,
+                )
+            };
+            let detector = pipeline();
             let events = trace.events();
             let injections = [events.len() / 3, 2 * events.len() / 3];
             for (i, event) in events.iter().enumerate() {
@@ -133,14 +141,23 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
             );
             assert!(
                 !detector.degraded(),
-                "seed {seed}, {workers} worker(s): pipeline degraded instead of healing"
+                "seed {seed}, {workers} worker(s): pipeline degraded on a poison"
             );
             let stats = detector.stats();
             let respawns: u64 = stats.workers.iter().map(|w| w.respawns).sum();
             assert_eq!(
                 respawns,
                 injections.len() as u64,
-                "seed {seed}, {workers} worker(s): every poison heals exactly once"
+                "seed {seed}, {workers} worker(s): every poison is skipped exactly once"
+            );
+            let clean = pipeline();
+            for event in events {
+                clean.on_event(event);
+            }
+            assert_eq!(
+                detector.checkpoint(),
+                clean.checkpoint(),
+                "seed {seed}, {workers} worker(s): a skipped poison changed the state"
             );
         }
     }

@@ -8,10 +8,10 @@
 //! 1. workloads whose race count is the same in every linearization
 //!    (disjoint keys → zero; k pairwise-concurrent same-key writes →
 //!    2k−3; lock-protected writers → zero),
-//! 2. supervised healing: a panic injected into one detector worker
-//!    mid-stream is healed from the worker's last snapshot — the poison
-//!    is skipped, no races are invented, no shard is poisoned, and the
-//!    pipeline keeps answering reports without ever entering the
+//! 2. skip-in-place: a chaos poison injected into one detector worker
+//!    mid-stream panics before it writes anything, so the worker skips
+//!    it and carries on — no races are invented, no shard is poisoned,
+//!    and the pipeline keeps answering reports without ever entering the
 //!    degraded quarantine,
 //! 3. replay determinism: the merged report — including the order of its
 //!    retained sample records — is identical over 50 replays of one
@@ -143,11 +143,10 @@ fn lock_protected_writers_never_race_through_the_pipeline() {
     assert!(report.is_empty(), "{report:?}");
 }
 
-/// Supervised healing under load: detector workers are poisoned
-/// mid-stream while real producer threads keep hammering both a racy
-/// shared key and safe private keys. With supervision on (the default),
-/// each poisoned worker rebuilds from its last snapshot, skips only the
-/// poison, and keeps detecting: nothing real is shed, no race may be
+/// Skip-in-place under load: detector workers are poisoned mid-stream
+/// while real producer threads keep hammering both a racy shared key and
+/// safe private keys. Each poisoned worker skips only the poison, which
+/// wrote nothing, and keeps detecting: nothing real is shed, no race may be
 /// *invented*, everything reported must be the one genuine shared-key
 /// class, and the pipeline (wrapped in [`Isolated`], as the chaos plane
 /// runs it) never enters the degraded quarantine.
@@ -181,7 +180,7 @@ fn injected_worker_panic_under_load_heals_without_degrading() {
     }
 
     let report = shield.report();
-    // Healing skips only the poison messages themselves, so no real race
+    // The worker skips only the poison messages themselves, so no real race
     // may be lost *or* fabricated: exactly the genuine shared-key class.
     assert_eq!(
         report.distinct(),
@@ -201,7 +200,7 @@ fn injected_worker_panic_under_load_heals_without_degrading() {
     assert_eq!(
         stats.workers.iter().map(|w| w.respawns).sum::<u64>(),
         2,
-        "each poisoned worker must heal exactly once: {stats:?}"
+        "each poison must be skipped exactly once: {stats:?}"
     );
     assert!(
         !shield.quarantined(),
