@@ -13,9 +13,10 @@
 //!
 //! Each record line is `=<len>:<crc32> <event-text>`: the byte length of
 //! the event text in decimal and its IEEE CRC-32 in 8 hex digits. A
-//! writer appends one whole record per event and flushes, so after a
-//! crash the file is a sequence of valid records followed by at most one
-//! torn line. [`parse_framed_tolerant`] recovers exactly that valid
+//! writer appends one whole record line per event in a single write and
+//! flushes (the daemon's per-session capture does exactly that), so after
+//! a crash the file is a sequence of valid records followed by at most
+//! one torn line. [`parse_framed_tolerant`] recovers exactly that valid
 //! prefix and reports what was lost; [`parse_framed`] (and
 //! [`parse_trace`](crate::parse_trace), which auto-detects the header)
 //! rejects damage with a [`TraceErrorKind::Torn`] error instead.
@@ -25,10 +26,8 @@
 //! misread — the formats cannot be confused.
 
 use crate::tracefmt::{parse_event, render_event, torn, TraceErrorKind, TraceParseError};
-use crace_model::{Analysis, Event, RaceReport, Trace};
+use crace_model::{Event, Trace};
 use crace_spec::Spec;
-use std::io::{self, Write};
-use std::sync::{Mutex, PoisonError};
 
 /// First line of every framed trace file.
 pub const FRAMED_HEADER: &str = "#%crace-trace v1 framed";
@@ -187,163 +186,10 @@ pub fn parse_framed_tolerant(source: &str, spec: &Spec) -> (Trace, Option<TornTr
     (trace, outcome)
 }
 
-/// A crash-consistent trace writer: one framed record per event, flushed
-/// before [`FramedWriter::record`] returns, so a crash can tear at most
-/// the line being written — exactly the damage
-/// [`parse_framed_tolerant`] undoes.
-pub struct FramedWriter<W: Write> {
-    sink: W,
-}
-
-impl<W: Write> FramedWriter<W> {
-    /// Writes the framed header and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn new(mut sink: W) -> io::Result<FramedWriter<W>> {
-        sink.write_all(FRAMED_HEADER.as_bytes())?;
-        sink.write_all(b"\n")?;
-        sink.flush()?;
-        Ok(FramedWriter { sink })
-    }
-
-    /// Appends one event as a framed record and flushes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn record(&mut self, event: &Event, spec: &Spec) -> io::Result<()> {
-        self.sink
-            .write_all(frame(&render_event(event, spec)).as_bytes())?;
-        self.sink.write_all(b"\n")?;
-        self.sink.flush()
-    }
-
-    /// Resumes writing into a sink that already carries the framed
-    /// header — a capture file reopened in append mode after a daemon
-    /// restart. Writes nothing: the next [`FramedWriter::record`]
-    /// continues the existing record sequence.
-    pub fn append(sink: W) -> FramedWriter<W> {
-        FramedWriter { sink }
-    }
-
-    /// Unwraps the underlying sink.
-    pub fn into_inner(self) -> W {
-        self.sink
-    }
-}
-
-/// An [`Analysis`] that streams every event straight to a
-/// [`FramedWriter`] — the crash-consistent counterpart of
-/// [`Recorder`](crace_model::Recorder). Attach it (e.g. via
-/// [`Observer`](crace_model::Observer) or as the runtime's analysis) and
-/// the capture on disk is complete up to the last flushed event no
-/// matter how the process dies.
-///
-/// The lock is a poisoning [`std::sync::Mutex`], recovered on poison:
-/// a panicking writer thread must not cost the other threads their
-/// capture (the writer only ever appends whole records, so the state is
-/// consistent at every step).
-///
-/// I/O errors are sticky: the first one is kept and later events are
-/// dropped silently ([`StreamingRecorder::io_error`] exposes it; a
-/// capture must never panic the application it observes).
-pub struct StreamingRecorder<W: Write + Send> {
-    writer: Mutex<(FramedWriter<W>, Option<io::Error>)>,
-    spec: Spec,
-}
-
-impl<W: Write + Send> StreamingRecorder<W> {
-    /// Wraps `sink`, writing the header immediately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the header.
-    pub fn new(sink: W, spec: Spec) -> io::Result<StreamingRecorder<W>> {
-        Ok(StreamingRecorder {
-            writer: Mutex::new((FramedWriter::new(sink)?, None)),
-            spec,
-        })
-    }
-
-    fn write(&self, event: Event) {
-        let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
-        if guard.1.is_some() {
-            return;
-        }
-        if let Err(e) = guard.0.record(&event, &self.spec) {
-            guard.1 = Some(e);
-        }
-    }
-
-    /// The first I/O error the writer hit, if any (later events were
-    /// dropped from the capture).
-    pub fn io_error(&self) -> Option<io::ErrorKind> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .1
-            .as_ref()
-            .map(io::Error::kind)
-    }
-
-    /// Unwraps the underlying sink, discarding any sticky error.
-    pub fn into_inner(self) -> W {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .0
-            .into_inner()
-    }
-}
-
-impl<W: Write + Send> Analysis for StreamingRecorder<W> {
-    fn name(&self) -> &str {
-        "streaming-recorder"
-    }
-
-    fn on_fork(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        self.write(Event::Fork { parent, child });
-    }
-
-    fn on_join(&self, parent: crace_model::ThreadId, child: crace_model::ThreadId) {
-        self.write(Event::Join { parent, child });
-    }
-
-    fn on_acquire(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        self.write(Event::Acquire { tid, lock });
-    }
-
-    fn on_release(&self, tid: crace_model::ThreadId, lock: crace_model::LockId) {
-        self.write(Event::Release { tid, lock });
-    }
-
-    fn on_read(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        self.write(Event::Read { tid, loc });
-    }
-
-    fn on_write(&self, tid: crace_model::ThreadId, loc: crace_model::LocId) {
-        self.write(Event::Write { tid, loc });
-    }
-
-    fn on_action(&self, tid: crace_model::ThreadId, action: &crace_model::Action) {
-        self.write(Event::Action {
-            tid,
-            action: action.clone(),
-        });
-    }
-
-    fn report(&self) -> RaceReport {
-        RaceReport::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse_trace;
-    use crace_model::{replay, ThreadId};
     use crace_spec::builtin;
 
     fn sample() -> (Trace, Spec) {
@@ -470,42 +316,5 @@ mod tests {
             .map(|l| l + "\n")
             .collect();
         assert_eq!(rendered, from_records);
-    }
-
-    #[test]
-    fn streaming_recorder_capture_replays_identically() {
-        let (trace, spec) = sample();
-        let recorder = StreamingRecorder::new(Vec::new(), spec.clone()).unwrap();
-        replay(&trace, &recorder);
-        assert_eq!(recorder.io_error(), None);
-        let bytes = recorder.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(parse_trace(&text, &spec).unwrap(), trace);
-    }
-
-    #[test]
-    fn streaming_recorder_survives_a_poisoned_lock() {
-        let (_, spec) = sample();
-        let recorder =
-            std::sync::Arc::new(StreamingRecorder::new(Vec::new(), spec.clone()).unwrap());
-        let r = std::sync::Arc::clone(&recorder);
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let _ = std::thread::spawn(move || {
-            let _guard = r.writer.lock().unwrap();
-            panic!("die holding the capture lock");
-        })
-        .join();
-        std::panic::set_hook(prev);
-        // The capture keeps working after the poisoning panic.
-        recorder.on_fork(ThreadId(0), ThreadId(1));
-        assert_eq!(recorder.io_error(), None);
-        let text = String::from_utf8(
-            std::sync::Arc::try_unwrap(recorder)
-                .unwrap_or_else(|_| panic!("sole owner"))
-                .into_inner(),
-        )
-        .unwrap();
-        assert_eq!(parse_trace(&text, &spec).unwrap().len(), 1);
     }
 }

@@ -26,10 +26,9 @@
 //! model-checks.
 //!
 //! For capture that must survive crashes there is a second, *framed*
-//! trace format ([`render_framed`], [`FramedWriter`],
-//! [`StreamingRecorder`]): every event is a length-prefixed,
-//! CRC-checksummed record, so a file torn mid-write is detected
-//! ([`TraceErrorKind::Torn`]) and its intact prefix recovered
+//! trace format ([`render_framed`], [`frame_event`]): every event is a
+//! length-prefixed, CRC-checksummed record, so a file torn mid-write is
+//! detected ([`TraceErrorKind::Torn`]) and its intact prefix recovered
 //! ([`parse_framed_tolerant`]). [`parse_trace`] auto-detects the framed
 //! header, so framed files work everywhere plain ones do.
 
@@ -42,7 +41,7 @@ mod tracefmt;
 
 pub use framed::{
     crc32, frame_event, is_framed, parse_framed, parse_framed_record, parse_framed_tolerant,
-    render_framed, FramedWriter, StreamingRecorder, TornTrace, FRAMED_HEADER,
+    render_framed, TornTrace, FRAMED_HEADER,
 };
 pub use progfmt::{parse_program, render_program, ProgParseError};
 pub use tracefmt::{parse_trace, render_trace, TraceErrorKind, TraceParseError};

@@ -4,7 +4,7 @@
 //! fact; this crate turns the same detectors into a *service*: clients
 //! stream framed trace records over a Unix-domain or TCP socket, the
 //! daemon multiplexes any number of concurrent detection sessions —
-//! each with its own spec, detector (serial `Rd2` or sharded
+//! each with its own spec, detector (serial `TraceDetector` or sharded
 //! `ParallelRd2`), metrics registry, and optional span tracer — and
 //! answers `GET /metrics` on the same socket with Prometheus or JSON
 //! renderings of the merged state.

@@ -383,18 +383,13 @@ fn handle_connection(inner: &Arc<Inner>, conn: Conn) {
     drive_protocol(inner, &mut reader, &mut writer, first);
 }
 
-/// The session a connection is driving, plus its wire accounting.
-struct ConnState {
-    session: Arc<Session>,
-}
-
 fn drive_protocol(
     inner: &Arc<Inner>,
     reader: &mut BufReader<Conn>,
     writer: &mut Conn,
     first: (Vec<u8>, bool),
 ) {
-    let mut state: Option<ConnState> = None;
+    let mut state: Option<Arc<Session>> = None;
     let mut pending = Some(first);
     loop {
         let (bytes, newline) = match pending.take() {
@@ -477,10 +472,10 @@ fn drive_protocol(
                             }
                         );
                         if writer.write_all(ok.as_bytes()).is_err() {
-                            close_session(inner, ConnState { session }, false, None);
+                            close_session(inner, session, false, None);
                             return;
                         }
-                        state = Some(ConnState { session });
+                        state = Some(session);
                     }
                     Err(message) => {
                         protocol_error(inner, writer, &message);
@@ -511,19 +506,10 @@ fn drive_protocol(
                             resumed.lost_records,
                         );
                         if writer.write_all(ok.as_bytes()).is_err() {
-                            close_session(
-                                inner,
-                                ConnState {
-                                    session: resumed.session,
-                                },
-                                false,
-                                None,
-                            );
+                            close_session(inner, resumed.session, false, None);
                             return;
                         }
-                        state = Some(ConnState {
-                            session: resumed.session,
-                        });
+                        state = Some(resumed.session);
                     }
                     Err(message) => {
                         protocol_error(inner, writer, &message);
@@ -533,12 +519,12 @@ fn drive_protocol(
             }
             Request::Record(record) => match state.take() {
                 Some(s) => {
-                    if let Err(e) = s.session.ingest_line(&record) {
+                    if let Err(e) = s.ingest_line(&record) {
                         let lost = (record.len() + 1) as u64;
                         finish_torn(inner, writer, s, lost, 1, &e.message);
                         return;
                     }
-                    maybe_checkpoint(inner, &s.session);
+                    maybe_checkpoint(inner, &s);
                     state = Some(s);
                 }
                 None => {
@@ -548,7 +534,7 @@ fn drive_protocol(
             },
             Request::Report => match state.take() {
                 Some(s) => {
-                    let json = s.session.report_now().to_json();
+                    let json = s.report_now().to_json();
                     if write_report(writer, &json).is_err() {
                         finish_torn(inner, writer, s, 0, 0, "write failed mid-report");
                         return;
@@ -613,7 +599,7 @@ fn stats_line(outcome: &SessionOutcome) -> String {
 fn finish_torn(
     inner: &Arc<Inner>,
     writer: &mut Conn,
-    s: ConnState,
+    session: Arc<Session>,
     lost_bytes: u64,
     lost_records: u64,
     reason: &str,
@@ -623,7 +609,7 @@ fn finish_torn(
         lost_records,
         reason: reason.to_string(),
     };
-    let outcome = close_session(inner, s, false, Some(damage));
+    let outcome = close_session(inner, session, false, Some(damage));
     let _ = writer.write_all(format!("ERR torn: {reason}\n").as_bytes());
     let _ = write_report(writer, &outcome.report_json);
     let _ = writer.write_all(stats_line(&outcome).as_bytes());
@@ -975,7 +961,7 @@ fn resume_session(inner: &Arc<Inner>, resume: &Resume) -> Result<Resumed, String
 
 fn close_session(
     inner: &Arc<Inner>,
-    s: ConnState,
+    session: Arc<Session>,
     clean: bool,
     damage: Option<StreamDamage>,
 ) -> SessionOutcome {
@@ -983,8 +969,8 @@ fn close_session(
         .sessions
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .remove(s.session.name());
-    let outcome = s.session.finalize(clean, damage);
+        .remove(session.name());
+    let outcome = session.finalize(clean, damage);
     if clean {
         // A clean BYE is the end of the lineage: its checkpoint has
         // nothing left to resume and would only shadow a future session
@@ -995,7 +981,7 @@ fn close_session(
         }
     }
     if let Some(dir) = &inner.cfg.trace_dir {
-        if let Some(tracer) = s.session.tracer() {
+        if let Some(tracer) = session.tracer() {
             let chrome = tracer.to_chrome_json();
             if crace_obs::json::validate(&chrome).is_ok() {
                 let _ = std::fs::create_dir_all(dir);

@@ -22,7 +22,7 @@
 //! `tests/daemon_vs_replay.rs` checks at every worker width.
 
 use crate::ring::IngressRing;
-use crace_cli::{parse_framed_record, FramedWriter, TraceParseError};
+use crace_cli::{parse_framed_record, TraceParseError, FRAMED_HEADER};
 use crace_core::{
     CompiledSpec, FrontEnd, ParallelConfig, ParallelRd2, SpecResolver, TraceDetector,
 };
@@ -30,7 +30,7 @@ use crace_model::{Action, Analysis, Event, Isolated, LocId, LockId, ObjId, RaceR
 use crace_obs::{Registry, Tracer};
 use crace_runtime::{FaultInjector, FaultPlan, FaultedAnalysis};
 use crace_spec::Spec;
-use crace_vclock::ckpt::{esc, CkptError, CkptReader, CkptWriter};
+use crace_vclock::ckpt::{esc, CkptError, CkptReader, CkptWriter, CKPT_MAGIC};
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,8 +41,9 @@ use std::time::{Duration, Instant};
 /// Sampling period for per-event dispatch spans on the session lane.
 const DISPATCH_SPAN_EVERY: u64 = 64;
 
-/// Checkpoint-kind tag of a whole-session checkpoint (the daemon's
-/// `.ckpt` files). The nested detector blob carries its own kind.
+/// Checkpoint-kind tag of the session header that opens a daemon
+/// `.ckpt` file. The detector's own `rd2` checkpoint follows the header
+/// byte for byte.
 pub const SESSION_CKPT_KIND: &str = "craced-session";
 
 /// The session-level header of a `.ckpt` file, readable without (and
@@ -51,24 +52,26 @@ pub const SESSION_CKPT_KIND: &str = "craced-session";
 pub struct CkptMeta {
     /// Spec name the session detected against.
     pub spec_name: String,
-    /// Worker count (0 = serial) the checkpoint was taken at —
-    /// information only: a resume may run at any width.
-    pub workers: usize,
     /// Records the detector had absorbed when the checkpoint was taken.
     pub seq: u64,
     /// Capture file (relative to the record dir) the sequence refers to.
     pub capture: Option<String>,
 }
 
-/// Validates `text` as a session checkpoint and returns its metadata —
-/// the server peeks this to configure the replacement session before
-/// restoring into it.
-///
-/// # Errors
-///
-/// A spanned [`CkptError`] on any damage or a missing `meta` record.
-pub fn peek_checkpoint_meta(text: &str) -> Result<CkptMeta, CkptError> {
-    let mut r = CkptReader::new(text, SESSION_CKPT_KIND)?;
+/// Reads a session `.ckpt`: its header's metadata and registered object
+/// set, plus the detector checkpoint after the seam, untouched. The seam
+/// is the first line after line 1 that starts with [`CKPT_MAGIC`]; header
+/// payloads are single framed lines of escaped words, so no header line
+/// can begin with it.
+fn read_checkpoint(text: &str) -> Result<(CkptMeta, Vec<ObjId>, &str), CkptError> {
+    let seam = text.find(&format!("\n{CKPT_MAGIC}")).ok_or_else(|| {
+        CkptError::at(
+            text.lines().count().max(1),
+            "no detector checkpoint follows the session header",
+        )
+    })?;
+    let (head, detector) = text.split_at(seam + 1);
+    let mut r = CkptReader::new(head, SESSION_CKPT_KIND)?;
     let rec = r
         .next_rec()
         .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
@@ -78,19 +81,42 @@ pub fn peek_checkpoint_meta(text: &str) -> Result<CkptMeta, CkptError> {
             format!("expected `meta` record, found `{}`", rec.tag()),
         ));
     }
-    let spec_name = rec.text(1)?;
-    let workers = rec.num(2)?;
-    let seq = rec.num(3)?;
-    let capture = match r.peek() {
-        Some(rec) if rec.tag() == "capture" => Some(rec.text(1)?),
-        _ => None,
+    let mut meta = CkptMeta {
+        spec_name: rec.text(1)?,
+        seq: rec.num(2)?,
+        capture: None,
     };
-    Ok(CkptMeta {
-        spec_name,
-        workers,
-        seq,
-        capture,
-    })
+    let mut objects = Vec::new();
+    while let Some(rec) = r.next_rec() {
+        match rec.tag() {
+            "capture" => meta.capture = Some(rec.text(1)?),
+            "registered" => {
+                let count: usize = rec.num(1)?;
+                for i in 0..count {
+                    objects.push(ObjId(rec.num(2 + i)?));
+                }
+            }
+            other => {
+                return Err(CkptError::at(
+                    rec.line,
+                    format!("unknown session record `{other}`"),
+                ))
+            }
+        }
+    }
+    Ok((meta, objects, detector))
+}
+
+/// Validates `text` as a session checkpoint and returns its metadata —
+/// the server peeks this to configure the replacement session before
+/// restoring into it.
+///
+/// # Errors
+///
+/// A spanned [`CkptError`] on any damage to the session header, or when
+/// no detector checkpoint follows it.
+pub fn peek_checkpoint_meta(text: &str) -> Result<CkptMeta, CkptError> {
+    read_checkpoint(text).map(|(meta, _, _)| meta)
 }
 
 /// Per-session knobs, resolved by the server from its config plus the
@@ -104,8 +130,8 @@ pub struct SessionConfig {
     pub shed_grace: Duration,
     /// Fault plan for the chaos test plane, armed on the dispatch path.
     pub faults: Option<FaultPlan>,
-    /// When set, every decoded event is also appended to this sink as a
-    /// framed record (the per-session capture file).
+    /// When set, the framed header and then every verified wire record
+    /// are appended to this sink verbatim (the per-session capture file).
     pub record_to: Option<Box<dyn Write + Send>>,
     /// File name of the capture sink (relative to the record dir), so a
     /// checkpoint can name the capture its sequence number refers to and
@@ -254,7 +280,7 @@ pub struct Session {
     injector: Arc<FaultInjector>,
     registry: Arc<Registry>,
     tracer: Option<Arc<Tracer>>,
-    recorder: Mutex<Option<FramedWriter<Box<dyn Write + Send>>>>,
+    recorder: Mutex<Option<Box<dyn Write + Send>>>,
     capture_name: Option<String>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
     lineno: AtomicU64,
@@ -302,10 +328,11 @@ impl Session {
             Some(t) => Isolated::with_tracer(faulted, t),
             None => Isolated::new(faulted),
         });
-        let recorder = match cfg.record_to {
-            Some(sink) => Some(FramedWriter::new(sink)?),
-            None => None,
-        };
+        let mut recorder = cfg.record_to;
+        if let Some(sink) = &mut recorder {
+            sink.write_all(format!("{FRAMED_HEADER}\n").as_bytes())?;
+            sink.flush()?;
+        }
         let ring = Arc::new(IngressRing::new(cfg.ring_capacity, cfg.shed_grace));
         let dispatcher = {
             let ring = Arc::clone(&ring);
@@ -358,9 +385,9 @@ impl Session {
         self.tracer.as_ref()
     }
 
-    /// Decodes one framed record line and enqueues the event (recording
-    /// it to the capture file first, so the capture reflects everything
-    /// that arrived intact — including events later shed).
+    /// Decodes one framed record line and enqueues the event (appending
+    /// the verified line to the capture file first, so the capture holds
+    /// everything that arrived intact — including events later shed).
     ///
     /// # Errors
     ///
@@ -371,10 +398,13 @@ impl Session {
         let event = parse_framed_record(line, &self.spec, lineno as usize)?;
         {
             let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(w) = guard.as_mut() {
+            if let Some(sink) = guard.as_mut() {
+                // One write per record, so a crash tears at most this line.
                 // Capture I/O errors must not kill the session: the capture
                 // is an observability artifact, detection is the product.
-                let _ = w.record(&event, &self.spec);
+                let _ = sink
+                    .write_all(format!("{line}\n").as_bytes())
+                    .and_then(|()| sink.flush());
             }
         }
         self.ring.push(event);
@@ -395,7 +425,7 @@ impl Session {
     /// original record sequence in place.
     pub fn attach_recorder(&self, sink: Box<dyn Write + Send>) {
         let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(FramedWriter::append(sink));
+        *guard = Some(sink);
     }
 
     /// Records decoded and enqueued so far — the sequence number a
@@ -413,20 +443,16 @@ impl Session {
 
     /// Serializes the whole session at the current record boundary:
     /// drains the ring so the detector has absorbed every ingested
-    /// record, then writes session metadata (spec, workers, sequence,
-    /// capture lineage), the lazily-registered object set, and the
-    /// nested detector checkpoint. Returns the blob plus the sequence
-    /// number it is valid at.
+    /// record, then writes a session header (spec, sequence, capture
+    /// lineage, the lazily-registered object set) followed byte for byte
+    /// by the detector's own checkpoint. Returns the blob plus the
+    /// sequence number it is valid at.
     pub fn checkpoint_blob(&self) -> (String, u64) {
         self.ring.wait_drained();
         let seq = self.seq();
         let sa = self.analysis.inner().inner();
         let mut w = CkptWriter::new(SESSION_CKPT_KIND);
-        w.rec(&format!(
-            "meta {} {} {seq}",
-            esc(&self.spec_name),
-            self.workers
-        ));
+        w.rec(&format!("meta {} {seq}", esc(&self.spec_name)));
         if let Some(capture) = &self.capture_name {
             w.rec(&format!("capture {}", esc(capture)));
         }
@@ -438,18 +464,19 @@ impl Session {
             }
             w.rec(&rec);
         }
-        w.rec(&format!("detector {}", esc(&sa.detector.checkpoint())));
-        (w.finish(), seq)
+        let mut blob = w.finish();
+        blob.push_str(&sa.detector.checkpoint());
+        (blob, seq)
     }
 
     /// Restores a freshly-spawned session from a [`Session::checkpoint_blob`]:
     /// validates the spec name against this session's configuration (the
     /// worker count may differ — every width reads the one `rd2` detector
     /// state), rebuilds the lazily-registered object set *without*
-    /// re-registering (registration wipes object state the nested restore
-    /// is about to install), restores the detector, and fast-forwards the
-    /// ingest sequence. Returns the sequence number the capture tail must
-    /// be replayed from.
+    /// re-registering (registration wipes object state the detector
+    /// restore is about to install), restores the detector from the text
+    /// after the seam as is, and fast-forwards the ingest sequence.
+    /// Returns the sequence number the capture tail must be replayed from.
     ///
     /// # Errors
     ///
@@ -457,7 +484,7 @@ impl Session {
     /// the session must then be discarded and the capture replayed in
     /// full.
     pub fn restore_blob(&self, text: &str, resolve: &SpecResolver<'_>) -> Result<u64, CkptError> {
-        let meta = peek_checkpoint_meta(text)?;
+        let (meta, objects, detector) = read_checkpoint(text)?;
         if meta.spec_name != self.spec_name {
             return Err(CkptError::at(
                 2,
@@ -467,31 +494,8 @@ impl Session {
                 ),
             ));
         }
-        let mut r = CkptReader::new(text, SESSION_CKPT_KIND)?;
         let sa = self.analysis.inner().inner();
-        let mut detector_blob: Option<String> = None;
-        let mut objects: Vec<ObjId> = Vec::new();
-        while let Some(rec) = r.next_rec() {
-            match rec.tag() {
-                "meta" | "capture" => {}
-                "registered" => {
-                    let count: usize = rec.num(1)?;
-                    for i in 0..count {
-                        objects.push(ObjId(rec.num(2 + i)?));
-                    }
-                }
-                "detector" => detector_blob = Some(rec.text(1)?),
-                other => {
-                    return Err(CkptError::at(
-                        rec.line,
-                        format!("unknown session record `{other}`"),
-                    ))
-                }
-            }
-        }
-        let blob =
-            detector_blob.ok_or_else(|| CkptError::at(0, "checkpoint has no `detector` record"))?;
-        sa.detector.restore(&blob, resolve)?;
+        sa.detector.restore(detector, resolve)?;
         {
             let mut seen = sa.registered.lock().unwrap_or_else(PoisonError::into_inner);
             seen.clear();
@@ -761,11 +765,89 @@ mod tests {
             ..SessionConfig::default()
         };
         let s = session(0, cfg);
+        let mut wire = format!("{}\n", crace_cli::FRAMED_HEADER);
         for event in trace.iter() {
-            s.ingest_line(&frame_event(event, &spec)).unwrap();
+            let line = frame_event(event, &spec);
+            s.ingest_line(&line).unwrap();
+            wire.push_str(&line);
+            wire.push('\n');
         }
         s.finalize(true, None);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert_eq!(crace_cli::parse_trace(&text, &spec).unwrap(), trace);
+        assert_eq!(text, wire, "the capture holds the wire bytes verbatim");
+    }
+
+    /// `fig3` followed by a seeded random tail on three fresh threads:
+    /// dictionary calls on three objects, some under a lock, and writes.
+    fn fig3_then_random(seed: u64) -> (Trace, Spec) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (fig3, spec) = fig3();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut text = crace_cli::render_trace(&fig3, &spec);
+        text.push_str("fork 0 3\nfork 0 4\nfork 0 5\n");
+        for _ in 0..200 {
+            let t = rng.gen_range(3..=5u32);
+            let o = rng.gen_range(1..=3u32);
+            let [k, v, r] = [(); 3].map(|()| rng.gen_range(0..3u32));
+            let call = match rng.gen_range(0..3u32) {
+                0 => format!(
+                    "act {t} o{o} put({k}, {v})/{}",
+                    if r == 0 { "nil".into() } else { r.to_string() }
+                ),
+                1 => format!("act {t} o{o} get({k})/{v}"),
+                _ => format!("act {t} o{o} size()/{r}"),
+            };
+            match rng.gen_range(0..4u32) {
+                0 => text.push_str(&format!("acq {t} 1\n{call}\nrel {t} 1\n")),
+                1 => text.push_str(&format!("write {t} @{k}\n")),
+                _ => text.push_str(&format!("{call}\n")),
+            }
+        }
+        text.push_str("join 0 3\njoin 0 4\njoin 0 5\n");
+        (crace_cli::parse_trace(&text, &spec).unwrap(), spec)
+    }
+
+    #[test]
+    fn session_checkpoint_carries_the_detector_checkpoint_verbatim() {
+        let resolve = crace_core::builtin_resolver();
+        for (seed, workers) in [(1u64, 0usize), (2, 2)] {
+            let (trace, spec) = fig3_then_random(seed);
+            let compiled = Arc::new(translate(&spec).unwrap());
+            let offline = TraceDetector::new();
+            for obj in 1..=3 {
+                offline.register(ObjId(obj), Arc::clone(&compiled));
+            }
+            let offline = crace_model::replay(&trace, &offline);
+            assert!(offline.total() > 0, "seed {seed}: fig3's race is kept");
+            let s = session(workers, SessionConfig::default());
+            for event in trace.iter() {
+                s.ingest_line(&frame_event(event, &spec)).unwrap();
+            }
+            let (blob, seq) = s.checkpoint_blob();
+            assert_eq!(seq, trace.len() as u64);
+            let seam = blob.find("\n#%crace-ckpt").expect("a seam") + 1;
+            let tail = &blob[seam..];
+            assert!(tail.starts_with("#%crace-ckpt v1 rd2\n"), "seed {seed}");
+            let fresh: [Box<dyn FrontEnd>; 2] = [
+                Box::new(TraceDetector::new()),
+                Box::new(ParallelRd2::new(3)),
+            ];
+            for detector in fresh {
+                detector.restore(tail, &resolve).unwrap();
+                assert_eq!(
+                    detector.report(),
+                    offline,
+                    "seed {seed}, from width {workers}"
+                );
+                assert_eq!(
+                    detector.checkpoint(),
+                    tail,
+                    "seed {seed}, from width {workers}"
+                );
+            }
+            s.finalize(true, None);
+        }
     }
 }

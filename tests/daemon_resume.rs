@@ -47,10 +47,21 @@ fn start(cfg: ServerConfig) -> Server {
     Server::start(&Endpoint::Tcp("127.0.0.1:0".to_string()), cfg).expect("bind test server")
 }
 
-/// Streams `trace[..kill_at]` into a fresh session, then "kills" the
-/// daemon: drops the connection, waits for the torn finalization (so no
-/// handler thread still appends to the capture — a real SIGKILL stops
-/// all writers at once), and discards the server's in-memory state.
+/// "Kills" a daemon whose client connection was dropped: waits for the
+/// torn finalization (so no handler thread still appends to the capture
+/// — a real SIGKILL stops all writers at once), then discards the
+/// server's in-memory state.
+fn kill(server: Server) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_sessions() > 0 {
+        assert!(Instant::now() < deadline, "torn finalization stuck");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    server.shutdown();
+}
+
+/// Streams `trace[..kill_at]` into a fresh session, drops the
+/// connection and [`kill`]s the daemon.
 fn stream_then_kill(
     cfg: ServerConfig,
     session: &str,
@@ -68,12 +79,7 @@ fn stream_then_kill(
         client.send_event(event, &spec).expect("send");
     }
     drop(client);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.active_sessions() > 0 {
-        assert!(Instant::now() < deadline, "torn finalization stuck");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    server.shutdown();
+    kill(server);
 }
 
 /// Restarts the daemon on the same record dir, RESUMEs, resends from the
@@ -195,9 +201,42 @@ fn resume_without_a_checkpoint_replays_the_full_capture() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Damaged checkpoints — flipped bytes, truncation, plain garbage — must
-/// fail closed: the restore is abandoned, the capture is replayed in
-/// full, and the report is still exact.
+/// Byte offset of a session `.ckpt`'s seam: where the detector's own
+/// `rd2` checkpoint starts, right after the session header.
+fn seam(ckpt: &[u8]) -> usize {
+    let text = std::str::from_utf8(ckpt).expect("checkpoints are text");
+    text.find("\n#%crace-ckpt v1 rd2\n")
+        .expect("a detector checkpoint follows the session header")
+        + 1
+}
+
+/// Rewrites a session `.ckpt` into the retired layout: the `meta` record
+/// with its worker count and the detector checkpoint escaped into one
+/// nested `detector` record of the session blob.
+fn nest_detector_record(b: &mut Vec<u8>) {
+    use crace::vclock::ckpt::{esc, unframe, CkptWriter};
+    let at = seam(b);
+    let text = std::str::from_utf8(b).unwrap();
+    let mut w = CkptWriter::new("craced-session");
+    for line in text[..at].lines().skip(1) {
+        match unframe(line).unwrap().split_once(' ').unwrap() {
+            ("meta", rest) => {
+                let (spec, seq) = rest.split_once(' ').unwrap();
+                w.rec(&format!("meta {spec} 4 {seq}"));
+            }
+            ("end", _) => {}
+            (tag, rest) => w.rec(&format!("{tag} {rest}")),
+        }
+    }
+    w.rec(&format!("detector {}", esc(&text[at..])));
+    *b = w.finish().into_bytes();
+}
+
+/// Damaged checkpoints — flipped bytes in the `rd2` tail or the session
+/// header, truncation, plain garbage, a missing or bare detector
+/// checkpoint, the retired nested layout — must fail closed: the restore
+/// is abandoned, the capture is replayed in full, and the report is
+/// still exact.
 #[test]
 fn corrupt_checkpoints_fall_closed_to_capture_replay() {
     let spec = builtin::dictionary();
@@ -210,6 +249,13 @@ fn corrupt_checkpoints_fall_closed_to_capture_replay() {
         },
         |b: &mut Vec<u8>| b.truncate(b.len() / 3),
         |b: &mut Vec<u8>| *b = b"#%crace-ckpt v9 craced-session\n".to_vec(),
+        |b: &mut Vec<u8>| {
+            let at = seam(b) / 2;
+            b[at] = b[at].wrapping_add(1);
+        },
+        |b: &mut Vec<u8>| b.truncate(seam(b)),
+        |b: &mut Vec<u8>| *b = b.split_off(seam(b)),
+        nest_detector_record,
     ]
     .iter()
     .enumerate()
@@ -239,6 +285,69 @@ fn corrupt_checkpoints_fall_closed_to_capture_replay() {
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A record that is valid but not in canonical form — hex locations, no
+/// space after argument commas — is captured as it came over the wire,
+/// not re-rendered; the resumed session replays it from the capture and
+/// still reports bit-for-bit.
+#[test]
+fn non_canonical_records_are_captured_verbatim_and_resume_exactly() {
+    let spec = builtin::dictionary();
+    let trace = random_trace(&spec, 83, 120, OBJECTS);
+    let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
+    let sent: Vec<String> = crace::cli::render_trace(&trace, &spec)
+        .lines()
+        .map(|text| {
+            let text = match text.split_once(" @") {
+                Some((head, loc)) => format!("{head} @0x{:x}", loc.parse::<u64>().unwrap()),
+                None => text.replace(", ", ","),
+            };
+            let mut line = String::new();
+            crace::vclock::ckpt::frame(&mut line, &text);
+            line
+        })
+        .collect();
+    let canonical: Vec<String> = trace
+        .iter()
+        .map(|event| crace::cli::frame_event(event, &spec))
+        .collect();
+    let differ = sent.iter().zip(&canonical).filter(|(a, b)| a != b).count();
+    assert!(differ > 10, "only {differ} records differ from a re-render");
+    let kill_at = 70;
+    let dir = record_dir("verbatim");
+    let server = start(durable_config(&dir, 16));
+    let mut client = Client::connect(server.endpoint()).expect("connect");
+    client
+        .hello("verbatim", "dictionary", 2, None)
+        .expect("HELLO accepted");
+    for line in &sent[..kill_at] {
+        client
+            .send_raw(format!("{line}\n").as_bytes())
+            .expect("send");
+    }
+    drop(client);
+    kill(server);
+    let (report, events, server) =
+        resume_and_finish(durable_config(&dir, 16), "verbatim", &trace, 2);
+    assert_eq!(report, offline, "non-canonical capture replayed wrongly");
+    assert_eq!(events, trace.len() as u64);
+    assert_eq!(
+        server
+            .registry()
+            .counter("daemon.checkpoint_restore_failures")
+            .get(),
+        0
+    );
+    let mut wire = format!("{}\n", crace::cli::FRAMED_HEADER);
+    for line in sent[..kill_at].iter().chain(&canonical[kill_at..]) {
+        wire.push_str(line);
+        wire.push('\n');
+    }
+    let capture = std::fs::read_to_string(dir.join("verbatim.framed.trace")).unwrap();
+    assert_eq!(capture, wire, "the capture must hold the bytes sent");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A capture with a torn tail — the record that was mid-write at the
