@@ -8,6 +8,10 @@
 //! direct detector, and an equally-sized read/write trace into FastTrack,
 //! so the per-event costs are directly comparable. The epoch-hit rate of
 //! the benchmarked trace is printed alongside the timings.
+//!
+//! A local tool: it prints one line per row and writes no file. The
+//! repository's committed numbers come from the end-to-end benchmark
+//! (`BENCH_e2e.json`, see EXPERIMENTS.md).
 
 use crace_bench::{local_dict_trace, mixed_dict_trace, rw_trace, sharded_dict_trace, OBJ};
 use crace_core::{
@@ -69,9 +73,9 @@ fn bench_per_event(c: &mut Criterion) {
         });
     });
 
-    // The panic shield: the same adaptive run through `Isolated` — the
-    // row EXPERIMENTS.md quotes for the chaos plane's hot-path overhead
-    // (one quarantine load plus a `catch_unwind` frame per dispatch).
+    // The panic shield: the same adaptive run through `Isolated`, the
+    // chaos plane's hot-path overhead (one quarantine load plus a
+    // `catch_unwind` frame per dispatch).
     group.bench_function("rd2-adaptive-isolated", |b| {
         b.iter(|| {
             let detector = TraceDetector::new();
@@ -81,10 +85,9 @@ fn bench_per_event(c: &mut Criterion) {
     });
 
     // The tracing plane's hot-path overhead: the same adaptive run with a
-    // live tracer sampling `rd2.on_action` spans 1-in-64 — the row the
-    // acceptance gate holds within 1.05× of `rd2-adaptive`. The tracer
-    // outlives the iterations (lanes are keyed by name, so every
-    // iteration reuses the same bounded ring).
+    // live tracer sampling `rd2.on_action` spans 1-in-64, diffed against
+    // `rd2-adaptive`. The tracer outlives the iterations (lanes are keyed
+    // by name, so every iteration reuses the same bounded ring).
     {
         let tracer = Tracer::new();
         group.bench_function("rd2-adaptive-traced", |b| {
@@ -126,10 +129,10 @@ fn bench_per_event(c: &mut Criterion) {
         });
     }
 
-    // The same adaptive run through the Observer tee — the row EXPERIMENTS.md
-    // quotes for the tee's per-event overhead. Once at the default 1-in-64
-    // latency sampling, once with sampling disabled (counters only), so the
-    // cost of the two Instant reads is its own diff.
+    // The same adaptive run through the Observer tee, for the tee's
+    // per-event overhead. Once at the default 1-in-64 latency sampling,
+    // once with sampling disabled (counters only), so the cost of the two
+    // Instant reads is its own diff.
     group.bench_function("rd2-adaptive-observed", |b| {
         b.iter(|| {
             let detector = TraceDetector::new();
@@ -255,8 +258,7 @@ fn bench_per_event(c: &mut Criterion) {
     }
 
     // The pipeline with span tracing on every phase (ingress, workers,
-    // sync, merge) — the parallel side of the ≤1.05× overhead gate,
-    // diffed against `rd2-parallel-w8`.
+    // sync, merge), diffed against `rd2-parallel-w8`.
     {
         let tracer = Arc::new(Tracer::new());
         let traced_cfg = ParallelConfig {
@@ -278,10 +280,8 @@ fn bench_per_event(c: &mut Criterion) {
     // The durable variant: same stream, plus one full-state checkpoint
     // blob — the cost `crace serve` pays at every checkpoint boundary,
     // priced per 100k events here so the row tracks serialization
-    // regressions. The operator-facing claim (overhead ≤1.05× at the
-    // default 5 s interval) follows: the row's delta over
-    // `rd2-parallel-w8` is the per-checkpoint cost, and one such
-    // checkpoint per 5 s is well under 5% — see EXPERIMENTS.md.
+    // regressions: its delta over `rd2-parallel-w8` is the cost of one
+    // checkpoint.
     group.bench_function("rd2-parallel-w8-checkpointed", |b| {
         b.iter(|| {
             let detector = ParallelRd2::with_config(8, throughput_cfg.clone());
@@ -295,67 +295,6 @@ fn bench_per_event(c: &mut Criterion) {
     });
 
     group.finish();
-
-    write_bench_snapshot();
-}
-
-/// Emits every row of this run as `BENCH_per_event.json` at the repo
-/// root — hand-written RFC 8259 JSON, checked by the crace-obs validator
-/// and the crace-bench schema before it is written. The `meta` object
-/// records the machine (CPU count) and workload shape, so `crace
-/// bench-diff` comparisons across snapshots can be read in context.
-/// Parallel rows carry their speedup over the serial replay baseline
-/// (`rd2-serial-sharded`, the path `crace replay` takes without
-/// `--workers`).
-fn write_bench_snapshot() {
-    let records: Vec<criterion::measurements::Record> = criterion::measurements::drain()
-        .into_iter()
-        .filter(|r| r.group == "per_event")
-        .collect();
-    let serial_ns = records
-        .iter()
-        .find(|r| r.id == "rd2-serial-sharded")
-        .map(criterion::measurements::Record::ns_per_element);
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            let mut row = format!(
-                "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"ns_per_event\": {:.3}",
-                crace_obs::json::escape(&r.id),
-                r.ns_per_iter,
-                r.ns_per_element()
-            );
-            if let Some(serial) = serial_ns {
-                if r.id.starts_with("rd2-parallel-w") && r.ns_per_element() > 0.0 {
-                    row.push_str(&format!(
-                        ", \"speedup_vs_serial_replay\": {:.3}",
-                        serial / r.ns_per_element()
-                    ));
-                }
-            }
-            row.push('}');
-            row
-        })
-        .collect();
-    let host_cpus = std::thread::available_parallelism().map_or(0, usize::from);
-    let widths: Vec<String> = WORKER_WIDTHS.iter().map(usize::to_string).collect();
-    let meta = format!(
-        "    \"host_cpus\": {host_cpus},\n    \"events_per_iter\": {N},\n    \
-         \"sharded_events\": {SHARD_N},\n    \"sharded_threads\": {SHARD_THREADS},\n    \
-         \"sharded_objects\": {SHARD_OBJECTS},\n    \
-         \"trace_sample_every\": {TRACE_SAMPLE_EVERY},\n    \
-         \"worker_widths\": [{}]",
-        widths.join(", ")
-    );
-    let json = format!(
-        "{{\n  \"bench\": \"per_event\",\n  \"events_per_iter\": {N},\n  \"meta\": {{\n{meta}\n  }},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    crace_obs::json::validate(&json).expect("emitted bench JSON is RFC 8259 valid");
-    crace_bench::snapshot::validate_per_event(&json).expect("emitted bench JSON matches schema");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_per_event.json");
-    std::fs::write(path, &json).expect("write BENCH_per_event.json");
-    println!("per_event: wrote {path}");
 }
 
 criterion_group!(benches, bench_per_event);

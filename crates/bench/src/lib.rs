@@ -1,6 +1,10 @@
 //! Shared generators for the `crace` benchmarks.
 //!
-//! The benches regenerate the paper's evaluation artifacts:
+//! The repository's committed performance numbers come from the
+//! end-to-end benchmark (`e2e-bench/`, snapshots `BENCH_e2e.json` and
+//! `BENCH_e2e_layers.json`), which builds its traces with the generators
+//! below. The benches in this crate are local tools that print their rows
+//! and write no file:
 //!
 //! * the `table2` **binary** reruns every Table 2 row (six Pole-Position
 //!   circuits under uninstrumented / FastTrack / RD2 + the snitch),
@@ -223,81 +227,6 @@ pub fn rw_trace(n: usize, threads: u32, locs: u64, seed: u64) -> Trace {
     trace
 }
 
-/// Schema checks for the machine-readable snapshots the benches emit at
-/// the repo root (`BENCH_per_event.json`), so a malformed emitter — or a
-/// hand-edited snapshot — fails loudly instead of silently feeding
-/// garbage to `crace bench-diff`.
-pub mod snapshot {
-    use crace_obs::json::{self, Json};
-
-    /// Validates a `BENCH_per_event.json` document: RFC 8259 syntax, the
-    /// `bench`/`events_per_iter` header, a `meta` object describing the
-    /// machine and workload shape, and a non-empty `rows` array whose
-    /// entries carry unique ids with finite non-negative timings.
-    /// Returns the first problem found.
-    pub fn validate_per_event(text: &str) -> Result<(), String> {
-        let doc = json::parse(text)?;
-        if doc.get("bench").and_then(Json::as_str) != Some("per_event") {
-            return Err("`bench` must be the string \"per_event\"".to_string());
-        }
-        doc.get("events_per_iter")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "`events_per_iter` must be a number".to_string())?;
-        let meta = doc
-            .get("meta")
-            .filter(|m| m.as_object().is_some())
-            .ok_or_else(|| "missing `meta` object".to_string())?;
-        for key in [
-            "host_cpus",
-            "events_per_iter",
-            "sharded_events",
-            "sharded_threads",
-            "sharded_objects",
-            "trace_sample_every",
-        ] {
-            meta.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("`meta.{key}` must be a number"))?;
-        }
-        let widths = meta
-            .get("worker_widths")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "`meta.worker_widths` must be an array".to_string())?;
-        if widths.is_empty() || widths.iter().any(|w| w.as_f64().is_none()) {
-            return Err("`meta.worker_widths` must be a non-empty array of numbers".to_string());
-        }
-        let rows = doc
-            .get("rows")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "`rows` must be an array".to_string())?;
-        if rows.is_empty() {
-            return Err("`rows` must not be empty".to_string());
-        }
-        let mut seen = std::collections::BTreeSet::new();
-        for (i, row) in rows.iter().enumerate() {
-            let id = row
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("row {i}: `id` must be a string"))?;
-            if !seen.insert(id.to_string()) {
-                return Err(format!("row `{id}` appears twice"));
-            }
-            for key in ["ns_per_iter", "ns_per_event"] {
-                let v = row
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("row `{id}`: `{key}` must be a number"))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!(
-                        "row `{id}`: `{key}` must be finite and non-negative"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Builds a synthetic ECL specification with `methods` methods and `atoms`
 /// LB atoms per same-method rule — used to measure how translation scales
 /// with specification size.
@@ -374,54 +303,68 @@ mod tests {
         assert_eq!(syncs, 2 * 8 + 2 * (512 / 200), "warm-up + sparse pairs");
     }
 
+    /// The committed end-to-end snapshots, `BENCH_e2e.json` and its traced
+    /// twin `BENCH_e2e_layers.json` (both written by `e2e --json`), cover
+    /// every workload and metric `BENCHMARK.json` declares, with no failed
+    /// operation, ordered quartiles and the provenance to regenerate them.
     #[test]
-    fn committed_bench_snapshot_matches_schema() {
-        let text = include_str!("../../../BENCH_per_event.json");
-        snapshot::validate_per_event(text).expect("committed BENCH_per_event.json");
-    }
-
-    #[test]
-    fn per_event_schema_rejects_malformed_documents() {
-        let ok = r#"{"bench": "per_event", "events_per_iter": 10,
-            "meta": {"host_cpus": 8, "events_per_iter": 10, "sharded_events": 100,
-                     "sharded_threads": 4, "sharded_objects": 2,
-                     "trace_sample_every": 64, "worker_widths": [1, 2]},
-            "rows": [{"id": "a", "ns_per_iter": 1.0, "ns_per_event": 0.1}]}"#;
-        snapshot::validate_per_event(ok).expect("well-formed document");
-
-        let cases: &[(&str, &str)] = &[
-            ("not json", "at byte 0"),
-            (r#"{"bench": "other"}"#, "`bench`"),
-            (r#"{"bench": "per_event"}"#, "`events_per_iter`"),
+    fn committed_e2e_snapshots_match_the_benchmark() {
+        use crace_obs::json::{self, Json};
+        let decl = json::parse(include_str!("../../../BENCHMARK.json")).expect("BENCHMARK.json");
+        let names = |key: &str| -> Vec<&str> {
+            let list = decl.get(key).and_then(Json::as_array).expect(key);
+            list.iter()
+                .map(|e| e.get("name").and_then(Json::as_str).expect("name"))
+                .collect()
+        };
+        let snapshots = [
             (
-                r#"{"bench": "per_event", "events_per_iter": 10, "rows": []}"#,
-                "`meta`",
-            ),
-            (&ok.replace(r#""host_cpus": 8, "#, ""), "`meta.host_cpus`"),
-            (&ok.replace("[1, 2]", "[]"), "`meta.worker_widths`"),
-            (
-                &ok.replace(
-                    r#"[{"id": "a", "ns_per_iter": 1.0, "ns_per_event": 0.1}]"#,
-                    "[]",
-                ),
-                "`rows` must not be empty",
+                "BENCH_e2e.json",
+                include_str!("../../../BENCH_e2e.json"),
+                false,
+                names("end_to_end"),
             ),
             (
-                &ok.replace(r#""ns_per_event": 0.1}"#, r#""ns_per_event": -0.1}"#),
-                "non-negative",
-            ),
-            (
-                &ok.replace(
-                    r#"{"id": "a", "ns_per_iter": 1.0, "ns_per_event": 0.1}"#,
-                    r#"{"id": "a", "ns_per_iter": 1.0, "ns_per_event": 0.1},
-                       {"id": "a", "ns_per_iter": 1.0, "ns_per_event": 0.1}"#,
-                ),
-                "appears twice",
+                "BENCH_e2e_layers.json",
+                include_str!("../../../BENCH_e2e_layers.json"),
+                true,
+                names("per_layer"),
             ),
         ];
-        for (doc, want) in cases {
-            let err = snapshot::validate_per_event(doc).expect_err(doc);
-            assert!(err.contains(want), "`{err}` should mention {want}");
+        for (file, text, traced, metrics) in snapshots {
+            let doc = json::parse(text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let meta = doc.get("meta").expect("meta");
+            let meta_num = |k: &str| meta.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+            assert_eq!(meta.get("traced"), Some(&Json::Bool(traced)), "{file}");
+            assert!(meta_num("host_cpus") >= 1.0, "{file}: meta.host_cpus");
+            assert!(meta_num("repeats") >= 3.0, "{file}: meta.repeats");
+            let rev = meta.get("git_rev").and_then(Json::as_str).unwrap_or("");
+            assert!(
+                rev.len() == 40 && rev.bytes().all(|b| b.is_ascii_hexdigit()),
+                "{file}: git_rev `{rev}`"
+            );
+            for workload in names("workloads") {
+                let w = doc
+                    .get("workloads")
+                    .and_then(|ws| ws.get(workload))
+                    .unwrap_or_else(|| panic!("{file}: no workload {workload}"));
+                let error_rate = w.get("error_rate").and_then(Json::as_f64);
+                assert_eq!(error_rate, Some(0.0), "{file}: {workload} error_rate");
+                let got = w.get("metrics").and_then(Json::as_object).expect("metrics");
+                for m in &metrics {
+                    assert!(
+                        got.iter().any(|(k, _)| k == m),
+                        "{file}: {workload} lacks {m}"
+                    );
+                }
+                for (m, v) in got {
+                    let q = |k: &str| v.get(k).and_then(Json::as_f64).expect(k);
+                    assert!(
+                        q("q1") <= q("median") && q("median") <= q("q3"),
+                        "{file}: {workload} {m} quartiles out of order"
+                    );
+                }
+            }
         }
     }
 

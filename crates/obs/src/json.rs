@@ -5,8 +5,8 @@
 //! actually parsing. This module is the recursive-descent validator the
 //! checker tests use — it accepts exactly RFC 8259 JSON and reports the
 //! first offending byte offset. [`parse`] runs the same grammar but keeps
-//! the value as a [`Json`] tree, which is what `crace bench-diff` and the
-//! bench-snapshot schema check consume.
+//! the value as a [`Json`] tree, which is what the end-to-end benchmark
+//! and the committed `BENCH_e2e*.json` snapshot test consume.
 //!
 //! # Examples
 //!

@@ -13,9 +13,10 @@
 //! * with an element throughput set, per-element time is derived from the
 //!   same medians.
 //!
-//! There are no statistical confidence intervals, HTML reports, or
-//! baselines; EXPERIMENTS.md quotes these medians directly. Output goes to
-//! stdout, one line per benchmark:
+//! There are no statistical confidence intervals, HTML reports,
+//! baselines or result files: these are local tools, and the repository's
+//! committed numbers come from the end-to-end benchmark instead. Output
+//! goes to stdout, one line per benchmark:
 //!
 //! ```text
 //! per_event/rd2 ... 3.04 ms/iter (304 ns/elem, 5x41 iters)
@@ -169,15 +170,6 @@ impl BenchmarkGroup<'_> {
             return;
         };
         let per_iter = m.median_per_iter();
-        measurements::record(measurements::Record {
-            group: self.name.clone(),
-            id: id.to_string(),
-            ns_per_iter: per_iter.as_nanos() as f64,
-            elements: match self.throughput {
-                Some(Throughput::Elements(n)) => Some(n),
-                _ => None,
-            },
-        });
         let detail = match self.throughput {
             Some(Throughput::Elements(n)) if n > 0 => {
                 format!(" ({}/elem,", fmt_duration(per_iter / n as u32))
@@ -254,57 +246,6 @@ impl Bencher {
     }
 }
 
-/// Programmatic access to the harness's results — an extension over the
-/// real criterion API. Every reported benchmark is appended to a process-
-/// global list; a bench `main` can [`drain`](measurements::drain) it after
-/// the groups ran and emit machine-readable snapshots (the repo's
-/// `BENCH_per_event.json`).
-pub mod measurements {
-    use std::sync::Mutex;
-
-    /// One reported benchmark measurement.
-    #[derive(Clone, Debug, PartialEq)]
-    pub struct Record {
-        /// The benchmark group name.
-        pub group: String,
-        /// The benchmark id within the group (`name` or `name/param`).
-        pub id: String,
-        /// Median wall-clock time per iteration, in nanoseconds.
-        pub ns_per_iter: f64,
-        /// The group's element throughput when one was set.
-        pub elements: Option<u64>,
-    }
-
-    impl Record {
-        /// Median per-element time in nanoseconds, when a throughput was
-        /// set (`ns_per_iter` otherwise).
-        pub fn ns_per_element(&self) -> f64 {
-            match self.elements {
-                Some(n) if n > 0 => self.ns_per_iter / n as f64,
-                _ => self.ns_per_iter,
-            }
-        }
-    }
-
-    static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
-
-    pub(crate) fn record(record: Record) {
-        RECORDS
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(record);
-    }
-
-    /// Takes every measurement reported since the last drain.
-    pub fn drain() -> Vec<Record> {
-        std::mem::take(
-            &mut *RECORDS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
-    }
-}
-
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns >= 1_000_000_000 {
@@ -355,21 +296,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(12)), "12.00 µs");
         assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00 ms");
         assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00 s");
-    }
-
-    #[test]
-    fn measurements_record_and_drain() {
-        let _ = measurements::drain();
-        measurements::record(measurements::Record {
-            group: "g".into(),
-            id: "f/4".into(),
-            ns_per_iter: 80.0,
-            elements: Some(40),
-        });
-        let records = measurements::drain();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].ns_per_element(), 2.0);
-        assert!(measurements::drain().is_empty(), "drain must consume");
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!               [--shrink] [--out <stem>] [--metrics[=json|prom]] [--trace-out <file>]
 //! crace chaos   <program-file> [--seed N] [--trials N] [--faults N]
 //!               [--workers N] [--metrics[=json|prom]] [--trace-out <file>]
-//! crace bench-diff <old.json> <new.json> [--threshold PCT]  # bench regression gate
 //! crace frame   <trace-file> --spec <file>  # convert to the framed format
 //! crace serve   (--socket <path> | --tcp <addr>) [--workers N] [--ring N]
 //!               [--grace-ms N] [--max-conns N] [--record-dir D] [--trace-dir D]
@@ -38,8 +37,7 @@
 //! recovers the valid prefix instead), 7 submit could not reach the
 //! daemon (connection refused/reset, or lost after exhausting
 //! `--retry`). `lint` has its own contract: 0 clean, 2 warnings only,
-//! 3 any error. `bench-diff` exits 2 when a row regresses beyond the
-//! threshold.
+//! 3 any error.
 
 use crace_cli::{parse_program, parse_trace, render_program, render_trace};
 use crace_core::{
@@ -47,7 +45,7 @@ use crace_core::{
 };
 use crace_fasttrack::FastTrack;
 use crace_model::{replay, Analysis, Event, ObjId, Observer, RaceReport, Trace};
-use crace_obs::{json::Json, Registry, Snapshot, Tracer};
+use crace_obs::{Registry, Snapshot, Tracer};
 use crace_spec::{builtin, Spec};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -63,7 +61,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_replay(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("explore") => cmd_explore(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("frame") => cmd_frame(&args[1..]),
@@ -105,7 +102,6 @@ usage:
                 [--metrics[=json|prom]] [--trace-out <file>]
   crace chaos   <program-file> [--seed N] [--trials N] [--faults N]
                 [--workers N] [--metrics[=json|prom]] [--trace-out <file>]
-  crace bench-diff <old.json> <new.json> [--threshold PCT]
   crace frame   <trace-file> --spec <spec-file|builtin>
   crace serve   (--socket <path> | --tcp <addr>) [--workers N] [--ring N]
                 [--grace-ms N] [--max-conns N] [--record-dir <dir>]
@@ -122,8 +118,7 @@ exit codes: 0 ok, 1 error, 2 usage, 3 races found, 4 invariant violation,
             5 chaos degradation-contract violation, 6 torn trace file,
             7 submit could not reach the daemon (connection refused, reset,
             or lost after exhausting --retry)
-            (lint: 0 clean, 2 warnings only, 3 any error;
-             bench-diff: 2 when a row regresses beyond the threshold)
+            (lint: 0 clean, 2 warnings only, 3 any error)
 ";
 
 /// Window of trailing events kept per object for `--explain`.
@@ -889,92 +884,6 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::from(3)
     })
-}
-
-/// Extracts `(id, ns_per_event)` per row from a `BENCH_per_event.json`
-/// snapshot. Lenient about extra fields (`meta`, `speedup_*`), so old
-/// and new snapshots may differ in schema revision.
-fn load_bench_rows(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let json = crace_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let rows = json
-        .get("rows")
-        .and_then(Json::as_array)
-        .ok_or(format!("{path}: missing `rows` array"))?;
-    rows.iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let id = row
-                .get("id")
-                .and_then(Json::as_str)
-                .ok_or(format!("{path}: row {i} has no `id`"))?;
-            let ns = row
-                .get("ns_per_event")
-                .and_then(Json::as_f64)
-                .ok_or(format!("{path}: row `{id}` has no `ns_per_event`"))?;
-            Ok((id.to_string(), ns))
-        })
-        .collect()
-}
-
-/// Compares two bench snapshots row by row: prints the per-event-cost
-/// delta for every row present in both, notes added/removed rows, and
-/// exits 2 when any shared row slowed down by more than the threshold
-/// (percent, default 10).
-fn cmd_bench_diff(args: &[String]) -> Result<ExitCode, String> {
-    let old_path = args.first().ok_or("expected <old.json> <new.json>")?;
-    let new_path = args.get(1).ok_or("expected <old.json> <new.json>")?;
-    let mut threshold = 10.0f64;
-    let mut it = args[2..].iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                let n = it.next().ok_or("--threshold needs a percentage")?;
-                threshold = n.parse().map_err(|_| format!("bad threshold `{n}`"))?;
-            }
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    let old = load_bench_rows(old_path)?;
-    let new = load_bench_rows(new_path)?;
-    println!(
-        "{:<34} {:>12} {:>12} {:>8}",
-        "row", "old ns/ev", "new ns/ev", "delta"
-    );
-    let mut regressions = 0usize;
-    for (id, old_ns) in &old {
-        match new.iter().find(|(nid, _)| nid == id) {
-            Some((_, new_ns)) => {
-                // Sub-nanosecond rows (the noop baseline) are pure jitter;
-                // never flag them.
-                let delta = if *old_ns >= 1.0 {
-                    (new_ns - old_ns) / old_ns * 100.0
-                } else {
-                    0.0
-                };
-                let flag = if delta > threshold {
-                    regressions += 1;
-                    "  REGRESSION"
-                } else {
-                    ""
-                };
-                println!("{id:<34} {old_ns:>12.3} {new_ns:>12.3} {delta:>+7.1}%{flag}");
-            }
-            None => println!("{id:<34} {old_ns:>12.3} {:>12}  (row removed)", "-"),
-        }
-    }
-    for (id, new_ns) in &new {
-        if !old.iter().any(|(oid, _)| oid == id) {
-            println!("{id:<34} {:>12} {new_ns:>12.3}  (new row)", "-");
-        }
-    }
-    if regressions > 0 {
-        eprintln!("bench-diff: {regressions} row(s) regressed beyond {threshold}%");
-        Ok(ExitCode::from(2))
-    } else {
-        println!("bench-diff: no row regressed beyond {threshold}%");
-        Ok(ExitCode::SUCCESS)
-    }
 }
 
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
