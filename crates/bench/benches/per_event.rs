@@ -18,17 +18,15 @@ use crace_core::{
     translate, Checkpoint, ClockMode, Direct, ParallelConfig, ParallelRd2, Rd2, TraceDetector,
 };
 use crace_fasttrack::FastTrack;
-use crace_model::{replay, Analysis, Isolated, NoopAnalysis, ObjId, Observer};
+use crace_model::{
+    replay, Analysis, Isolated, NoopAnalysis, ObjId, Observer, DEFAULT_SAMPLE_EVERY,
+};
 use crace_obs::{Registry, Tracer};
 use crace_spec::builtin;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 
 const N: usize = 10_000;
-
-/// Span-sampling period of the `-traced` rows: the tracer's cost is
-/// amortized 1-in-64 exactly as `crace replay --trace-out` configures it.
-const TRACE_SAMPLE_EVERY: u64 = 64;
 
 /// Workload shape of the sharded parallel rows (10× longer trace so the
 /// fixed thread-spawn cost does not drown the per-event story).
@@ -85,14 +83,15 @@ fn bench_per_event(c: &mut Criterion) {
     });
 
     // The tracing plane's hot-path overhead: the same adaptive run with a
-    // live tracer sampling `rd2.on_action` spans 1-in-64, diffed against
+    // live tracer sampling `rd2.on_action` spans 1-in-64 (`crace replay
+    // --trace-out`'s default `--sample-rate`), diffed against
     // `rd2-adaptive`. The tracer outlives the iterations (lanes are keyed
     // by name, so every iteration reuses the same bounded ring).
     {
         let tracer = Tracer::new();
         group.bench_function("rd2-adaptive-traced", |b| {
             b.iter(|| {
-                let detector = TraceDetector::with_tracer(&tracer, TRACE_SAMPLE_EVERY);
+                let detector = TraceDetector::with_tracer(&tracer, DEFAULT_SAMPLE_EVERY);
                 detector.register(OBJ, Arc::clone(&compiled));
                 replay(&dict_trace, &detector)
             });

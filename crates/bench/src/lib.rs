@@ -6,8 +6,6 @@
 //! below. The benches in this crate are local tools that print their rows
 //! and write no file:
 //!
-//! * the `table2` **binary** reruns every Table 2 row (six Pole-Position
-//!   circuits under uninstrumented / FastTrack / RD2 + the snitch),
 //! * `direct_vs_rd2` measures the §5.4 complexity claim — Θ(1) checks per
 //!   action with access points vs Θ(|A|) with the direct approach,
 //! * `translate` measures the §6.2 translation + optimization pipeline,

@@ -766,7 +766,7 @@ pub fn replay_with_faults(
     plan: &crate::fault::FaultPlan,
 ) -> (Trace, crate::sim::ChaosOutcome) {
     let mut scheduler = crate::sim::ScriptedScheduler::new(choices.to_vec());
-    let (trace, outcome) =
+    let (trace, outcome, _) =
         crate::sim::simulate_faulty_with_scheduler(program, &mut scheduler, plan);
     assert_eq!(
         scheduler.consumed(),

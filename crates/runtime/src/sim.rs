@@ -38,7 +38,6 @@
 
 use crate::fault::{Degradation, Fault, FaultInjector, FaultPlan};
 use crace_model::{Action, Event, LockId, MethodId, ObjId, ThreadId, Trace, Value};
-use crace_obs::{Registry, Snapshot};
 use crace_spec::builtin;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -417,138 +416,8 @@ pub fn simulate_with_scheduler(
     program: &SimProgram,
     scheduler: &mut dyn Scheduler,
 ) -> (Trace, Vec<HashMap<Value, Value>>) {
-    simulate_inner(program, scheduler, &mut |_, _| {})
-}
-
-/// Like [`simulate`], additionally metering the run through a
-/// [`crace_obs::Registry`] and handing the caller a [`Snapshot`] every
-/// `every` scheduler steps — the periodic reporter the long-running
-/// workload drivers use to stream progress without stopping the world.
-///
-/// The registry carries `sim.steps` (scheduler decisions taken),
-/// `sim.events.{fork,join,acquire,release,action}` counters and a
-/// `sim.runnable` gauge (threads runnable at the latest step). The
-/// reporter also fires once after the final join events so the last
-/// snapshot always reflects the whole trace. `every = 0` disables the
-/// periodic calls (only the final snapshot is delivered).
-///
-/// # Panics
-///
-/// Same conditions as [`simulate`].
-///
-/// # Examples
-///
-/// ```
-/// use crace_model::Value;
-/// use crace_runtime::sim::{simulate_with_reporter, SimOp, SimProgram};
-///
-/// let program = SimProgram {
-///     num_dicts: 1,
-///     num_locks: 0,
-///     threads: vec![vec![SimOp::DictPut { dict: 0, key: Value::Int(1), value: Value::Int(10) }]],
-/// };
-/// let mut reports = 0;
-/// let trace = simulate_with_reporter(&program, 42, 1, |_snap| reports += 1);
-/// assert_eq!(trace.len(), 3); // fork, put, join
-/// assert!(reports >= 1);
-/// ```
-pub fn simulate_with_reporter<F>(
-    program: &SimProgram,
-    seed: u64,
-    every: u64,
-    mut reporter: F,
-) -> Trace
-where
-    F: FnMut(&Snapshot),
-{
-    let registry = Registry::new();
-    let steps = registry.counter("sim.steps");
-    let counters = [
-        registry.counter("sim.events.fork"),
-        registry.counter("sim.events.join"),
-        registry.counter("sim.events.acquire"),
-        registry.counter("sim.events.release"),
-        registry.counter("sim.events.action"),
-    ];
-    let runnable_gauge = registry.gauge("sim.runnable");
-    let (trace, _) = simulate_inner(
-        program,
-        &mut SeededScheduler::new(seed),
-        &mut |event, runnable| {
-            let idx = match event {
-                Event::Fork { .. } => 0,
-                Event::Join { .. } => 1,
-                Event::Acquire { .. } => 2,
-                Event::Release { .. } => 3,
-                Event::Action { .. } | Event::Read { .. } | Event::Write { .. } => 4,
-            };
-            counters[idx].inc();
-            runnable_gauge.set(runnable as f64);
-            steps.inc();
-            if every != 0 && steps.get().is_multiple_of(every) {
-                reporter(&registry.snapshot());
-            }
-        },
-    );
-    reporter(&registry.snapshot());
-    trace
-}
-
-/// The scheduling loop shared by all `simulate*` entry points. `observe`
-/// is called once per recorded event with the event and the number of
-/// threads that were runnable when it was chosen (0 for the implicit
-/// fork/join prologue and epilogue of the main thread).
-fn simulate_inner(
-    program: &SimProgram,
-    scheduler: &mut dyn Scheduler,
-    observe: &mut dyn FnMut(&Event, usize),
-) -> (Trace, Vec<HashMap<Value, Value>>) {
-    let mut trace = Trace::new();
-    let main = ThreadId(0);
-    let n = program.threads.len();
-
-    let mut emit = |trace: &mut Trace, event: Event, runnable: usize| {
-        observe(&event, runnable);
-        trace.push(event);
-    };
-
-    for t in 0..n {
-        emit(
-            &mut trace,
-            Event::Fork {
-                parent: main,
-                child: ThreadId(t as u32 + 1),
-            },
-            0,
-        );
-    }
-
-    let mut state = SimState::new(program);
-    loop {
-        let runnable = state.runnable();
-        if runnable.is_empty() {
-            if !state.finished() {
-                panic!("simulated deadlock: all unfinished threads are blocked");
-            }
-            break;
-        }
-        let width = runnable.len();
-        let t = scheduler.choose(&runnable);
-        let event = state.step(t);
-        emit(&mut trace, event, width);
-    }
-
-    for t in 0..n {
-        emit(
-            &mut trace,
-            Event::Join {
-                parent: main,
-                child: ThreadId(t as u32 + 1),
-            },
-            0,
-        );
-    }
-    (trace, state.into_dicts())
+    let (trace, _, dicts) = simulate_faulty_with_scheduler(program, scheduler, &FaultPlan::new());
+    (trace, dicts)
 }
 
 /// What happened during one chaos execution, beyond the delivered trace.
@@ -671,17 +540,21 @@ pub fn simulate_with_faults(
     seed: u64,
     plan: &FaultPlan,
 ) -> (Trace, ChaosOutcome) {
-    simulate_faulty_with_scheduler(program, &mut SeededScheduler::new(seed), plan)
+    let (trace, outcome, _) =
+        simulate_faulty_with_scheduler(program, &mut SeededScheduler::new(seed), plan);
+    (trace, outcome)
 }
 
-/// [`simulate_with_faults`] under an arbitrary [`Scheduler`] — pair with
+/// [`simulate_with_faults`] under an arbitrary [`Scheduler`], also
+/// returning the final dictionary contents — pair with
 /// [`ScriptedScheduler`] over [`ChaosOutcome::schedule`] to replay a
-/// chaos run exactly.
+/// chaos run exactly. This is the one scheduling loop: every `simulate*`
+/// entry point runs it, the fault-free ones with an empty plan.
 pub fn simulate_faulty_with_scheduler(
     program: &SimProgram,
     scheduler: &mut dyn Scheduler,
     plan: &FaultPlan,
-) -> (Trace, ChaosOutcome) {
+) -> (Trace, ChaosOutcome, Vec<HashMap<Value, Value>>) {
     let injector = FaultInjector::new(plan.clone());
     let mut trace = Trace::new();
     let mut outcome = ChaosOutcome::default();
@@ -759,7 +632,7 @@ pub fn simulate_faulty_with_scheduler(
     }
 
     outcome.degradation = injector.degradation();
-    (trace, outcome)
+    (trace, outcome, state.into_dicts())
 }
 
 #[cfg(test)]
@@ -941,67 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn reporter_counts_every_event_kind() {
-        use crace_obs::MetricValue;
-        let program = SimProgram {
-            num_dicts: 1,
-            num_locks: 1,
-            threads: vec![
-                vec![SimOp::Lock(0), put(0, 1, 10), SimOp::Unlock(0)],
-                vec![get(0, 2)],
-            ],
-        };
-        let mut last = None;
-        let mut calls = 0u64;
-        let trace = simulate_with_reporter(&program, 3, 2, |s| {
-            calls += 1;
-            last = Some(s.clone());
-        });
-        let snap = last.expect("final snapshot");
-        let count = |name: &str| match snap.get(name) {
-            Some(MetricValue::Counter(n)) => *n,
-            other => panic!("{name}: {other:?}"),
-        };
-        assert_eq!(count("sim.events.fork"), 2);
-        assert_eq!(count("sim.events.join"), 2);
-        assert_eq!(count("sim.events.acquire"), 1);
-        assert_eq!(count("sim.events.release"), 1);
-        assert_eq!(count("sim.events.action"), 2);
-        assert_eq!(count("sim.steps"), trace.len() as u64);
-        // Periodic calls every 2 steps (8 events → 4) plus the final one.
-        assert_eq!(calls, trace.len() as u64 / 2 + 1);
-    }
-
-    #[test]
-    fn reporter_zero_interval_delivers_only_the_final_snapshot() {
-        let program = SimProgram {
-            num_dicts: 1,
-            num_locks: 0,
-            threads: vec![vec![put(0, 1, 10), get(0, 1)]],
-        };
-        let mut calls = 0u64;
-        simulate_with_reporter(&program, 7, 0, |_| calls += 1);
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn reporter_does_not_perturb_the_schedule() {
-        let program = SimProgram {
-            num_dicts: 1,
-            num_locks: 0,
-            threads: vec![
-                vec![put(0, 1, 10), get(0, 1), put(0, 2, 20)],
-                vec![put(0, 3, 30), get(0, 3)],
-            ],
-        };
-        for seed in 0..10 {
-            let plain = simulate(&program, seed);
-            let observed = simulate_with_reporter(&program, seed, 3, |_| {});
-            assert_eq!(plain, observed, "seed {seed}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "does not hold")]
     fn unlocking_foreign_lock_panics() {
         let program = SimProgram {
@@ -1078,7 +890,7 @@ mod tests {
         // 0's Lock at slot 2 — panic at slot 3 (its put, lock held).
         let plan = FaultPlan::new().with(3, Fault::PanicThread);
         let mut scheduler = ScriptedScheduler::new(vec![0, 0]);
-        let (trace, outcome) = simulate_faulty_with_scheduler(&program, &mut scheduler, &plan);
+        let (trace, outcome, _) = simulate_faulty_with_scheduler(&program, &mut scheduler, &plan);
         assert_eq!(outcome.panicked, vec![0]);
         assert_eq!(outcome.abandoned, vec![1]);
         assert_eq!(outcome.poisoned_locks, vec![0]);

@@ -8,10 +8,9 @@
 //! crace compile <spec-file> [--dot]         # show its access points (or DOT graph)
 //! crace replay  <trace-file> --spec <file> [--detector rd2|direct|fasttrack]
 //!               [--workers N] [--json] [--metrics[=json|prom]] [--explain]
-//!               [--sample-rate N] [--trace-out <file>] [--tolerate-truncation]
+//!               [--sample-rate N] [--trace-out <file>] [--folded <file>]
+//!               [--tolerate-truncation]
 //! crace stats   <trace-file> --spec <file> [--detector …] [--format pretty|json|prom]
-//! crace profile <trace-file> --spec <file> [--workers N] [--sample-rate N]
-//!               [--out spans.json] [--folded out.txt]  # span-timeline profile
 //! crace explore <program-file> [--no-dpor] [--max-schedules N] [--preemption-bound N]
 //!               [--shrink] [--out <stem>] [--metrics[=json|prom]] [--trace-out <file>]
 //! crace chaos   <program-file> [--seed N] [--trials N] [--faults N]
@@ -23,7 +22,7 @@
 //! crace submit  <trace-file> --spec <name> (--socket <path> | --tcp <addr>)
 //!               [--session NAME] [--workers N] [--chunk BYTES] [--json]
 //!               [--tolerate-truncation]   # stream a trace to a daemon
-//! crace table2  [scale]                     # regenerate Table 2
+//! crace table2  [scale] [--metrics[=json|prom]]  # regenerate Table 2
 //! crace builtins                            # list builtin specifications
 //! ```
 //!
@@ -31,7 +30,7 @@
 //! `set`, `counter`, `register`, `queue`) instead of a path.
 //!
 //! Exit codes: 0 success, 1 error, 2 usage, 3 races found (replay,
-//! profile, explore or chaos), 4 explore found a detector invariant
+//! explore or chaos), 4 explore found a detector invariant
 //! violation, 5 chaos found a degradation-contract violation, 6 the
 //! trace file is torn (truncated mid-record; `--tolerate-truncation`
 //! recovers the valid prefix instead), 7 submit could not reach the
@@ -60,7 +59,6 @@ fn main() -> ExitCode {
         Some("compile") => cmd_compile(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
         Some("explore") => cmd_explore(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         Some("frame") => cmd_frame(&args[1..]),
@@ -92,11 +90,9 @@ usage:
   crace replay  <trace-file> --spec <spec-file|builtin>
                 [--detector rd2|direct|fasttrack] [--workers N] [--json]
                 [--metrics[=json|prom]] [--explain] [--sample-rate N]
-                [--trace-out <file>] [--tolerate-truncation]
+                [--trace-out <file>] [--folded <file>] [--tolerate-truncation]
   crace stats   <trace-file> --spec <spec-file|builtin>
                 [--detector rd2|direct|fasttrack] [--format pretty|json|prom]
-  crace profile <trace-file> --spec <spec-file|builtin> [--workers N]
-                [--sample-rate N] [--out spans.json] [--folded out.txt]
   crace explore <program-file> [--no-dpor] [--max-schedules N]
                 [--preemption-bound N] [--shrink] [--out <stem>]
                 [--metrics[=json|prom]] [--trace-out <file>]
@@ -111,7 +107,7 @@ usage:
                 (--socket <path> | --tcp <addr>) [--session NAME]
                 [--workers N] [--chunk BYTES] [--retry N] [--backoff-ms N]
                 [--json] [--tolerate-truncation]
-  crace table2  [scale]
+  crace table2  [scale] [--metrics[=json|prom]]
   crace builtins
 
 exit codes: 0 ok, 1 error, 2 usage, 3 races found, 4 invariant violation,
@@ -123,15 +119,6 @@ exit codes: 0 ok, 1 error, 2 usage, 3 races found, 4 invariant violation,
 
 /// Window of trailing events kept per object for `--explain`.
 const EXPLAIN_WINDOW: usize = 8;
-
-/// `on_action` span sampling period used when `--trace-out` enables
-/// tracing on a serial replay — the same 1-in-64 default as the
-/// observer's latency sampling.
-const TRACE_SAMPLE_EVERY: u64 = 64;
-
-/// GC sweep period used by `crace profile --workers N`, so the timeline
-/// shows epoch-GC pauses alongside batch dispatch.
-const PROFILE_GC_EVERY: usize = 64;
 
 /// Reads a spec source text: a builtin's embedded source, or a file.
 fn load_source(name: &str) -> Result<String, String> {
@@ -471,8 +458,9 @@ struct Replayed {
 /// Replays `trace` through the named detector wrapped in an [`Observer`],
 /// returning the race report and the full metrics snapshot. `workers > 0`
 /// selects the sharded parallel pipeline (rd2 only). `sample_rate` is the
-/// observer's 1-in-N latency sampling period (`0` disables timing).
-/// When `tracer` is set, the rd2 paths additionally record span
+/// one 1-in-N sampling period (`0` disables): it drives the observer's
+/// latency timing and, when `tracer` is set, the serial detector's
+/// `rd2.on_action` spans. With a `tracer`, the rd2 paths record span
 /// timelines into it (and fold the derived timeline metrics into the
 /// snapshot); `direct` and `fasttrack` are not instrumented and leave
 /// the tracer empty.
@@ -506,7 +494,7 @@ fn run_observed(
                 let d = provenance_window
                     .map_or_else(TraceDetector::new, TraceDetector::with_provenance);
                 Box::new(match tracer {
-                    Some(t) => d.traced(t, TRACE_SAMPLE_EVERY),
+                    Some(t) => d.traced(t, sample_rate),
                     None => d,
                 })
             };
@@ -638,10 +626,14 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     let mut workers = 0usize;
     let mut sample_rate = crace_model::DEFAULT_SAMPLE_EVERY;
     let mut trace_out: Option<String> = None;
+    let mut folded: Option<String> = None;
     let opts = parse_replay_opts(args, |arg, it| {
+        if let Some(format) = metrics_flag(arg)? {
+            metrics = Some(format);
+            return Ok(true);
+        }
         match arg {
             "--json" => json = true,
-            "--metrics" => metrics = Some("pretty".to_string()),
             "--explain" => explain = true,
             "--tolerate-truncation" => tolerate = true,
             "--workers" => {
@@ -655,18 +647,11 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
                 sample_rate = n.parse().map_err(|_| format!("bad sample rate `{n}`"))?;
             }
             "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs a file")?.clone()),
-            _ if arg.starts_with("--metrics=") => {
-                metrics = Some(arg["--metrics=".len()..].to_string());
-            }
+            "--folded" => folded = Some(it.next().ok_or("--folded needs a file")?.clone()),
             _ => return Ok(false),
         }
         Ok(true)
     })?;
-    if let Some(format) = &metrics {
-        if !matches!(format.as_str(), "json" | "prom" | "pretty") {
-            return Err(format!("unknown metrics format `{format}`"));
-        }
-    }
     let loaded = match load_trace(&opts, tolerate) {
         Ok(loaded) => loaded,
         Err(failure) => return torn_exit(failure),
@@ -688,7 +673,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             opts.detector
         );
     }
-    let tracer = trace_out.as_ref().map(|_| Arc::new(Tracer::new()));
+    let tracer = (trace_out.is_some() || folded.is_some()).then(|| Arc::new(Tracer::new()));
     let run = run_observed(
         &trace,
         &spec,
@@ -701,6 +686,11 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     )?;
     if let (Some(path), Some(tracer)) = (&trace_out, &tracer) {
         write_span_trace(path, tracer)?;
+    }
+    if let (Some(path), Some(tracer)) = (&folded, &tracer) {
+        std::fs::write(path, tracer.to_folded())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!("trace: wrote collapsed stacks to `{path}`");
     }
 
     if json {
@@ -717,11 +707,7 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     if let Some(format) = metrics {
-        match format.as_str() {
-            "json" => print!("{}", run.snapshot.to_json()),
-            "prom" => print!("{}", run.snapshot.to_prometheus()),
-            _ => print!("{}", run.snapshot.to_pretty()),
-        }
+        print_snapshot(&run.snapshot, &format);
     }
     Ok(if run.report.is_empty() {
         ExitCode::SUCCESS
@@ -758,11 +744,7 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
         crace_model::DEFAULT_SAMPLE_EVERY,
         None,
     )?;
-    match format.as_str() {
-        "json" => print!("{}", run.snapshot.to_json()),
-        "prom" => print!("{}", run.snapshot.to_prometheus()),
-        _ => print!("{}", run.snapshot.to_pretty()),
-    }
+    print_snapshot(&run.snapshot, &format);
     Ok(ExitCode::SUCCESS)
 }
 
@@ -793,99 +775,6 @@ fn write_span_trace(path: &str, tracer: &Tracer) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays a trace through rd2 with span tracing on every phase and
-/// exports the timeline: Chrome trace-event JSON via `--out` (stdout when
-/// no output is chosen) and/or collapsed flamegraph stacks via
-/// `--folded`. `--workers N` profiles the sharded parallel pipeline
-/// (with epoch GC enabled so sweeps show up); the serial path records a
-/// sampled `rd2.on_action` timeline (`--sample-rate`, default every
-/// action).
-fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
-    let mut workers = 0usize;
-    let mut out: Option<String> = None;
-    let mut folded: Option<String> = None;
-    let mut sample_rate = 1u64;
-    let opts = parse_replay_opts(args, |arg, it| {
-        match arg {
-            "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
-                workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
-            }
-            "--sample-rate" => {
-                let n = it.next().ok_or("--sample-rate needs a period")?;
-                sample_rate = n.parse().map_err(|_| format!("bad sample rate `{n}`"))?;
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a file")?.clone()),
-            "--folded" => folded = Some(it.next().ok_or("--folded needs a file")?.clone()),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    })?;
-    if opts.detector != "rd2" {
-        return Err(format!(
-            "profile instruments the rd2 detector only, not `{}`",
-            opts.detector
-        ));
-    }
-    let loaded = match load_trace(&opts, false) {
-        Ok(loaded) => loaded,
-        Err(failure) => return torn_exit(failure),
-    };
-    let compiled = Arc::new(
-        translate(&loaded.spec)
-            .map_err(|e| render_translate_error(&e, &loaded.spec, &loaded.spec_source))?,
-    );
-    let tracer = Arc::new(Tracer::new());
-    let d: Box<dyn FrontEnd> = if workers > 0 {
-        let cfg = ParallelConfig {
-            gc_every: PROFILE_GC_EVERY,
-            tracer: Some(Arc::clone(&tracer)),
-            ..ParallelConfig::default()
-        };
-        Box::new(ParallelRd2::with_config(workers, cfg))
-    } else {
-        Box::new(TraceDetector::with_tracer(&tracer, sample_rate))
-    };
-    for obj in objects_of(&loaded.trace) {
-        d.register(obj, Arc::clone(&compiled));
-    }
-    let report = replay(&loaded.trace, &d);
-    eprintln!(
-        "profile: {} event(s) replayed, races: {}; {} span event(s), {} dropped",
-        loaded.trace.len(),
-        report,
-        tracer.recorded(),
-        tracer.dropped()
-    );
-    for lane in tracer.lanes() {
-        eprintln!(
-            "  lane {:<12} {} event(s), {} dropped",
-            lane.name(),
-            lane.len(),
-            lane.dropped()
-        );
-    }
-    if let Some(path) = &out {
-        write_span_trace(path, &tracer)?;
-    }
-    if let Some(path) = &folded {
-        std::fs::write(path, tracer.to_folded())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("trace: wrote collapsed stacks to `{path}`");
-    }
-    if out.is_none() && folded.is_none() {
-        let chrome = tracer.to_chrome_json();
-        crace_obs::json::validate(&chrome)
-            .map_err(|e| format!("internal: chrome trace export is not valid JSON: {e}"))?;
-        print!("{chrome}");
-    }
-    Ok(if report.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(3)
-    })
-}
-
 fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     use crace_runtime::explore::{explore_traced, shrink, ExploreConfig};
 
@@ -910,19 +799,10 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
             }
             "--shrink" => do_shrink = true,
             "--out" => out_stem = it.next().cloned(),
-            "--metrics" => metrics = Some("pretty".to_string()),
-            other => {
-                if let Some(format) = other.strip_prefix("--metrics=") {
-                    metrics = Some(format.to_string());
-                } else {
-                    return Err(format!("unknown option `{other}`"));
-                }
-            }
-        }
-    }
-    if let Some(format) = &metrics {
-        if !matches!(format.as_str(), "json" | "prom" | "pretty") {
-            return Err(format!("unknown metrics format `{format}`"));
+            other => match metrics_flag(other)? {
+                Some(format) => metrics = Some(format),
+                None => return Err(format!("unknown option `{other}`")),
+            },
         }
     }
 
@@ -993,12 +873,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     if let Some(format) = metrics {
         let registry = Registry::new();
         stats.feed(&registry);
-        let snapshot = registry.snapshot();
-        match format.as_str() {
-            "json" => print!("{}", snapshot.to_json()),
-            "prom" => print!("{}", snapshot.to_prometheus()),
-            _ => print!("{}", snapshot.to_pretty()),
-        }
+        print_snapshot(&registry.snapshot(), &format);
     }
 
     Ok(if report.violation.is_some() {
@@ -1385,19 +1260,10 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
                 let n = it.next().ok_or("--workers needs a count")?;
                 cfg.workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
             }
-            "--metrics" => metrics = Some("pretty".to_string()),
-            other => {
-                if let Some(format) = other.strip_prefix("--metrics=") {
-                    metrics = Some(format.to_string());
-                } else {
-                    return Err(format!("unknown option `{other}`"));
-                }
-            }
-        }
-    }
-    if let Some(format) = &metrics {
-        if !matches!(format.as_str(), "json" | "prom" | "pretty") {
-            return Err(format!("unknown metrics format `{format}`"));
+            other => match metrics_flag(other)? {
+                Some(format) => metrics = Some(format),
+                None => return Err(format!("unknown option `{other}`")),
+            },
         }
     }
 
@@ -1437,12 +1303,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     if let Some(format) = metrics {
         let registry = Registry::new();
         report.feed(&registry);
-        let snapshot = registry.snapshot();
-        match format.as_str() {
-            "json" => print!("{}", snapshot.to_json()),
-            "prom" => print!("{}", snapshot.to_prometheus()),
-            _ => print!("{}", snapshot.to_pretty()),
-        }
+        print_snapshot(&registry.snapshot(), &format);
     }
 
     Ok(if !report.ok() {
@@ -1454,22 +1315,103 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
+/// Regenerates Table 2, then prints each row's FastTrack and RD2
+/// slowdown over the uninstrumented run. `scale` multiplies the default
+/// operation counts (0 selects the fast smoke configuration).
+/// `--metrics` adds the table as a snapshot: per-row qps gauges and race
+/// counters. With `--metrics=json|prom` the table and the summary go to
+/// stderr, so stdout is one machine-readable document.
 fn cmd_table2(args: &[String]) -> Result<ExitCode, String> {
     use crace_workloads::table2::{run_table2, Table2Config};
-    let scale: u64 = args
-        .first()
-        .map(|s| s.parse().map_err(|_| format!("bad scale `{s}`")))
-        .transpose()?
-        .unwrap_or(1);
+    use std::fmt::Write;
+    let mut scale = 1usize;
+    let mut metrics: Option<String> = None;
+    for arg in args {
+        match (metrics_flag(arg), arg.parse()) {
+            (Ok(Some(format)), _) => metrics = Some(format),
+            (Ok(None), Ok(s)) => scale = s,
+            _ => {
+                eprintln!("error: unknown argument `{arg}`\nusage: crace table2 [scale] [--metrics[=json|prom]]");
+                return Ok(ExitCode::from(2));
+            }
+        }
+    }
     let config = if scale == 0 {
         Table2Config::smoke()
     } else {
         let mut c = Table2Config::default();
-        c.circuit.ops_per_worker *= scale as usize;
-        c.snitch.updates_per_sampler *= scale as usize;
-        c.snitch.rank_iterations *= scale as usize;
+        c.circuit.ops_per_worker *= scale;
+        c.snitch.updates_per_sampler *= scale;
+        c.snitch.rank_iterations *= scale;
         c
     };
-    println!("{}", run_table2(&config));
+    let table = run_table2(&config);
+    let mut human = format!("{table}\n");
+    for row in &table.rows {
+        let slowdown = |qps: f64| row.uninstrumented.qps() / qps.max(1e-9);
+        let _ = writeln!(
+            human,
+            "{:<46} FT slowdown {:>5.2}×, RD2 slowdown {:>5.2}×, races FT {} vs RD2 {}",
+            row.benchmark,
+            slowdown(row.fasttrack.qps()),
+            slowdown(row.rd2.qps()),
+            row.fasttrack.races,
+            row.rd2.races
+        );
+    }
+    if matches!(metrics.as_deref(), Some("json" | "prom")) {
+        eprint!("{human}");
+    } else {
+        print!("{human}");
+    }
+    let Some(format) = metrics else {
+        return Ok(ExitCode::SUCCESS);
+    };
+    let registry = Registry::new();
+    for row in &table.rows {
+        // Dotted names keyed by the benchmark; the Prometheus renderer
+        // mangles the spaces away.
+        let base = format!("table2.{}", row.benchmark);
+        registry.set_gauge(
+            &format!("{base}.qps.uninstrumented"),
+            row.uninstrumented.qps(),
+        );
+        registry.set_gauge(&format!("{base}.qps.fasttrack"), row.fasttrack.qps());
+        registry.set_gauge(&format!("{base}.qps.rd2"), row.rd2.qps());
+        registry
+            .counter(&format!("{base}.races.fasttrack"))
+            .add(row.fasttrack.races.total());
+        registry
+            .counter(&format!("{base}.races.rd2"))
+            .add(row.rd2.races.total());
+    }
+    print_snapshot(&registry.snapshot(), &format);
     Ok(ExitCode::SUCCESS)
+}
+
+/// Parses `--metrics` (pretty) or `--metrics=json|prom|pretty`;
+/// `Ok(None)` when `arg` is neither.
+fn metrics_flag(arg: &str) -> Result<Option<String>, String> {
+    let format = match arg.strip_prefix("--metrics") {
+        Some("") => "pretty",
+        Some(rest) => match rest.strip_prefix('=') {
+            Some(format) => format,
+            None => return Ok(None),
+        },
+        None => return Ok(None),
+    };
+    if !matches!(format, "json" | "prom" | "pretty") {
+        return Err(format!("unknown metrics format `{format}`"));
+    }
+    Ok(Some(format.to_string()))
+}
+
+/// Prints `snapshot` as `json`, `prom` (Prometheus text) or, for any
+/// other format, the pretty table.
+fn print_snapshot(snapshot: &Snapshot, format: &str) {
+    match format {
+        "json" => print!("{}", snapshot.to_json()),
+        "prom" => print!("{}", snapshot.to_prometheus()),
+        _ => print!("{}", snapshot.to_pretty()),
+    }
 }

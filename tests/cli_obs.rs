@@ -229,3 +229,82 @@ fn replay_trace_out_records_spans_at_every_width_with_and_without_explain() {
         }
     }
 }
+
+/// `replay --folded` profiles exactly the detector `replay` runs, at any
+/// width. The trace is 200 puts by thread 0 and then a conflicting put by
+/// thread 1, which no fork introduces. An epoch-GC sweep would retire
+/// thread 0's points and hide the race; the profiled 2-worker replay
+/// must still print the serial report byte for byte.
+#[test]
+fn replay_folded_profile_at_two_workers_prints_the_serial_report() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let trace = dir.join(format!("crace-unforked-{pid}.trace"));
+    let spans = dir.join(format!("crace-unforked-{pid}.json"));
+    let folded = dir.join(format!("crace-unforked-{pid}.folded"));
+    let mut text: String = (1..=200)
+        .map(|i| format!("act 0 o1 put({i}, 1)/nil\n"))
+        .collect();
+    text.push_str("act 1 o1 put(1, 2)/1\n");
+    std::fs::write(&trace, text).expect("write trace");
+    let [trace, spans, folded] = [&trace, &spans, &folded].map(|p| p.to_str().unwrap());
+
+    let serial = crace(&["replay", trace, "--spec", "dictionary", "--json"]);
+    assert_eq!(serial.status.code(), Some(3), "{serial:?}");
+    let profiled = crace(&[
+        "replay",
+        trace,
+        "--spec",
+        "dictionary",
+        "--workers",
+        "2",
+        "--trace-out",
+        spans,
+        "--folded",
+        folded,
+        "--json",
+    ]);
+    let chrome = std::fs::read_to_string(spans).expect("span trace written");
+    let stacks = std::fs::read_to_string(folded).expect("folded stacks written");
+    for path in [trace, spans, folded] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert_eq!(profiled.status.code(), Some(3), "{profiled:?}");
+    assert_eq!(stdout(&profiled), stdout(&serial));
+    assert!(stdout(&serial).contains("\"total\": 1"), "{serial:?}");
+    crace_obs::json::validate(&chrome).expect("valid chrome trace json");
+    assert!(!stacks.is_empty(), "empty collapsed stacks");
+}
+
+/// `table2 --metrics=json` prints one JSON document on stdout (the table
+/// and the slowdown summary go to stderr) with the three qps gauges of
+/// every row.
+#[test]
+fn table2_metrics_json_has_qps_for_every_row() {
+    let out = crace(&["table2", "0", "--metrics=json"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let json =
+        crace_obs::json::parse(&text).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{text}"));
+    let rows: Vec<&str> = crace::workloads::circuits::Circuit::ALL
+        .iter()
+        .map(|c| c.name())
+        .chain(["DynamicEndpointSnitch test"])
+        .collect();
+    assert_eq!(rows.len(), 7);
+    for row in rows {
+        for setting in ["uninstrumented", "fasttrack", "rd2"] {
+            let key = format!("table2.{row}.qps.{setting}");
+            let qps = json.get(&key).and_then(|v| v.as_f64());
+            assert!(qps.is_some_and(|q| q > 0.0), "{key}: {qps:?}\n{text}");
+        }
+    }
+    let human = String::from_utf8_lossy(&out.stderr);
+    assert!(human.contains("RD2 slowdown"), "{human}");
+}
+
+#[test]
+fn table2_unknown_argument_exits_2() {
+    let out = crace(&["table2", "0", "--bogus"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
