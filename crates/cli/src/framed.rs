@@ -125,21 +125,19 @@ fn unframe(line: &str, lineno: usize) -> Result<&str, TraceParseError> {
 /// [`TraceErrorKind::Torn`]: crate::TraceErrorKind::Torn
 /// [`TraceErrorKind::Malformed`]: crate::TraceErrorKind::Malformed
 pub fn parse_framed(source: &str, spec: &Spec) -> Result<Trace, TraceParseError> {
-    let mut trace = Trace::new();
-    match parse_framed_inner(source, spec, &mut trace) {
-        None => Ok(trace),
-        Some((e, _)) => Err(e),
+    match parse_framed_inner(source, spec) {
+        (trace, None) => Ok(trace),
+        (_, Some((e, _))) => Err(e),
     }
 }
 
-/// Shared scan: fills `trace` with the longest valid prefix and returns
-/// the first error plus the byte offset where its line starts.
-fn parse_framed_inner(
-    source: &str,
-    spec: &Spec,
-    trace: &mut Trace,
-) -> Option<(TraceParseError, usize)> {
+/// Shared scan: the longest valid prefix, plus the first error and the
+/// byte offset where its line starts.
+fn parse_framed_inner(source: &str, spec: &Spec) -> (Trace, Option<(TraceParseError, usize)>) {
     assert!(is_framed(source), "not a framed trace");
+    // One record per line after the header: size the trace once.
+    let records = source.bytes().filter(|&b| b == b'\n').count();
+    let mut trace = Trace::with_capacity(records);
     let mut offset = 0usize;
     for (idx, line) in source.split('\n').enumerate() {
         let lineno = idx + 1;
@@ -148,16 +146,12 @@ fn parse_framed_inner(
         if lineno == 1 || line.is_empty() {
             continue; // the header, the final newline, or a stray blank
         }
-        let payload = match unframe(line, lineno) {
-            Ok(payload) => payload,
-            Err(e) => return Some((e, start)),
-        };
-        match parse_event(payload, spec, lineno) {
+        match unframe(line, lineno).and_then(|payload| parse_event(payload, spec, lineno)) {
             Ok(event) => trace.push(event),
-            Err(e) => return Some((e, start)),
+            Err(e) => return (trace, Some((e, start))),
         }
     }
-    None
+    (trace, None)
 }
 
 /// Truncation-tolerant framed parse: returns the longest valid prefix
@@ -171,8 +165,8 @@ fn parse_framed_inner(
 /// Panics if `source` does not start with the framed header — check
 /// [`is_framed`] first.
 pub fn parse_framed_tolerant(source: &str, spec: &Spec) -> (Trace, Option<TornTrace>) {
-    let mut trace = Trace::new();
-    let outcome = parse_framed_inner(source, spec, &mut trace).map(|(e, start)| TornTrace {
+    let (trace, error) = parse_framed_inner(source, spec);
+    let outcome = error.map(|(e, start)| TornTrace {
         recovered_events: trace.len(),
         lost_bytes: source.len() - start,
         first_bad_line: e.line,

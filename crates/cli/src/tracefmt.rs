@@ -95,10 +95,12 @@ pub(crate) fn parse_event(
     spec: &Spec,
     lineno: usize,
 ) -> Result<Event, TraceParseError> {
-    let mut words = line.splitn(3, char::is_whitespace);
-    let kind = words.next().expect("nonempty line");
+    // `splitn(3, char::is_whitespace)`: the kind, one word, the rest.
+    let (kind, rest) = split_ws(line).unwrap_or((line, ""));
+    let (word, rest) = split_ws(rest).unwrap_or((rest, ""));
+    let mut words = [word, rest].into_iter();
     let parse_tid = |w: Option<&str>| -> Result<ThreadId, TraceParseError> {
-        w.and_then(|s| s.trim().parse::<u32>().ok())
+        w.and_then(|s| trim(s).parse::<u32>().ok())
             .map(ThreadId)
             .ok_or_else(|| err(lineno, "expected a thread id"))
     };
@@ -116,7 +118,7 @@ pub(crate) fn parse_event(
             let tid = parse_tid(words.next())?;
             let lock = words
                 .next()
-                .and_then(|s| s.trim().parse::<u64>().ok())
+                .and_then(|s| trim(s).parse::<u64>().ok())
                 .map(LockId)
                 .ok_or_else(|| err(lineno, "expected a lock id"))?;
             if kind == "acq" {
@@ -129,7 +131,7 @@ pub(crate) fn parse_event(
             let tid = parse_tid(words.next())?;
             let loc = words
                 .next()
-                .map(str::trim)
+                .map(trim)
                 .and_then(|s| s.strip_prefix('@'))
                 .and_then(|s| {
                     s.strip_prefix("0x")
@@ -148,8 +150,7 @@ pub(crate) fn parse_event(
             let tid = parse_tid(words.next())?;
             let rest = words
                 .next()
-                .ok_or_else(|| err(lineno, "expected `o<id> name(args)/ret`"))?
-                .trim();
+                .ok_or_else(|| err(lineno, "expected `o<id> name(args)/ret`"))?;
             let action = parse_action(rest, spec, lineno)?;
             Event::Action { tid, action }
         }
@@ -164,44 +165,87 @@ pub(crate) fn parse_event(
 
 fn parse_action(text: &str, spec: &Spec, lineno: usize) -> Result<Action, TraceParseError> {
     // Shape: o<obj> name(arg, …)/ret
-    let text = text.trim();
-    let obj_end = text
-        .find(char::is_whitespace)
-        .ok_or_else(|| err(lineno, "expected `o<id> name(args)/ret`"))?;
-    let obj = text[..obj_end]
+    let text = trim(text);
+    let (obj_text, call) =
+        split_ws(text).ok_or_else(|| err(lineno, "expected `o<id> name(args)/ret`"))?;
+    let obj = obj_text
         .strip_prefix('o')
         .and_then(|s| s.parse::<u64>().ok())
         .map(ObjId)
-        .ok_or_else(|| err(lineno, format!("bad object id `{}`", &text[..obj_end])))?;
-    let call = text[obj_end..].trim();
-    let open = find_unquoted(call, '(')
-        .next()
-        .ok_or_else(|| err(lineno, "expected `(` in invocation"))?;
-    let name = call[..open].trim();
-    let close = find_unquoted(call, ')')
-        .last()
-        .ok_or_else(|| err(lineno, "expected `)` in invocation"))?;
+        .ok_or_else(|| err(lineno, format!("bad object id `{obj_text}`")))?;
+    let call = trim(call);
+
+    // One pass over the call's bytes, outside string quotes: the first
+    // `(` ends the method name, the last `)` ends the argument list, and
+    // every comma after the `(` ends an argument, which is parsed on the
+    // spot. A comma past the final `)` belongs to the return text, so
+    // the arguments it ended are dropped again once that `)` is known.
+    let mut open = None;
+    let mut method = None;
+    let mut args = Vec::new();
+    // Comma-ended arguments so far, where the current one starts, and the
+    // first one that failed to parse (by index).
+    let (mut ended, mut arg_start) = (0, 0);
+    let mut bad: Option<(usize, TraceParseError)> = None;
+    // At the last `)` so far: its position, the comma-ended arguments
+    // before it, and where its final argument starts.
+    let mut close: Option<(usize, usize, usize)> = None;
+    let (mut in_quote, mut escaped) = (false, false);
+    for (i, &b) in call.as_bytes().iter().enumerate() {
+        if escaped {
+            escaped = false;
+            continue;
+        }
+        match b {
+            b'\\' if in_quote => escaped = true,
+            b'"' => in_quote = !in_quote,
+            _ if in_quote => {}
+            b'(' if open.is_none() => {
+                open = Some(i);
+                arg_start = i + 1;
+                method = spec.method_id(trim(&call[..i]));
+                if let Some(m) = method {
+                    args.reserve_exact(spec.sig(m).num_args());
+                }
+            }
+            b')' => close = Some((i, ended, arg_start)),
+            b',' if open.is_some() => {
+                if bad.is_none() {
+                    match parse_value(trim(&call[arg_start..i]), lineno) {
+                        Ok(v) => args.push(v),
+                        Err(e) => bad = Some((ended, e)),
+                    }
+                }
+                ended += 1;
+                arg_start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    let open = open.ok_or_else(|| err(lineno, "expected `(` in invocation"))?;
+    let (close, ended, last_start) =
+        close.ok_or_else(|| err(lineno, "expected `)` in invocation"))?;
     if close < open {
         return Err(err(lineno, "mismatched parentheses"));
     }
-    let args_text = &call[open + 1..close];
-    let ret_text = call[close + 1..]
-        .trim()
+    let ret_text = trim(&call[close + 1..])
         .strip_prefix('/')
-        .ok_or_else(|| err(lineno, "expected `/ret` after invocation"))?
-        .trim();
-
-    let method = spec.method_id(name).ok_or_else(|| {
+        .map(trim)
+        .ok_or_else(|| err(lineno, "expected `/ret` after invocation"))?;
+    let name = trim(&call[..open]);
+    let method = method.ok_or_else(|| {
         err(
             lineno,
             format!("unknown method `{name}` in spec `{}`", spec.name()),
         )
     })?;
-    let mut args = Vec::new();
-    if !args_text.trim().is_empty() {
-        for part in split_args(args_text) {
-            args.push(parse_value(part.trim(), lineno)?);
-        }
+    match bad {
+        Some((idx, e)) if idx < ended => return Err(e),
+        _ => args.truncate(ended),
+    }
+    let last = trim(&call[last_start..close]);
+    if ended > 0 || !last.is_empty() {
+        args.push(parse_value(last, lineno)?);
     }
     if args.len() != spec.sig(method).num_args() {
         return Err(err(
@@ -215,6 +259,33 @@ fn parse_action(text: &str, spec: &Spec, lineno: usize) -> Result<Action, TraceP
     }
     let ret = parse_value(ret_text, lineno)?;
     Ok(Action::new(obj, method, args, ret))
+}
+
+/// `str::trim`, reading bytes while the ends are ASCII — as they are in
+/// every rendered trace — and deferring to `str::trim` otherwise.
+fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    let plain = |b: Option<&u8>| b.is_none_or(|&b| b.is_ascii() && !(b as char).is_whitespace());
+    if plain(t.as_bytes().first()) && plain(t.as_bytes().last()) {
+        t
+    } else {
+        t.trim()
+    }
+}
+
+/// `s.split_once(char::is_whitespace)`, reading bytes while they are
+/// ASCII.
+fn split_ws(s: &str) -> Option<(&str, &str)> {
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !b.is_ascii() {
+            let (head, tail) = s[i..].split_once(char::is_whitespace)?;
+            return Some((&s[..i + head.len()], tail));
+        }
+        if (b as char).is_whitespace() {
+            return Some((&s[..i], &s[i + 1..]));
+        }
+    }
+    None
 }
 
 /// Strips a `#` comment; a `#` counts as a comment start only outside of
@@ -239,53 +310,6 @@ fn strip_comment(line: &str) -> &str {
         }
     }
     line
-}
-
-/// Byte positions of `target` outside string quotes (escape-aware), so
-/// the invocation parentheses are found even when a string value
-/// contains `(` or `)`.
-fn find_unquoted(text: &str, target: char) -> impl Iterator<Item = usize> + '_ {
-    let mut in_quote = false;
-    let mut escaped = false;
-    text.char_indices().filter_map(move |(i, c)| {
-        if escaped {
-            escaped = false;
-            return None;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '"' => in_quote = !in_quote,
-            c if c == target && !in_quote => return Some(i),
-            _ => {}
-        }
-        None
-    })
-}
-
-/// Splits a comma-separated argument list, respecting string quotes and
-/// backslash escapes inside them.
-fn split_args(text: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut in_quote = false;
-    let mut escaped = false;
-    let mut start = 0;
-    for (i, c) in text.char_indices() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match c {
-            '\\' if in_quote => escaped = true,
-            '"' => in_quote = !in_quote,
-            ',' if !in_quote => {
-                parts.push(&text[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&text[start..]);
-    parts
 }
 
 /// Decodes the body of a quoted string literal: the inverse of
@@ -328,6 +352,13 @@ fn unescape_str(body: &str, lineno: usize) -> Result<String, TraceParseError> {
 }
 
 pub(crate) fn parse_value(text: &str, lineno: usize) -> Result<Value, TraceParseError> {
+    // Integers are the common case; no other value starts like one.
+    if let Some(b'0'..=b'9' | b'-' | b'+') = text.as_bytes().first() {
+        return text
+            .parse::<i64>()
+            .map(Value::Int)
+            .map_err(|_| err(lineno, format!("bad value `{text}`")));
+    }
     match text {
         "nil" => Ok(Value::Nil),
         "true" => Ok(Value::Bool(true)),
@@ -485,6 +516,30 @@ act 0 o1 size()/1
 
         let e = parse_trace("act 0 x1 put(1, 2)/nil\n", &spec).unwrap_err();
         assert!(e.message.contains("bad object id"));
+    }
+
+    /// The one-pass scan reports the same first error as separate scans
+    /// for `(`, the last `)` and the argument commas would: framing
+    /// errors, then the method, then arguments in order, then arity,
+    /// then the return value.
+    #[test]
+    fn the_single_pass_keeps_the_error_order() {
+        let spec = builtin::dictionary();
+        let message = |line: &str| parse_trace(line, &spec).unwrap_err().message;
+        assert!(message("act 0 o1 put(x, 1)/nil").contains("bad value `x`"));
+        assert!(message("act 0 o1 put(1, x)/nil").contains("bad value `x`"));
+        assert!(message("act 0 o1 put(1, 2, 3)/nil").contains("takes 2 argument(s), found 3"));
+        assert!(message("act 0 o1 bogus(x)/nil").contains("unknown method"));
+        assert!(message("act 0 o1 put(x, 1)").contains("expected `/ret`"));
+        assert!(message("act 0 o1 put(1, 2").contains("expected `)`"));
+        assert!(message("act 0 o1 )put(1, 2/nil").contains("mismatched"));
+        assert!(message("act 0 o1 put(1), 2)/nil").contains("bad value `1)`"));
+        // A comma after the last `)` is return text, not an argument.
+        assert!(message("act 0 o1 put(1, 2)/nil, 3").contains("bad value `nil, 3`"));
+        let trace = parse_trace("act 0 o1 put(\"a,b)\", 1)/\")\"\n", &spec).unwrap();
+        let a = trace.events()[0].action().unwrap();
+        assert_eq!(a.args(), &[Value::str("a,b)"), Value::Int(1)]);
+        assert_eq!(a.ret(), &Value::str(")"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The per-object core of Algorithm 1.
 
+use crate::fxhash::FxHashMap;
 use crate::points::{AccessPoint, ClassId, CompiledSpec};
 use crace_model::{Action, Provenance, ThreadId};
 use crace_vclock::{AdaptiveClock, ClockStats, VectorClock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One commutativity race found by phase 1 of Algorithm 1: the touched
 /// point's class and the conflicting active class.
@@ -79,7 +80,7 @@ pub enum ClockMode {
 #[derive(Clone, Debug, Default)]
 pub struct ObjState {
     /// `pt.vc` for every active point, keyed by `(class, value)`.
-    active: HashMap<AccessPoint, AdaptiveClock>,
+    active: FxHashMap<AccessPoint, AdaptiveClock>,
     /// Total phase-1 conflict probes performed (one per conflicting class
     /// per touched point) — the quantity §5.4 bounds by `|Cₒ(pt)|`.
     probes: u64,
@@ -89,6 +90,9 @@ pub struct ObjState {
     /// Provenance bookkeeping — absent (and costing one branch per action)
     /// unless the state was built with [`ObjState::with_provenance`].
     trace: Option<Box<TraceState>>,
+    /// Scratch for `ηₒ(a)`, reused by every action so phase 1 and 2
+    /// allocate nothing once it has grown to the widest method.
+    touched: Vec<AccessPoint>,
 }
 
 /// What [`ObjState`] remembers for race explanations: the trailing window
@@ -101,7 +105,7 @@ struct TraceState {
     /// The last `cap` action descriptors on this object, oldest first.
     window: VecDeque<String>,
     /// Descriptor of the most recent action that touched each point.
-    last_touch: HashMap<AccessPoint, String>,
+    last_touch: FxHashMap<AccessPoint, String>,
 }
 
 /// The human-readable name of a concrete access point: the class label
@@ -275,11 +279,12 @@ impl ObjState {
             }
         };
         let mut state = ObjState {
-            active: HashMap::new(),
+            active: FxHashMap::default(),
             probes,
             stats,
             mode,
             trace,
+            touched: Vec::new(),
         };
         while let Some(rec) = r.peek() {
             match rec.tag() {
@@ -340,8 +345,27 @@ impl ObjState {
         clock: &VectorClock,
         want_detail: bool,
     ) -> Vec<RaceHit> {
-        let touched = spec.touched(action);
         let mut races = Vec::new();
+        self.on_action_into(spec, action, tid, clock, want_detail, &mut races);
+        races
+    }
+
+    /// [`ObjState::on_action_detailed`] that appends its hits to `races`
+    /// instead of returning a fresh `Vec`: the detectors' path, which
+    /// reuses one hit buffer and this state's touched-point buffer, so an
+    /// action allocates nothing unless it creates an access point or
+    /// renders provenance.
+    pub fn on_action_into(
+        &mut self,
+        spec: &CompiledSpec,
+        action: &Action,
+        tid: ThreadId,
+        clock: &VectorClock,
+        want_detail: bool,
+        races: &mut Vec<RaceHit>,
+    ) {
+        let mut touched = std::mem::take(&mut self.touched);
+        spec.touched_into(action, &mut touched);
         // Rendered once per action, only when provenance is on.
         let desc = self.trace.as_ref().map(|_| format!("{tid}: {action}"));
 
@@ -392,7 +416,7 @@ impl ObjState {
         }
 
         // Phase 2: update auxiliary state.
-        for pt in touched {
+        for pt in touched.drain(..) {
             match self.active.entry(pt) {
                 std::collections::hash_map::Entry::Occupied(mut e) => match self.mode {
                     ClockMode::Adaptive => {
@@ -414,7 +438,7 @@ impl ObjState {
                 }
             }
         }
-        races
+        self.touched = touched;
     }
 }
 

@@ -63,6 +63,7 @@ mod detector;
 mod direct;
 mod engine;
 mod front_end;
+mod fxhash;
 pub mod oracle;
 mod points;
 mod shard;

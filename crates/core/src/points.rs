@@ -1,7 +1,7 @@
 //! Compiled access-point representations (§4.2).
 
 use crace_model::{Action, Value};
-use crace_spec::{NormAtom, Spec};
+use crace_spec::{NormAtom, Spec, Term};
 use std::fmt;
 
 /// Index of an access-point *class* within a [`CompiledSpec`].
@@ -231,10 +231,18 @@ impl CompiledSpec {
     /// value on the action's slots.
     pub(crate) fn beta_of(&self, action: &Action) -> usize {
         let table = &self.methods[action.method().index()];
-        let slots: Vec<Value> = action.slots().cloned().collect();
+        fn term<'a>(action: &'a Action, t: &'a Term) -> &'a Value {
+            match t {
+                Term::Slot(i) => action.slot(*i).expect("arity checked"),
+                Term::Const(v) => v,
+            }
+        }
         let mut beta = 0usize;
         for (k, atom) in table.atoms.iter().enumerate() {
-            if atom.eval(&slots) {
+            if atom
+                .op()
+                .apply(term(action, atom.lhs()), term(action, atom.rhs()))
+            {
                 beta |= 1 << k;
             }
         }
@@ -250,6 +258,19 @@ impl CompiledSpec {
     /// Panics if the action's method id or arity does not match the
     /// specification.
     pub fn touched(&self, action: &Action) -> Vec<AccessPoint> {
+        let mut points = Vec::new();
+        self.touched_into(action, &mut points);
+        points
+    }
+
+    /// [`CompiledSpec::touched`] into a caller-owned buffer: clears `out`
+    /// and fills it with `ηₒ(a)`, so a caller that reuses one buffer
+    /// allocates nothing per action.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledSpec::touched`].
+    pub fn touched_into(&self, action: &Action, out: &mut Vec<AccessPoint>) {
         assert!(
             action.method().index() < self.methods.len(),
             "action {action} does not belong to spec `{}`",
@@ -263,16 +284,14 @@ impl CompiledSpec {
         );
         let beta = self.beta_of(action);
         let table = &self.methods[action.method().index()];
-        table.touch[beta]
-            .iter()
-            .map(|t| match *t {
-                TouchTemplate::Ds(class) => AccessPoint { class, value: None },
-                TouchTemplate::Slot(class, i) => AccessPoint {
-                    class,
-                    value: Some(action.slot(i).expect("arity checked").clone()),
-                },
-            })
-            .collect()
+        out.clear();
+        out.extend(table.touch[beta].iter().map(|t| match *t {
+            TouchTemplate::Ds(class) => AccessPoint { class, value: None },
+            TouchTemplate::Slot(class, i) => AccessPoint {
+                class,
+                value: Some(action.slot(i).expect("arity checked").clone()),
+            },
+        }));
     }
 
     /// Do two concrete actions conflict according to the compiled
@@ -313,5 +332,49 @@ impl fmt::Display for CompiledSpec {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::translate;
+    use crace_model::{Action, MethodId, ObjId, Value};
+    use crace_spec::builtin;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..4) {
+            0 => Value::Nil,
+            1 => Value::str(["a.com", "b.com"][rng.gen_range(0..2)]),
+            _ => Value::Int(rng.gen_range(-2..4)),
+        }
+    }
+
+    /// One buffer reused across a mixed sequence of methods — wide and
+    /// narrow β cases alternating — holds exactly what a fresh
+    /// `touched` returns each time: no point of an earlier action stays
+    /// behind.
+    #[test]
+    fn touched_into_a_reused_buffer_equals_a_fresh_touched() {
+        let mut rng = StdRng::seed_from_u64(0x70C4);
+        for spec in builtin::all() {
+            let compiled = translate(&spec).unwrap();
+            let mut buffer = Vec::new();
+            for _ in 0..2000 {
+                let method = MethodId(rng.gen_range(0..spec.num_methods() as u32));
+                let args = (0..spec.sig(method).num_args())
+                    .map(|_| random_value(&mut rng))
+                    .collect();
+                let action = Action::new(ObjId(0), method, args, random_value(&mut rng));
+                compiled.touched_into(&action, &mut buffer);
+                assert_eq!(
+                    buffer,
+                    compiled.touched(&action),
+                    "{}: {action}",
+                    spec.name()
+                );
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! one shard. The front-ends also share the spec cache and the shed filter
 //! below.
 
-use crate::engine::{ClockMode, ObjState};
+use crate::engine::{ClockMode, ObjState, RaceHit};
+use crate::fxhash::FxHashMap;
 use crate::points::CompiledSpec;
 use crace_model::{Action, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, VectorClock};
@@ -60,28 +61,29 @@ impl Findings {
 
     /// The deterministic merge: exact counts summed over all parts, and the
     /// first samples by sequence number — bit-for-bit the report one shard
-    /// over the whole stream would hold. The sort is stable, and one
-    /// action's hits share a sequence number and a shard, so they keep
-    /// their detection order.
+    /// over the whole stream would hold. Each part's samples are already
+    /// in sequence order, so a k-way merge that stops at the sample cap
+    /// suffices. Ties go to the earlier part, and within a part keep their
+    /// order, so one action's hits keep their detection order.
     pub fn merge<'a>(parts: impl IntoIterator<Item = &'a Arc<Findings>>) -> RaceReport {
         let mut counts = RaceReport::with_sample_capacity(0);
-        let mut samples: Vec<(u64, &RaceRecord)> = Vec::new();
+        let mut heads: Vec<(&Findings, usize)> = Vec::new();
         for part in parts {
             counts.merge(&part.report);
-            samples.extend(part.seqs.iter().copied().zip(part.report.samples()));
+            heads.push((part, 0));
         }
-        samples.sort_by_key(|&(seq, _)| seq);
         let cap = RaceReport::new().sample_capacity();
-        RaceReport::from_parts(
-            counts.total(),
-            counts.site_counts(),
-            samples
-                .into_iter()
-                .take(cap)
-                .map(|(_, r)| r.clone())
-                .collect(),
-            cap,
-        )
+        let mut samples = Vec::new();
+        while samples.len() < cap {
+            let next = heads
+                .iter_mut()
+                .filter(|(part, at)| *at < part.seqs.len())
+                .min_by_key(|(part, at)| part.seqs[*at]);
+            let Some((part, at)) = next else { break };
+            samples.push(part.report.samples()[*at].clone());
+            *at += 1;
+        }
+        RaceReport::from_parts(counts.total(), counts.site_counts(), samples, cap)
     }
 }
 
@@ -112,8 +114,8 @@ pub(crate) struct Shard {
     /// Run the epoch-GC watermark sweep every this many actions; `0`
     /// disables GC.
     gc_every: usize,
-    registry: HashMap<ObjId, Arc<CompiledSpec>>,
-    objects: HashMap<ObjId, ObjState>,
+    registry: FxHashMap<ObjId, Arc<CompiledSpec>>,
+    objects: FxHashMap<ObjId, ObjState>,
     /// Copy-on-write, so a reader (a pipeline report barrier) takes a
     /// reference instead of a deep copy, and the thread that allocated
     /// the records is the one that frees them.
@@ -123,6 +125,8 @@ pub(crate) struct Shard {
     live: HashSet<ThreadId>,
     since_gc: usize,
     gc: GcCounters,
+    /// Scratch for one action's race hits, reused across actions.
+    hits: Vec<RaceHit>,
 }
 
 impl Shard {
@@ -130,12 +134,13 @@ impl Shard {
         Shard {
             cfg,
             gc_every,
-            registry: HashMap::new(),
-            objects: HashMap::new(),
+            registry: FxHashMap::default(),
+            objects: FxHashMap::default(),
             findings: Arc::new(Findings::new()),
             live: HashSet::new(),
             since_gc: 0,
             gc: GcCounters::default(),
+            hits: Vec::new(),
         }
     }
 
@@ -196,14 +201,14 @@ impl Shard {
             .objects
             .entry(action.obj())
             .or_insert_with(|| cfg.new_state());
-        let hits = state.on_action_detailed(spec, action, tid, clock, want_detail);
-        if hits.is_empty() {
+        state.on_action_into(spec, action, tid, clock, want_detail, &mut self.hits);
+        if self.hits.is_empty() {
             return;
         }
         let Findings { report, seqs } = Arc::make_mut(&mut self.findings);
         let before = report.samples().len();
         let kind = RaceKind::Commutativity { obj: action.obj() };
-        for hit in hits {
+        for hit in self.hits.drain(..) {
             // The record is built only when the report keeps it as a sample.
             report.record_with(kind.clone(), || RaceRecord {
                 kind: kind.clone(),
@@ -395,5 +400,66 @@ impl Abandoned {
         self.any.store(!tids.is_empty(), Ordering::Relaxed);
         *self.tids.write() = tids.into_iter().collect();
         self.shed.store(shed, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The merge this replaces: gather every sample, stable-sort by
+    /// sequence number, keep the first `cap`.
+    fn sort_merge(parts: &[Arc<Findings>]) -> RaceReport {
+        let mut counts = RaceReport::with_sample_capacity(0);
+        let mut samples: Vec<(u64, &RaceRecord)> = Vec::new();
+        for part in parts {
+            counts.merge(&part.report);
+            samples.extend(part.seqs.iter().copied().zip(part.report.samples()));
+        }
+        samples.sort_by_key(|&(seq, _)| seq);
+        let cap = RaceReport::new().sample_capacity();
+        let samples = samples.into_iter().take(cap).map(|(_, r)| r.clone());
+        RaceReport::from_parts(counts.total(), counts.site_counts(), samples.collect(), cap)
+    }
+
+    /// One shard's findings: races in nondecreasing sequence order (an
+    /// action's hits share its number), on a few objects, with a distinct
+    /// detail each so a reordering would show.
+    fn random_findings(rng: &mut StdRng, part: usize) -> Arc<Findings> {
+        let mut findings = Findings::new();
+        let mut seq = rng.gen_range(0..4u64);
+        for i in 0..rng.gen_range(0..120usize) {
+            seq += rng.gen_range(0..3u64);
+            let kind = RaceKind::Commutativity {
+                obj: ObjId(rng.gen_range(0..5u64)),
+            };
+            let before = findings.report.samples().len();
+            findings.report.record_with(kind.clone(), || RaceRecord {
+                kind: kind.clone(),
+                tid: ThreadId(part as u32),
+                action: None,
+                detail: format!("part {part} race {i}"),
+                provenance: None,
+            });
+            if findings.report.samples().len() > before {
+                findings.seqs.push(seq);
+            }
+        }
+        Arc::new(findings)
+    }
+
+    #[test]
+    fn k_way_merge_equals_the_sort_based_merge() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for _ in 0..300 {
+            let parts: Vec<Arc<Findings>> = (0..rng.gen_range(0..9usize))
+                .map(|p| random_findings(&mut rng, p))
+                .collect();
+            let merged = Findings::merge(&parts);
+            assert_eq!(merged, sort_merge(&parts));
+            assert_eq!(merged.to_json(), sort_merge(&parts).to_json());
+        }
     }
 }

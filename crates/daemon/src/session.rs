@@ -268,6 +268,32 @@ pub struct SessionOutcome {
     pub report_json: String,
 }
 
+/// The per-session capture file and the buffer each record line is
+/// staged in, reused so appending a record allocates nothing.
+struct Capture {
+    sink: Box<dyn Write + Send>,
+    line: Vec<u8>,
+}
+
+impl Capture {
+    fn new(sink: Box<dyn Write + Send>) -> Capture {
+        Capture {
+            sink,
+            line: Vec::new(),
+        }
+    }
+
+    /// Appends one record line and its newline in a single write, so a
+    /// crash tears at most this line, then flushes.
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
+        self.line.clear();
+        self.line.extend_from_slice(line.as_bytes());
+        self.line.push(b'\n');
+        self.sink.write_all(&self.line)?;
+        self.sink.flush()
+    }
+}
+
 /// A live session. Owned by an `Arc` shared between the connection
 /// handler and the server's scrape path.
 pub struct Session {
@@ -280,7 +306,7 @@ pub struct Session {
     injector: Arc<FaultInjector>,
     registry: Arc<Registry>,
     tracer: Option<Arc<Tracer>>,
-    recorder: Mutex<Option<Box<dyn Write + Send>>>,
+    recorder: Mutex<Option<Capture>>,
     capture_name: Option<String>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
     lineno: AtomicU64,
@@ -355,7 +381,7 @@ impl Session {
             injector,
             registry: Arc::new(Registry::new()),
             tracer,
-            recorder: Mutex::new(recorder),
+            recorder: Mutex::new(recorder.map(Capture::new)),
             capture_name: cfg.capture_name,
             dispatcher: Mutex::new(Some(dispatcher)),
             lineno: AtomicU64::new(0),
@@ -398,13 +424,10 @@ impl Session {
         let event = parse_framed_record(line, &self.spec, lineno as usize)?;
         {
             let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(sink) = guard.as_mut() {
-                // One write per record, so a crash tears at most this line.
+            if let Some(capture) = guard.as_mut() {
                 // Capture I/O errors must not kill the session: the capture
                 // is an observability artifact, detection is the product.
-                let _ = sink
-                    .write_all(format!("{line}\n").as_bytes())
-                    .and_then(|()| sink.flush());
+                let _ = capture.append(line);
             }
         }
         self.ring.push(event);
@@ -425,7 +448,7 @@ impl Session {
     /// original record sequence in place.
     pub fn attach_recorder(&self, sink: Box<dyn Write + Send>) {
         let mut guard = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = Some(sink);
+        *guard = Some(Capture::new(sink));
     }
 
     /// Records decoded and enqueued so far — the sequence number a

@@ -1,7 +1,7 @@
 //! Race reports — what an analysis hands back, in the shape of Table 2.
 
 use crate::{Action, LocId, ObjId, ThreadId};
-use crace_obs::json::escape;
+use crace_obs::json::{escape, escape_into};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -348,7 +348,8 @@ impl RaceReport {
     /// The output is a single self-contained object, safe to pipe into any
     /// JSON consumer — `crace replay --json` prints exactly this.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
+        let mut out = String::with_capacity(256 + 192 * self.samples.len());
+        out.push_str("{\n");
         let _ = writeln!(out, "  \"total\": {},", self.total);
         let _ = writeln!(out, "  \"distinct\": {},", self.sites.len());
         out.push_str("  \"sites\": {");
@@ -356,25 +357,31 @@ impl RaceReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "\"{}\": {count}", escape(&RaceKind::site_label(site)));
+            out.push('"');
+            escape_into(&mut out, &RaceKind::site_label(site));
+            let _ = write!(out, "\": {count}");
         }
         out.push_str("},\n  \"samples\": [");
+        // One buffer for every sample's rendered action.
+        let mut action = String::new();
         for (i, s) in self.samples.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            let _ = write!(
-                out,
-                "{{\"kind\": \"{}\", \"site\": \"{}\", \"tid\": {}, ",
-                s.kind.word(),
-                escape(&RaceKind::site_label(s.kind.site())),
-                s.tid.0
-            );
+            let _ = write!(out, "{{\"kind\": \"{}\", \"site\": \"", s.kind.word());
+            escape_into(&mut out, &RaceKind::site_label(s.kind.site()));
+            let _ = write!(out, "\", \"tid\": {}, ", s.tid.0);
             match &s.action {
                 Some(a) => {
-                    let _ = write!(out, "\"action\": \"{}\", ", escape(&a.to_string()));
+                    action.clear();
+                    let _ = write!(action, "{a}");
+                    out.push_str("\"action\": \"");
+                    escape_into(&mut out, &action);
+                    out.push_str("\", ");
                 }
                 None => out.push_str("\"action\": null, "),
             }
-            let _ = write!(out, "\"detail\": \"{}\", ", escape(&s.detail));
+            out.push_str("\"detail\": \"");
+            escape_into(&mut out, &s.detail);
+            out.push_str("\", ");
             match &s.provenance {
                 Some(p) => {
                     let _ = write!(out, "\"provenance\": {}", p.to_json());

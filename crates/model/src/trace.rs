@@ -33,6 +33,15 @@ impl Trace {
         Trace::default()
     }
 
+    /// Creates an empty trace with room for `events` events, so a
+    /// decoder that knows the record count fills it without regrowing.
+    pub fn with_capacity(events: usize) -> Trace {
+        Trace {
+            events: Vec::with_capacity(events),
+            max_tid: 0,
+        }
+    }
+
     /// Appends an event.
     pub fn push(&mut self, event: Event) {
         self.note_tid(event.tid());

@@ -91,8 +91,18 @@ impl Json {
 /// assert_eq!(crace_obs::json::escape("a\"b"), "a\\\"b");
 /// ```
 pub fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appended to `out` without a temporary string.
+pub fn escape_into(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -106,7 +116,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Validates that `input` is exactly one JSON value (plus whitespace).

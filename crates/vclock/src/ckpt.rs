@@ -40,10 +40,14 @@ pub const CKPT_MAGIC: &str = "#%crace-ckpt";
 /// The format version this build writes and the only one it restores.
 pub const CKPT_VERSION: u32 = 1;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table of the
+/// reflected IEEE polynomial, and `CRC_TABLES[k][b]` is the CRC of byte
+/// `b` followed by `k` zero bytes, so eight table lookups fold in eight
+/// input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -56,18 +60,41 @@ const fn crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of `bytes` — the checksum of
 /// every framed record: checkpoints, trace captures and the wire.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -651,6 +678,38 @@ mod tests {
     fn crc32_matches_known_vectors() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-serial definition: one table lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_crc() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC4C3);
+        let buf: Vec<u8> = (0..64).map(|_| rng.gen_range(0..=255u8)).collect();
+        for len in 0..=buf.len() {
+            // Every length, and every alignment of the 8-byte blocks.
+            for start in 0..=len.min(8) {
+                let b = &buf[start..len];
+                assert_eq!(crc32(b), crc32_bytewise(b), "len {} at {start}", b.len());
+            }
+        }
+        for _ in 0..200 {
+            let len = rng.gen_range(0..4096usize);
+            let b: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+            assert_eq!(
+                crc32(&b),
+                crc32_bytewise(&b),
+                "random buffer of {len} bytes"
+            );
+        }
     }
 
     #[test]

@@ -73,11 +73,54 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(code) => code,
-        Err(message) => {
+        Err(CliError::Usage(message)) => {
+            eprintln!("error: {message}");
+            ExitCode::from(2)
+        }
+        Err(CliError::Failed(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why a subcommand stopped: a usage error (an unknown option, a flag
+/// without its value, a missing argument; exit 2) or a failure to do
+/// what was asked (exit 1).
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> CliError {
+        CliError::Failed(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> CliError {
+        CliError::Failed(message.to_string())
+    }
+}
+
+type CmdResult<T = ExitCode> = Result<T, CliError>;
+
+fn usage(message: impl Into<String>) -> CliError {
+    CliError::Usage(message.into())
+}
+
+/// A usage error for the first of `args` not in `allowed`.
+fn reject_options(args: &[String], allowed: &[&str]) -> CmdResult<()> {
+    match args.iter().find(|a| !allowed.contains(&a.as_str())) {
+        Some(other) => Err(usage(format!("unknown option `{other}`"))),
+        None => Ok(()),
+    }
+}
+
+/// `value`, or a usage error saying what is missing.
+fn need<T>(value: Option<T>, missing: &str) -> CmdResult<T> {
+    value.ok_or_else(|| usage(missing))
 }
 
 const USAGE: &str = "\
@@ -163,7 +206,7 @@ fn render_translate_error(e: &TranslateError, spec: &Spec, source: &str) -> Stri
     }
 }
 
-fn cmd_builtins() -> Result<ExitCode, String> {
+fn cmd_builtins() -> CmdResult {
     for spec in builtin::all() {
         println!(
             "{:<16} {} method(s), ECL: {}",
@@ -175,7 +218,8 @@ fn cmd_builtins() -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
+/// Exit 2 means warnings here, so `lint`'s usage errors stay exit 1.
+fn cmd_lint(args: &[String]) -> CmdResult {
     let name = args.first().ok_or("expected a spec file")?;
     let mut json = false;
     let mut options = crace_speclint::LintOptions::default();
@@ -187,7 +231,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
                 let n = it.next().ok_or("--max-actions needs a budget")?;
                 options.max_actions = n.parse().map_err(|_| format!("bad budget `{n}`"))?;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     let source = load_source(name)?;
@@ -284,11 +328,12 @@ fn synth_summary(s: &crace_specsynth::Synthesis, out: &mut String) {
     }
 }
 
-fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
-    let target = args
-        .first()
-        .ok_or("expected a data type (`dictionary`, `set`, …) or `all`")?
-        .clone();
+fn cmd_synth(args: &[String]) -> CmdResult {
+    let target = need(
+        args.first(),
+        "expected a data type (`dictionary`, `set`, …) or `all`",
+    )?
+    .clone();
     let mut json = false;
     let mut out_path: Option<String> = None;
     let mut config = crace_specsynth::SynthConfig::default();
@@ -296,19 +341,19 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--out" => out_path = Some(it.next().ok_or("--out needs a file")?.clone()),
+            "--out" => out_path = Some(need(it.next(), "--out needs a file")?.clone()),
             "--universe" => {
-                let n = it.next().ok_or("--universe needs an integer bound")?;
+                let n = need(it.next(), "--universe needs an integer bound")?;
                 config.max_int = n.parse().map_err(|_| format!("bad bound `{n}`"))?;
                 if config.max_int < 1 {
-                    return Err("--universe must be at least 1".to_string());
+                    return Err("--universe must be at least 1".into());
                 }
             }
             "--max-actions" => {
-                let n = it.next().ok_or("--max-actions needs a budget")?;
+                let n = need(it.next(), "--max-actions needs a budget")?;
                 config.max_actions = n.parse().map_err(|_| format!("bad budget `{n}`"))?;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
     let syntheses = if target == "all" {
@@ -351,8 +396,9 @@ fn cmd_synth(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let name = args.first().ok_or("expected a spec file")?;
+fn cmd_check(args: &[String]) -> CmdResult {
+    let name = need(args.first(), "expected a spec file")?;
+    reject_options(&args[1..], &[])?;
     let (spec, _) = load_spec(name)?;
     println!("spec `{}`: {} method(s)", spec.name(), spec.num_methods());
     println!("  ECL fragment: {}", spec.is_ecl());
@@ -381,8 +427,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_compile(args: &[String]) -> Result<ExitCode, String> {
-    let name = args.first().ok_or("expected a spec file")?;
+fn cmd_compile(args: &[String]) -> CmdResult {
+    let name = need(args.first(), "expected a spec file")?;
+    reject_options(&args[1..], &["--dot"])?;
     let dot = args.iter().any(|a| a == "--dot");
     let (spec, source) = load_spec(name)?;
     let compiled = translate(&spec).map_err(|e| render_translate_error(&e, &spec, &source))?;
@@ -424,26 +471,28 @@ struct ReplayOpts {
 
 fn parse_replay_opts<'a>(
     args: &'a [String],
-    mut extra: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<bool, String>,
-) -> Result<ReplayOpts, String> {
-    let trace_path = args.first().ok_or("expected a trace file")?.clone();
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> CmdResult<bool>,
+) -> CmdResult<ReplayOpts> {
+    let trace_path = need(args.first(), "expected a trace file")?.clone();
     let mut spec_name = None;
     let mut detector = "rd2".to_string();
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--spec" => spec_name = it.next().cloned(),
-            "--detector" => detector = it.next().cloned().unwrap_or_default(),
+            "--spec" => {
+                spec_name = Some(need(it.next(), "--spec needs a spec file or builtin")?.clone())
+            }
+            "--detector" => detector = need(it.next(), "--detector needs a name")?.clone(),
             other => {
                 if !extra(other, &mut it)? {
-                    return Err(format!("unknown option `{other}`"));
+                    return Err(usage(format!("unknown option `{other}`")));
                 }
             }
         }
     }
     Ok(ReplayOpts {
         trace_path,
-        spec_name: spec_name.ok_or("missing --spec")?,
+        spec_name: need(spec_name, "missing --spec")?,
         detector,
     })
 }
@@ -608,9 +657,9 @@ fn load_trace(opts: &ReplayOpts, tolerate: bool) -> Result<LoadedTrace, LoadFail
 
 /// Maps a [`LoadFailure`] to the command result: torn files print their
 /// diagnostic and exit 6, everything else becomes an ordinary error.
-fn torn_exit(failure: LoadFailure) -> Result<ExitCode, String> {
+fn torn_exit(failure: LoadFailure) -> CmdResult {
     match failure {
-        LoadFailure::Message(message) => Err(message),
+        LoadFailure::Message(message) => Err(message.into()),
         LoadFailure::Torn(diagnostic) => {
             eprintln!("error: {diagnostic}");
             Ok(ExitCode::from(6))
@@ -618,7 +667,7 @@ fn torn_exit(failure: LoadFailure) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_replay(args: &[String]) -> CmdResult {
     let mut json = false;
     let mut metrics: Option<String> = None;
     let mut explain = false;
@@ -637,17 +686,15 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
             "--explain" => explain = true,
             "--tolerate-truncation" => tolerate = true,
             "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
+                let n = need(it.next(), "--workers needs a count")?;
                 workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
             }
             "--sample-rate" => {
-                let n = it
-                    .next()
-                    .ok_or("--sample-rate needs a period (0 disables)")?;
+                let n = need(it.next(), "--sample-rate needs a period (0 disables)")?;
                 sample_rate = n.parse().map_err(|_| format!("bad sample rate `{n}`"))?;
             }
-            "--trace-out" => trace_out = Some(it.next().ok_or("--trace-out needs a file")?.clone()),
-            "--folded" => folded = Some(it.next().ok_or("--folded needs a file")?.clone()),
+            "--trace-out" => trace_out = Some(need(it.next(), "--trace-out needs a file")?.clone()),
+            "--folded" => folded = Some(need(it.next(), "--folded needs a file")?.clone()),
             _ => return Ok(false),
         }
         Ok(true)
@@ -716,18 +763,18 @@ fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_stats(args: &[String]) -> CmdResult {
     let mut format = "pretty".to_string();
     let opts = parse_replay_opts(args, |arg, it| {
         if arg == "--format" {
-            format = it.next().cloned().unwrap_or_default();
+            format = need(it.next(), "--format needs pretty, json or prom")?.clone();
             Ok(true)
         } else {
             Ok(false)
         }
     })?;
     if !matches!(format.as_str(), "json" | "prom" | "pretty") {
-        return Err(format!("unknown format `{format}`"));
+        return Err(format!("unknown format `{format}`").into());
     }
     let loaded = match load_trace(&opts, false) {
         Ok(loaded) => loaded,
@@ -775,10 +822,10 @@ fn write_span_trace(path: &str, tracer: &Tracer) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_explore(args: &[String]) -> CmdResult {
     use crace_runtime::explore::{explore_traced, shrink, ExploreConfig};
 
-    let program_path = args.first().ok_or("expected a program file")?.clone();
+    let program_path = need(args.first(), "expected a program file")?.clone();
     let mut cfg = ExploreConfig::default();
     let mut do_shrink = false;
     let mut out_stem: Option<String> = None;
@@ -788,20 +835,20 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--no-dpor" => cfg.dpor = false,
-            "--trace-out" => trace_out = it.next().cloned(),
+            "--trace-out" => trace_out = Some(need(it.next(), "--trace-out needs a file")?.clone()),
             "--max-schedules" => {
-                let n = it.next().ok_or("--max-schedules needs a count")?;
+                let n = need(it.next(), "--max-schedules needs a count")?;
                 cfg.max_schedules = n.parse().map_err(|_| format!("bad count `{n}`"))?;
             }
             "--preemption-bound" => {
-                let n = it.next().ok_or("--preemption-bound needs a count")?;
+                let n = need(it.next(), "--preemption-bound needs a count")?;
                 cfg.max_preemptions = Some(n.parse().map_err(|_| format!("bad count `{n}`"))?);
             }
             "--shrink" => do_shrink = true,
-            "--out" => out_stem = it.next().cloned(),
+            "--out" => out_stem = Some(need(it.next(), "--out needs a file stem")?.clone()),
             other => match metrics_flag(other)? {
                 Some(format) => metrics = Some(format),
-                None => return Err(format!("unknown option `{other}`")),
+                None => return Err(usage(format!("unknown option `{other}`"))),
             },
         }
     }
@@ -888,7 +935,7 @@ fn cmd_explore(args: &[String]) -> Result<ExitCode, String> {
 /// Converts a trace (plain or already framed) to the framed,
 /// checksummed format on stdout — the capture format `crace replay
 /// --tolerate-truncation` can recover after a crash.
-fn cmd_frame(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_frame(args: &[String]) -> CmdResult {
     let opts = parse_replay_opts(args, |_, _| Ok(false))?;
     let loaded = match load_trace(&opts, false) {
         Ok(loaded) => loaded,
@@ -903,21 +950,21 @@ fn cmd_frame(args: &[String]) -> Result<ExitCode, String> {
 fn parse_endpoint_flag<'a>(
     arg: &str,
     it: &mut std::slice::Iter<'a, String>,
-) -> Result<Option<crace_daemon::Endpoint>, String> {
+) -> CmdResult<Option<crace_daemon::Endpoint>> {
     match arg {
         "--socket" => {
-            let path = it.next().ok_or("--socket needs a path")?;
+            let path = need(it.next(), "--socket needs a path")?;
             Ok(Some(crace_daemon::Endpoint::Unix(path.into())))
         }
         "--tcp" => {
-            let addr = it.next().ok_or("--tcp needs an address")?;
+            let addr = need(it.next(), "--tcp needs an address")?;
             Ok(Some(crace_daemon::Endpoint::Tcp(addr.clone())))
         }
         _ => Ok(None),
     }
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_serve(args: &[String]) -> CmdResult {
     let mut endpoint: Option<crace_daemon::Endpoint> = None;
     let mut cfg = crace_daemon::ServerConfig {
         // A network-facing daemon takes no fault plans unless the
@@ -934,43 +981,43 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         }
         match arg.as_str() {
             "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
+                let n = need(it.next(), "--workers needs a count")?;
                 cfg.default_workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
             }
             "--ring" => {
-                let n = it.next().ok_or("--ring needs a capacity")?;
+                let n = need(it.next(), "--ring needs a capacity")?;
                 cfg.ring_capacity = n.parse().map_err(|_| format!("bad ring capacity `{n}`"))?;
             }
             "--grace-ms" => {
-                let n = it.next().ok_or("--grace-ms needs a duration")?;
+                let n = need(it.next(), "--grace-ms needs a duration")?;
                 let ms: u64 = n.parse().map_err(|_| format!("bad grace `{n}`"))?;
                 cfg.shed_grace = std::time::Duration::from_millis(ms);
             }
             "--max-conns" => {
-                let n = it.next().ok_or("--max-conns needs a count")?;
+                let n = need(it.next(), "--max-conns needs a count")?;
                 cfg.max_connections = n.parse().map_err(|_| format!("bad bound `{n}`"))?;
             }
             "--record-dir" => {
-                cfg.record_dir = Some(it.next().ok_or("--record-dir needs a directory")?.into());
+                cfg.record_dir = Some(need(it.next(), "--record-dir needs a directory")?.into());
             }
             "--trace-dir" => {
-                cfg.trace_dir = Some(it.next().ok_or("--trace-dir needs a directory")?.into());
+                cfg.trace_dir = Some(need(it.next(), "--trace-dir needs a directory")?.into());
             }
             "--checkpoint-every" => {
-                let n = it.next().ok_or("--checkpoint-every needs a record count")?;
+                let n = need(it.next(), "--checkpoint-every needs a record count")?;
                 cfg.checkpoint_every = n.parse().map_err(|_| format!("bad record count `{n}`"))?;
             }
             "--checkpoint-age-ms" => {
-                let n = it.next().ok_or("--checkpoint-age-ms needs a duration")?;
+                let n = need(it.next(), "--checkpoint-age-ms needs a duration")?;
                 let ms: u64 = n.parse().map_err(|_| format!("bad duration `{n}`"))?;
                 cfg.checkpoint_max_age = std::time::Duration::from_millis(ms);
             }
             "--allow-faults" => cfg.allow_faults = true,
-            "--addr-file" => addr_file = Some(it.next().ok_or("--addr-file needs a file")?.clone()),
-            other => return Err(format!("unknown option `{other}`")),
+            "--addr-file" => addr_file = Some(need(it.next(), "--addr-file needs a file")?.clone()),
+            other => return Err(usage(format!("unknown option `{other}`"))),
         }
     }
-    let endpoint = endpoint.ok_or("serve needs --socket <path> or --tcp <addr>")?;
+    let endpoint = need(endpoint, "serve needs --socket <path> or --tcp <addr>")?;
     let server =
         crace_daemon::Server::start(&endpoint, cfg).map_err(|e| format!("cannot bind: {e}"))?;
     // The resolved endpoint (TCP port 0 becomes the real port) goes to
@@ -1054,7 +1101,7 @@ fn connect_with_retry(
     }
 }
 
-fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_submit(args: &[String]) -> CmdResult {
     let mut endpoint: Option<crace_daemon::Endpoint> = None;
     let mut session: Option<String> = None;
     let mut workers = 0usize;
@@ -1069,21 +1116,21 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
             return Ok(true);
         }
         match arg {
-            "--session" => session = Some(it.next().ok_or("--session needs a name")?.clone()),
+            "--session" => session = Some(need(it.next(), "--session needs a name")?.clone()),
             "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
+                let n = need(it.next(), "--workers needs a count")?;
                 workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
             }
             "--chunk" => {
-                let n = it.next().ok_or("--chunk needs a byte count")?;
+                let n = need(it.next(), "--chunk needs a byte count")?;
                 chunk = n.parse().map_err(|_| format!("bad chunk size `{n}`"))?;
             }
             "--retry" => {
-                let n = it.next().ok_or("--retry needs a count")?;
+                let n = need(it.next(), "--retry needs a count")?;
                 retry = n.parse().map_err(|_| format!("bad retry count `{n}`"))?;
             }
             "--backoff-ms" => {
-                let n = it.next().ok_or("--backoff-ms needs a duration")?;
+                let n = need(it.next(), "--backoff-ms needs a duration")?;
                 backoff_ms = n.parse().map_err(|_| format!("bad backoff `{n}`"))?;
             }
             "--json" => json = true,
@@ -1092,7 +1139,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
         }
         Ok(true)
     })?;
-    let endpoint = endpoint.ok_or("submit needs --socket <path> or --tcp <addr>")?;
+    let endpoint = need(endpoint, "submit needs --socket <path> or --tcp <addr>")?;
     let loaded = match load_trace(&opts, tolerate) {
         Ok(loaded) => loaded,
         Err(failure) => return torn_exit(failure),
@@ -1144,7 +1191,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
             eprintln!("error: cannot connect to {endpoint}: {e}");
             return Ok(ExitCode::from(7));
         }
-        Err(e) => return Err(format!("cannot connect to {endpoint}: {e}")),
+        Err(e) => return Err(format!("cannot connect to {endpoint}: {e}").into()),
     };
     let ok = client
         .hello(&session, &opts.spec_name, workers, None)
@@ -1182,7 +1229,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
                     });
                 }
                 Err(message) if is_wire_failure(&message) => message,
-                Err(message) => return Err(format!("daemon error: {message}")),
+                Err(message) => return Err(format!("daemon error: {message}").into()),
             },
             Err(e) => e.to_string(),
         };
@@ -1199,7 +1246,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
                 eprintln!("error: cannot reconnect to {endpoint}: {e}");
                 return Ok(ExitCode::from(7));
             }
-            Err(e) => return Err(format!("cannot reconnect to {endpoint}: {e}")),
+            Err(e) => return Err(format!("cannot reconnect to {endpoint}: {e}").into()),
         };
         match client.resume(&session, sent as u64, &opts.spec_name, workers) {
             Ok((ok_line, recovered)) => {
@@ -1222,7 +1269,7 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
                         eprintln!("error: cannot reconnect to {endpoint}: {e}");
                         return Ok(ExitCode::from(7));
                     }
-                    Err(e) => return Err(format!("cannot reconnect to {endpoint}: {e}")),
+                    Err(e) => return Err(format!("cannot reconnect to {endpoint}: {e}").into()),
                 };
                 client
                     .hello(&session, &opts.spec_name, workers, None)
@@ -1233,36 +1280,36 @@ fn cmd_submit(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_chaos(args: &[String]) -> CmdResult {
     use crace_runtime::chaos::{run_chaos_traced, ChaosConfig};
 
-    let program_path = args.first().ok_or("expected a program file")?.clone();
+    let program_path = need(args.first(), "expected a program file")?.clone();
     let mut cfg = ChaosConfig::default();
     let mut metrics: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--trace-out" => trace_out = it.next().cloned(),
+            "--trace-out" => trace_out = Some(need(it.next(), "--trace-out needs a file")?.clone()),
             "--seed" => {
-                let n = it.next().ok_or("--seed needs a number")?;
+                let n = need(it.next(), "--seed needs a number")?;
                 cfg.seed = n.parse().map_err(|_| format!("bad seed `{n}`"))?;
             }
             "--trials" => {
-                let n = it.next().ok_or("--trials needs a count")?;
+                let n = need(it.next(), "--trials needs a count")?;
                 cfg.trials = n.parse().map_err(|_| format!("bad count `{n}`"))?;
             }
             "--faults" => {
-                let n = it.next().ok_or("--faults needs a count")?;
+                let n = need(it.next(), "--faults needs a count")?;
                 cfg.faults = n.parse().map_err(|_| format!("bad count `{n}`"))?;
             }
             "--workers" => {
-                let n = it.next().ok_or("--workers needs a count")?;
+                let n = need(it.next(), "--workers needs a count")?;
                 cfg.workers = n.parse().map_err(|_| format!("bad worker count `{n}`"))?;
             }
             other => match metrics_flag(other)? {
                 Some(format) => metrics = Some(format),
-                None => return Err(format!("unknown option `{other}`")),
+                None => return Err(usage(format!("unknown option `{other}`"))),
             },
         }
     }
@@ -1321,7 +1368,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, String> {
 /// `--metrics` adds the table as a snapshot: per-row qps gauges and race
 /// counters. With `--metrics=json|prom` the table and the summary go to
 /// stderr, so stdout is one machine-readable document.
-fn cmd_table2(args: &[String]) -> Result<ExitCode, String> {
+fn cmd_table2(args: &[String]) -> CmdResult {
     use crace_workloads::table2::{run_table2, Table2Config};
     use std::fmt::Write;
     let mut scale = 1usize;

@@ -83,7 +83,8 @@ fn chaos_rejects_bad_options() {
         exit(&crace(&["chaos", &data("fig3.sim"), "--seed", "x"])),
         1
     );
-    assert_eq!(exit(&crace(&["chaos", &data("fig3.sim"), "--bogus"])), 1);
+    // A bad value is an error (1); an unknown option is a usage error (2).
+    assert_eq!(exit(&crace(&["chaos", &data("fig3.sim"), "--bogus"])), 2);
 }
 
 #[test]

@@ -308,3 +308,67 @@ fn table2_unknown_argument_exits_2() {
     let out = crace(&["table2", "0", "--bogus"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
+
+#[test]
+fn usage_errors_exit_2_in_every_subcommand() {
+    let trace = data("fig3.trace");
+    let sim = data("racy3.sim");
+    let cases: &[&[&str]] = &[
+        &["replay", &trace, "--spec", "dictionary", "--bogus"],
+        &["replay", &trace, "--spec", "dictionary", "--workers"],
+        &["replay", &trace, "--spec"],
+        &["replay", &trace],
+        &["replay"],
+        &["stats", &trace, "--spec", "dictionary", "--format"],
+        &["frame", &trace, "--spec", "dictionary", "--bogus"],
+        &["check", "dictionary", "--bogus"],
+        &["compile", "dictionary", "--bogus"],
+        &["synth", "dictionary", "--bogus"],
+        &["synth", "dictionary", "--out"],
+        &["explore", &sim, "--bogus"],
+        &["explore", &sim, "--trace-out"],
+        &["explore", &sim, "--out"],
+        &["chaos", &sim, "--trace-out"],
+        &["chaos", &sim, "--seed"],
+        &["serve", "--bogus"],
+        &["serve", "--tcp"],
+        &["submit", &trace, "--spec", "dictionary", "--bogus"],
+    ];
+    for args in cases {
+        let out = crace(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    }
+    // `lint` reserves 2 for warnings, so its usage errors stay 1.
+    assert_eq!(
+        crace(&["lint", "dictionary", "--bogus"]).status.code(),
+        Some(1)
+    );
+}
+
+#[test]
+fn trailing_trace_out_without_a_file_is_a_usage_error_and_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("crace_trailing_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for cmd in ["explore", "chaos"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_crace"))
+            .args([cmd, &data("racy3.sim"), "--trace-out"])
+            .current_dir(&dir)
+            .output()
+            .expect("run crace");
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--trace-out needs a file"),
+            "{cmd}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{cmd} ran before rejecting its flags"
+        );
+        let written = std::fs::read_dir(&dir).expect("read dir").count();
+        assert_eq!(written, 0, "{cmd} wrote files");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
