@@ -24,12 +24,13 @@
 
 use crate::engine::{ClockMode, ObjState};
 use crate::points::{AccessPoint, ClassId, CompiledSpec};
-use crate::shard::{Findings, GcCounters, Shard, ShardConfig};
+use crate::shard::{Findings, GcCounters, Shard, ShardConfig, ShardSummary};
 use crace_model::{
     Action, LocId, MethodId, ObjId, Provenance, RaceKind, RaceRecord, RaceReport, ThreadId, Value,
 };
 use crace_vclock::ckpt::{
-    clocks_write, esc, stats_parse, stats_word, CkptError, CkptReader, CkptRecord, CkptWriter,
+    clocks_write, esc, push_u64, stats_append, stats_parse, CkptError, CkptReader, CkptRecord,
+    CkptWriter,
 };
 use crace_vclock::SyncClocks;
 use std::collections::HashSet;
@@ -422,28 +423,34 @@ pub(crate) struct Rd2Meta {
     pub gc: GcCounters,
 }
 
-/// The `rd2` checkpoint of a front-end whose objects live in `shards`
-/// under the Table 1 clocks `sync`. In order: `meta <mode> <window|->
-/// <shed> <events> <syncs> <gc-retired> <gc-probes> <gc-stats>` (the
-/// shards' GC totals added into `meta.gc`); a `thread <tid> <vc>` record
-/// per initialized thread (tid order) and a `lock <id> <vc>` record per
-/// lock (id order); the `abandoned` set; the `joined` set (initialized
-/// threads outside the union of the shards' GC live sets, empty without
-/// GC); the shards' findings merged into one report; then every
-/// registered object in id order with its shadow state (an empty one
-/// while it has none yet).
-pub(crate) fn write_shards<'s>(
+/// Starts the `rd2` checkpoint of a front-end whose objects live in the
+/// shards `summaries` were taken from ([`Shard::ckpt_summary`]), under
+/// the Table 1 clocks `sync`, and writes every record before the objects:
+/// `meta <mode> <window|-> <shed> <events> <syncs> <gc-retired>
+/// <gc-probes> <gc-stats>` (the shards' GC totals added into
+/// `meta.gc`); a `thread <tid> <vc>` record per initialized thread (tid
+/// order) and a `lock <id> <vc>` record per lock (id order); the
+/// `abandoned` set; the `joined` set (initialized threads outside the
+/// union of the shards' GC live sets, empty without GC); and the shards'
+/// findings merged into one report. The caller appends every registered
+/// object's block in id order ([`Shard::ckpt_objects`], or
+/// [`write_blocks`] for several shards) and finishes the writer.
+///
+/// `last` is the length of the previous blob: the writer starts with room
+/// for it and an eighth more, so a blob a little longer than the last
+/// never doubles its buffer.
+pub(crate) fn rd2_writer(
     cfg: ShardConfig,
     sync: &SyncClocks,
     mut meta: Rd2Meta,
     abandoned: &[ThreadId],
-    shards: impl IntoIterator<Item = &'s Shard>,
-) -> String {
-    let shards: Vec<&Shard> = shards.into_iter().collect();
+    summaries: &[ShardSummary],
+    last: usize,
+) -> CkptWriter {
     let mut live: Option<HashSet<ThreadId>> = Some(HashSet::new());
-    for shard in &shards {
-        meta.gc.merge(&shard.gc());
-        live = live.zip(shard.live()).map(|(all, l)| &all | l);
+    for shard in summaries {
+        meta.gc.merge(&shard.gc);
+        live = live.zip(shard.live.as_ref()).map(|(all, l)| &all | l);
     }
     let finished = |t: &ThreadId| live.as_ref().is_some_and(|live| !live.contains(t));
     let joined: Vec<ThreadId> = sync
@@ -451,39 +458,80 @@ pub(crate) fn write_shards<'s>(
         .map(|(t, _)| t)
         .filter(finished)
         .collect();
-    let mut w = CkptWriter::new(RD2_KIND);
-    w.rec(&format!(
-        "meta {} {} {} {} {} {} {} {}",
-        mode_word(cfg.mode),
-        cfg.provenance_window
-            .map_or("-".to_string(), |p| p.to_string()),
-        meta.shed,
-        meta.events,
-        meta.syncs,
-        meta.gc.retired,
-        meta.gc.probes,
-        stats_word(&meta.gc.stats)
-    ));
+    let mut w = CkptWriter::with_capacity(RD2_KIND, last + last / 8);
+    w.rec_with(|out| {
+        out.push_str("meta ");
+        out.push_str(mode_word(cfg.mode));
+        out.push(' ');
+        match cfg.provenance_window {
+            Some(window) => push_u64(out, window as u64),
+            None => out.push('-'),
+        }
+        for n in [
+            meta.shed,
+            meta.events,
+            meta.syncs,
+            meta.gc.retired,
+            meta.gc.probes,
+        ] {
+            out.push(' ');
+            push_u64(out, n);
+        }
+        out.push(' ');
+        stats_append(out, &meta.gc.stats);
+    });
     clocks_write(&mut w, sync.initialized(), sync.lock_slots());
     for (tag, tids) in [("abandoned", abandoned), ("joined", &joined[..])] {
-        let mut words = vec![tag.to_string(), tids.len().to_string()];
-        words.extend(tids.iter().map(|t| t.0.to_string()));
-        w.rec(&words.join(" "));
+        w.rec_with(|out| {
+            out.push_str(tag);
+            out.push(' ');
+            push_u64(out, tids.len() as u64);
+            for t in tids {
+                out.push(' ');
+                push_u64(out, t.0.into());
+            }
+        });
     }
     report_write(
         &mut w,
-        &Findings::merge(shards.iter().map(|s| s.findings())),
+        &Findings::merge(summaries.iter().map(|s| &s.findings)),
     );
-    let mut objects: Vec<_> = shards.iter().flat_map(|s| s.registered()).collect();
-    objects.sort_unstable_by_key(|&(obj, ..)| obj);
-    for (obj, spec, state) in objects {
-        w.rec(&format!("object {} {}", obj.0, esc(spec.spec().name())));
-        match state {
-            Some(state) => state.ckpt_write(&mut w),
-            None => cfg.new_state().ckpt_write(&mut w),
+    w
+}
+
+/// One shard's object blocks, rendered apart from the blob (on the
+/// shard's own thread, for a pipeline worker): the text and each block's
+/// object, end offset and record count.
+pub(crate) struct Blocks {
+    text: String,
+    ends: Vec<(ObjId, usize, u64)>,
+}
+
+impl Blocks {
+    pub fn of(shard: &mut Shard) -> Blocks {
+        let mut text = String::new();
+        let ends = shard.ckpt_objects(&mut text);
+        Blocks { text, ends }
+    }
+}
+
+/// Appends the blocks of several shards to `w`, merged by object id.
+pub(crate) fn write_blocks(w: &mut CkptWriter, shards: &[Blocks]) {
+    let mut blocks: Vec<(ObjId, &str, u64)> = Vec::new();
+    for shard in shards {
+        let mut start = 0;
+        for &(obj, end, records) in &shard.ends {
+            blocks.push((obj, &shard.text[start..end], records));
+            start = end;
         }
     }
-    w.finish()
+    blocks.sort_unstable_by_key(|&(obj, ..)| obj);
+    for (_, block, records) in blocks {
+        w.framed(|out| {
+            out.push_str(block);
+            records
+        });
+    }
 }
 
 /// A parsed `rd2` checkpoint, ready to be installed into any front-end.

@@ -1,6 +1,6 @@
 //! The offline/single-consumer commutativity race detector.
 
-use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
+use crate::checkpoint::{rd2_writer, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
@@ -43,6 +43,8 @@ struct Inner {
     seq: u64,
     /// Synchronization events accepted so far.
     syncs: u64,
+    /// Length of the last checkpoint, the next one's starting capacity.
+    ckpt_len: usize,
 }
 
 impl TraceDetector {
@@ -71,6 +73,7 @@ impl TraceDetector {
                 abandoned: Abandoned::default(),
                 seq: 0,
                 syncs: 0,
+                ckpt_len: 0,
             }),
             compiled: SpecCache::default(),
             tracer: None,
@@ -253,20 +256,27 @@ impl crate::Checkpoint for TraceDetector {
     }
 
     fn checkpoint(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         let meta = Rd2Meta {
             shed: inner.abandoned.shed(),
             events: inner.seq,
             syncs: inner.syncs,
             ..Rd2Meta::default()
         };
-        write_shards(
+        let mut w = rd2_writer(
             inner.shard.cfg(),
             &inner.sync,
             meta,
             &inner.abandoned.tids(),
-            [&inner.shard],
-        )
+            &[inner.shard.ckpt_summary()],
+            inner.ckpt_len,
+        );
+        // One shard: its blocks are already in id order, so they render
+        // straight into the blob.
+        w.framed(|out| inner.shard.ckpt_objects(out).iter().map(|b| b.2).sum());
+        let blob = w.finish();
+        inner.ckpt_len = blob.len();
+        blob
     }
 
     fn restore(

@@ -3,6 +3,7 @@
 use crate::fxhash::FxHashMap;
 use crate::points::{AccessPoint, ClassId, CompiledSpec};
 use crace_model::{Action, Provenance, ThreadId};
+use crace_vclock::ckpt::{adaptive_append, frame, frame_line, push_u64, stats_append};
 use crace_vclock::{AdaptiveClock, ClockStats, VectorClock};
 use std::collections::VecDeque;
 
@@ -80,7 +81,10 @@ pub enum ClockMode {
 #[derive(Clone, Debug, Default)]
 pub struct ObjState {
     /// `pt.vc` for every active point, keyed by `(class, value)`.
-    active: FxHashMap<AccessPoint, AdaptiveClock>,
+    active: FxHashMap<AccessPoint, PointClock>,
+    /// A point was added or retired since the last checkpoint render, so
+    /// the cached `pt` line order no longer matches the active set.
+    reshaped: bool,
     /// Total phase-1 conflict probes performed (one per conflicting class
     /// per touched point) — the quantity §5.4 bounds by `|Cₒ(pt)|`.
     probes: u64,
@@ -93,6 +97,45 @@ pub struct ObjState {
     /// Scratch for `ηₒ(a)`, reused by every action so phase 1 and 2
     /// allocate nothing once it has grown to the widest method.
     touched: Vec<AccessPoint>,
+}
+
+/// An active point's clock `pt.vc`, and whether phase 2 wrote it since
+/// the last checkpoint rendered the point's `pt` line.
+#[derive(Clone, Debug)]
+struct PointClock {
+    clock: AdaptiveClock,
+    stale: bool,
+}
+
+/// One object's `pt` checkpoint lines as the last checkpoint rendered
+/// them, in point-word order: each active point's key, its
+/// [`point_word`](crate::checkpoint::point_word) (the sort key) and its
+/// framed line. Text and keys only — never a copy of a clock — so it is
+/// bounded by the object's share of one checkpoint. An empty cache makes
+/// the next render a cold one.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PointLines(Vec<PointLine>);
+
+#[derive(Clone, Debug)]
+struct PointLine {
+    pt: AccessPoint,
+    word: String,
+    line: String,
+}
+
+/// Renders the framed `pt <word> <clock>` line of one point into `line`,
+/// growing it only to what the line needs: the cache keeps every line.
+fn render_point(line: &mut String, word: &str, clock: &AdaptiveClock, scratch: &mut String) {
+    scratch.clear();
+    scratch.push_str("pt ");
+    scratch.push_str(word);
+    scratch.push(' ');
+    adaptive_append(scratch, clock);
+    line.clear();
+    // The frame adds `=<len>:<crc> ` and the newline: at most 31 bytes.
+    line.reserve_exact(scratch.len() + 31);
+    frame(line, scratch);
+    line.push('\n');
 }
 
 /// What [`ObjState`] remembers for race explanations: the trailing window
@@ -191,45 +234,95 @@ impl ObjState {
     /// identical with GC on or off.
     pub fn retire_quiesced(&mut self, watermark: &VectorClock) -> usize {
         let before = self.active.len();
-        self.active.retain(|_, vc| !vc.le(watermark));
-        before - self.active.len()
+        self.active.retain(|_, pt| !pt.clock.le(watermark));
+        let retired = before - self.active.len();
+        self.reshaped |= retired > 0;
+        retired
     }
 
-    /// Serializes this object's shadow state as checkpoint records:
-    /// one `ostate` header (mode, probes, clock stats, provenance cap),
-    /// one `pt` record per active access point (sorted for reproducible
-    /// checkpoints), and — in provenance mode — `owin`/`otouch` records
-    /// for the event window and last-touch map.
-    pub fn ckpt_write(&self, w: &mut crace_vclock::CkptWriter) {
+    /// Renders this object's shadow state as framed checkpoint lines
+    /// into `out`: one `ostate` header (mode, probes, clock stats,
+    /// provenance cap), one `pt` record per active access point (sorted by
+    /// point word, for reproducible checkpoints), and — in provenance mode
+    /// — `owin`/`otouch` records for the event window and last-touch map.
+    ///
+    /// `lines` holds the `pt` lines this state's previous render produced.
+    /// A point whose clock phase 2 has not written since is copied from
+    /// there verbatim; only stale and new points are rendered, and the
+    /// lines are sorted again only when a point was added or retired.
+    /// The bytes are always those of a cold render (an empty `lines`).
+    /// Returns the number of records rendered.
+    pub(crate) fn ckpt_render(
+        &mut self,
+        out: &mut String,
+        lines: &mut PointLines,
+        scratch: &mut String,
+    ) -> u64 {
         use crate::checkpoint::{mode_word, point_word};
-        use crace_vclock::ckpt::{esc, stats_word};
-        let cap = match &self.trace {
-            Some(t) => t.cap.to_string(),
-            None => "-".to_string(),
-        };
-        w.rec(&format!(
-            "ostate {} {} {} {}",
-            mode_word(self.mode),
-            self.probes,
-            stats_word(&self.stats),
-            cap
-        ));
-        let mut points: Vec<(String, &AdaptiveClock)> = self
-            .active
-            .iter()
-            .map(|(pt, clock)| (point_word(pt), clock))
-            .collect();
-        points.sort_by(|a, b| a.0.cmp(&b.0));
-        for (pt, clock) in points {
-            w.rec_with(|out| {
-                use std::fmt::Write;
-                let _ = write!(out, "pt {pt} ");
-                crace_vclock::ckpt::adaptive_append(out, clock);
-            });
+        use crace_vclock::ckpt::esc;
+        frame_line(out, scratch, |p| {
+            p.push_str("ostate ");
+            p.push_str(mode_word(self.mode));
+            p.push(' ');
+            push_u64(p, self.probes);
+            p.push(' ');
+            stats_append(p, &self.stats);
+            p.push(' ');
+            match &self.trace {
+                Some(t) => push_u64(p, t.cap as u64),
+                None => p.push('-'),
+            }
+        });
+        let start = out.len();
+        if !self.reshaped && lines.0.len() == self.active.len() {
+            // The active set is the cached one: walk it in cached order.
+            for cached in &mut lines.0 {
+                let Some(pt) = self.active.get_mut(&cached.pt) else {
+                    // Only a missed `reshaped` mark gets here: render the
+                    // whole set below rather than write a wrong blob.
+                    out.truncate(start);
+                    self.reshaped = true;
+                    break;
+                };
+                if pt.stale {
+                    render_point(&mut cached.line, &cached.word, &pt.clock, scratch);
+                    pt.stale = false;
+                }
+                out.push_str(&cached.line);
+            }
+        } else {
+            self.reshaped = true;
         }
+        if std::mem::take(&mut self.reshaped) {
+            let mut old: FxHashMap<AccessPoint, (String, String)> = lines
+                .0
+                .drain(..)
+                .map(|cached| (cached.pt, (cached.word, cached.line)))
+                .collect();
+            for (pt, clock) in &mut self.active {
+                let (pt, word, mut line, current) = match old.remove_entry(pt) {
+                    Some((pt, (word, line))) => (pt, word, line, !clock.stale),
+                    None => (pt.clone(), point_word(pt), String::new(), false),
+                };
+                if !current {
+                    render_point(&mut line, &word, &clock.clock, scratch);
+                }
+                clock.stale = false;
+                lines.0.push(PointLine { pt, word, line });
+            }
+            lines.0.sort_unstable_by(|a, b| a.word.cmp(&b.word));
+            for cached in &lines.0 {
+                out.push_str(&cached.line);
+            }
+        }
+        let mut records = 1 + lines.0.len();
         if let Some(trace) = &self.trace {
+            records += trace.window.len() + trace.last_touch.len();
             for entry in &trace.window {
-                w.rec(&format!("owin {}", esc(entry)));
+                frame_line(out, scratch, |p| {
+                    p.push_str("owin ");
+                    p.push_str(&esc(entry));
+                });
             }
             let mut touches: Vec<(String, &String)> = trace
                 .last_touch
@@ -238,18 +331,24 @@ impl ObjState {
                 .collect();
             touches.sort_by(|a, b| a.0.cmp(&b.0));
             for (pt, desc) in touches {
-                w.rec(&format!("otouch {pt} {}", esc(desc)));
+                frame_line(out, scratch, |p| {
+                    p.push_str("otouch ");
+                    p.push_str(&pt);
+                    p.push(' ');
+                    p.push_str(&esc(desc));
+                });
             }
         }
+        records as u64
     }
 
-    /// Reads back the state written by [`ObjState::ckpt_write`]; the
+    /// Reads back the state written by [`ObjState::ckpt_render`]; the
     /// reader must be positioned on the `ostate` record.
     ///
     /// # Errors
     ///
     /// A spanned [`crace_vclock::CkptError`] on any malformation.
-    pub fn ckpt_read(
+    pub(crate) fn ckpt_read(
         r: &mut crace_vclock::CkptReader<'_>,
     ) -> Result<ObjState, crace_vclock::CkptError> {
         use crate::checkpoint::{mode_parse, point_parse};
@@ -280,6 +379,7 @@ impl ObjState {
         };
         let mut state = ObjState {
             active: FxHashMap::default(),
+            reshaped: true,
             probes,
             stats,
             mode,
@@ -291,7 +391,7 @@ impl ObjState {
                 "pt" => {
                     let pt = point_parse(rec.word(1)?, rec.line)?;
                     let clock = adaptive_parse(rec.word(2)?, rec.line)?;
-                    state.active.insert(pt, clock);
+                    state.active.insert(pt, PointClock { clock, stale: true });
                 }
                 "owin" => {
                     let trace = state.trace.as_mut().ok_or_else(|| {
@@ -377,7 +477,7 @@ impl ObjState {
                     class: other_class,
                     value: pt.value.clone(),
                 };
-                if let Some(pt_vc) = self.active.get(&key) {
+                if let Some(PointClock { clock: pt_vc, .. }) = self.active.get(&key) {
                     if !pt_vc.le(clock) {
                         let provenance = match (&self.trace, &desc, want_detail) {
                             (Some(trace), Some(desc), true) => Some(Box::new(Provenance {
@@ -415,26 +515,34 @@ impl ObjState {
             }
         }
 
-        // Phase 2: update auxiliary state.
+        // Phase 2: update auxiliary state, marking each written clock
+        // stale for the next checkpoint render.
         for pt in touched.drain(..) {
             match self.active.entry(pt) {
-                std::collections::hash_map::Entry::Occupied(mut e) => match self.mode {
-                    ClockMode::Adaptive => {
-                        self.stats.record(e.get_mut().observe(tid, clock));
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    let pt = e.get_mut();
+                    match self.mode {
+                        ClockMode::Adaptive => {
+                            pt.stale = true;
+                            self.stats.record(pt.clock.observe(tid, clock));
+                        }
+                        ClockMode::FullVector => {
+                            pt.stale = true;
+                            let AdaptiveClock::Vector(v) = &mut pt.clock else {
+                                unreachable!("FullVector state never stores epochs");
+                            };
+                            v.join_in_place(clock);
+                            self.stats.record(crace_vclock::Observation::VectorJoin);
+                        }
                     }
-                    ClockMode::FullVector => {
-                        let AdaptiveClock::Vector(v) = e.get_mut() else {
-                            unreachable!("FullVector state never stores epochs");
-                        };
-                        v.join_in_place(clock);
-                        self.stats.record(crace_vclock::Observation::VectorJoin);
-                    }
-                },
+                }
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(match self.mode {
+                    let clock = match self.mode {
                         ClockMode::Adaptive => AdaptiveClock::first(tid, clock),
                         ClockMode::FullVector => AdaptiveClock::Vector(clock.clone()),
-                    });
+                    };
+                    e.insert(PointClock { clock, stale: true });
+                    self.reshaped = true;
                 }
             }
         }

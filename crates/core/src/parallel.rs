@@ -52,12 +52,13 @@
 //!   restore rebuilds a worker. The contract: *never invent races*;
 //! * **checkpoint/restore** — the pipeline implements
 //!   [`Checkpoint`](crate::Checkpoint) in the one `rd2` format every RD2
-//!   front-end shares: a barrier gathers the master clocks, the union of
-//!   the workers' objects and the merged report at one ingress sequence
-//!   number, and restore routes each object to its owner at *this*
+//!   front-end shares: a barrier gathers the master clocks, the merged
+//!   report and the object records each worker renders on its own shard
+//!   (merged by object id) at one ingress sequence number, and restore
+//!   routes each object to its owner at *this*
 //!   pipeline's width, so a checkpoint restores at any worker count.
 
-use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
+use crate::checkpoint::{rd2_writer, write_blocks, Blocks, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
@@ -69,7 +70,7 @@ use crace_obs::Registry;
 use crace_vclock::{ClockStats, SyncClocks, VectorClock};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
@@ -151,7 +152,7 @@ enum Msg {
     Poison,
     /// Barrier: run the visitor on the worker's shard (it fills a reply
     /// slot), in stream order — reports, statistics and checkpoints.
-    Visit(Box<dyn Fn(&Shard) + Send>),
+    Visit(Box<dyn Fn(&mut Shard) + Send>),
     /// Restore: replace the worker's state with this one (clearing any
     /// degradation).
     Install(Box<WorkerState>),
@@ -424,6 +425,8 @@ pub struct ParallelRd2 {
     events_in: AtomicU64,
     sync_broadcasts: AtomicU64,
     trace: Option<IngressTrace>,
+    /// Length of the last checkpoint, the next one's starting capacity.
+    ckpt_len: AtomicUsize,
 }
 
 impl ParallelRd2 {
@@ -507,6 +510,7 @@ impl ParallelRd2 {
             events_in: AtomicU64::new(0),
             sync_broadcasts: AtomicU64::new(0),
             trace,
+            ckpt_len: AtomicUsize::new(0),
         }
     }
 
@@ -731,7 +735,7 @@ impl ParallelRd2 {
     /// prefix.
     fn barrier<T: Send + 'static, U>(
         &self,
-        read: fn(&Shard) -> T,
+        read: fn(&mut Shard) -> T,
         at: impl FnOnce(&Ingress) -> U,
     ) -> (U, Vec<T>) {
         let mut ingress = self.lock_ingress();
@@ -739,7 +743,7 @@ impl ParallelRd2 {
             .map(|w| {
                 // The one-shot reply slot for this worker's answer.
                 let (reply, answer) = mpsc::sync_channel(1);
-                let visit = move |shard: &Shard| drop(reply.send(read(shard)));
+                let visit = move |shard: &mut Shard| drop(reply.send(read(shard)));
                 self.send(&mut ingress, w, Msg::Visit(Box::new(visit)));
                 answer
             })
@@ -753,14 +757,14 @@ impl ParallelRd2 {
     /// Total phase-1 conflict probes across all workers (the §5.4 work
     /// measure). A report barrier.
     pub fn num_probes(&self) -> u64 {
-        self.barrier(Shard::num_probes, |_| ()).1.iter().sum()
+        self.barrier(|s| s.num_probes(), |_| ()).1.iter().sum()
     }
 
     /// Aggregated clock-representation statistics across all workers. A
     /// report barrier.
     pub fn clock_stats(&self) -> ClockStats {
         let mut stats = ClockStats::default();
-        for shard_stats in self.barrier(Shard::clock_stats, |_| ()).1 {
+        for shard_stats in self.barrier(|s| s.clock_stats(), |_| ()).1 {
             stats.merge(&shard_stats);
         }
         stats
@@ -769,7 +773,7 @@ impl ParallelRd2 {
     /// Access points retired by the epoch-GC watermark sweeps so far. A
     /// report barrier.
     pub fn gc_retired(&self) -> u64 {
-        self.barrier(Shard::gc_retired, |_| ()).1.iter().sum()
+        self.barrier(|s| s.gc_retired(), |_| ()).1.iter().sum()
     }
 
     /// Non-blocking snapshot of the pipeline counters (ingress totals,
@@ -821,10 +825,12 @@ impl crate::Checkpoint for ParallelRd2 {
     }
 
     /// Folds the pipeline into the one `rd2` layout at a barrier: the
-    /// ingress counts and master clocks, the union of the workers' objects
-    /// and live sets, their summed GC totals, and the merged report.
+    /// ingress counts and master clocks, the union of the workers' live
+    /// sets, their summed GC totals, the merged report, and the object
+    /// records each worker renders on its own shard, merged by object id.
     fn checkpoint(&self) -> String {
-        let ((sync, abandoned, meta), shards) = self.barrier(Shard::clone, |ingress| {
+        let read = |shard: &mut Shard| (shard.ckpt_summary(), Blocks::of(shard));
+        let ((sync, abandoned, meta), parts) = self.barrier(read, |ingress| {
             let meta = Rd2Meta {
                 shed: self.abandoned.shed(),
                 events: self.events_in.load(Ordering::Relaxed),
@@ -833,7 +839,19 @@ impl crate::Checkpoint for ParallelRd2 {
             };
             (ingress.sync.clone(), self.abandoned.tids(), meta)
         });
-        write_shards(self.cfg.shard_config(), &sync, meta, &abandoned, &shards)
+        let (summaries, blocks): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let mut w = rd2_writer(
+            self.cfg.shard_config(),
+            &sync,
+            meta,
+            &abandoned,
+            &summaries,
+            self.ckpt_len.load(Ordering::Relaxed),
+        );
+        write_blocks(&mut w, &blocks);
+        let blob = w.finish();
+        self.ckpt_len.store(blob.len(), Ordering::Relaxed);
+        blob
     }
 
     /// Routes each restored object to its owner at this pipeline's width,
@@ -1038,10 +1056,10 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
             // answers as an empty shard, so the barrier never waits on a
             // dead worker.
             Msg::Visit(visit) => {
-                if catch_unwind(AssertUnwindSafe(|| visit(&state.shard))).is_err() {
+                if catch_unwind(AssertUnwindSafe(|| visit(&mut state.shard))).is_err() {
                     shared.panics.fetch_add(1, Ordering::Relaxed);
                     shared.degraded.store(true, Ordering::Relaxed);
-                    visit(&Shard::new(cfg.shard_config(), 0));
+                    visit(&mut Shard::new(cfg.shard_config(), 0));
                 }
                 continue;
             }
@@ -1433,8 +1451,9 @@ mod tests {
     /// Runs a barrier whose visitor panics on every shard with a
     /// registered object and answers 7 on an empty one.
     fn faulty_barrier(rd2: &ParallelRd2) -> Vec<u8> {
-        let visit = |shard: &Shard| {
-            assert!(shard.registered().next().is_none(), "visitor fault");
+        let visit = |shard: &mut Shard| {
+            let objects = shard.ckpt_objects(&mut String::new());
+            assert!(objects.is_empty(), "visitor fault");
             7u8
         };
         rd2.barrier(visit, |_| ()).1

@@ -2,7 +2,7 @@
 //! programs: the Table 1 clocks published lock-free, and Algorithm 1 in 64
 //! object shards, each behind its own mutex.
 
-use crate::checkpoint::{write_shards, Rd2Meta, Rd2State, RD2_KIND};
+use crate::checkpoint::{rd2_writer, write_blocks, Blocks, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
@@ -10,7 +10,7 @@ use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, PublishedClocks};
 use parking_lot::{Mutex, MutexGuard};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Number of object shards. Objects route to shards by `obj % OBJ_SHARDS`,
@@ -67,6 +67,8 @@ pub struct Rd2 {
     /// When set, `on_action` records sampled spans into a tracer lane
     /// (see [`Rd2::with_tracer`]); `None` costs one branch per action.
     tracer: Option<crace_obs::SampledSpans>,
+    /// Length of the last checkpoint, the next one's starting capacity.
+    ckpt_len: AtomicUsize,
 }
 
 impl Rd2 {
@@ -94,6 +96,7 @@ impl Rd2 {
             compiled: SpecCache::default(),
             abandoned: Abandoned::default(),
             tracer: None,
+            ckpt_len: AtomicUsize::new(0),
         }
     }
 
@@ -270,18 +273,25 @@ impl crate::Checkpoint for Rd2 {
     /// Keeps no event counts or GC state, so those checkpoint fields are
     /// zero and the `joined` set is empty.
     fn checkpoint(&self) -> String {
-        let shards = self.lock_all();
+        let mut shards = self.lock_all();
         let meta = Rd2Meta {
             shed: self.abandoned.shed(),
             ..Rd2Meta::default()
         };
-        write_shards(
+        let summaries: Vec<_> = shards.iter().map(|s| s.ckpt_summary()).collect();
+        let mut w = rd2_writer(
             shards[0].cfg(),
             &self.sync.snapshot(),
             meta,
             &self.abandoned.tids(),
-            shards.iter().map(|s| &**s),
-        )
+            &summaries,
+            self.ckpt_len.load(Ordering::Relaxed),
+        );
+        let blocks: Vec<Blocks> = shards.iter_mut().map(|s| Blocks::of(s)).collect();
+        write_blocks(&mut w, &blocks);
+        let blob = w.finish();
+        self.ckpt_len.store(blob.len(), Ordering::Relaxed);
+        blob
     }
 
     fn restore(

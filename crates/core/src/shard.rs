@@ -12,10 +12,11 @@
 //! one shard. The front-ends also share the spec cache and the shed filter
 //! below.
 
-use crate::engine::{ClockMode, ObjState, RaceHit};
+use crate::engine::{ClockMode, ObjState, PointLines, RaceHit};
 use crate::fxhash::FxHashMap;
 use crate::points::CompiledSpec;
 use crace_model::{Action, ObjId, RaceKind, RaceRecord, RaceReport, ThreadId};
+use crace_vclock::ckpt::{esc, frame_line, push_u64};
 use crace_vclock::{ClockStats, VectorClock};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -105,6 +106,15 @@ impl GcCounters {
     }
 }
 
+/// What the records before the objects in an `rd2` checkpoint need from
+/// one shard: its GC totals and live set, and its findings.
+pub(crate) struct ShardSummary {
+    pub gc: GcCounters,
+    /// The GC live set; `None` when GC is off.
+    pub live: Option<HashSet<ThreadId>>,
+    pub findings: Arc<Findings>,
+}
+
 /// One Algorithm 1 shard: the objects it owns, their shadow state, the
 /// races found on them, and the epoch-GC bookkeeping. Single-threaded;
 /// the caller supplies each action's thread clock.
@@ -127,6 +137,11 @@ pub(crate) struct Shard {
     gc: GcCounters,
     /// Scratch for one action's race hits, reused across actions.
     hits: Vec<RaceHit>,
+    /// Each object's `pt` records as the last checkpoint rendered them,
+    /// so the next one renders only the points whose clocks changed. Text
+    /// only; an entry goes with its object (re-registered, forgotten or
+    /// reclaimed), and a restore starts from fresh shards.
+    ckpt_lines: FxHashMap<ObjId, PointLines>,
 }
 
 impl Shard {
@@ -141,6 +156,7 @@ impl Shard {
             since_gc: 0,
             gc: GcCounters::default(),
             hits: Vec::new(),
+            ckpt_lines: FxHashMap::default(),
         }
     }
 
@@ -151,6 +167,7 @@ impl Shard {
     /// Registers `obj` against `spec`; re-registering clears its state.
     pub fn register(&mut self, obj: ObjId, spec: Arc<CompiledSpec>) {
         self.objects.remove(&obj);
+        self.ckpt_lines.remove(&obj);
         self.registry.insert(obj, spec);
     }
 
@@ -158,12 +175,14 @@ impl Shard {
     pub fn forget(&mut self, obj: ObjId) {
         self.registry.remove(&obj);
         self.objects.remove(&obj);
+        self.ckpt_lines.remove(&obj);
     }
 
     /// Installs a restored object with its shadow state.
     pub fn insert(&mut self, obj: ObjId, spec: Arc<CompiledSpec>, state: ObjState) {
         self.registry.insert(obj, spec);
         self.objects.insert(obj, state);
+        self.ckpt_lines.remove(&obj);
     }
 
     /// Replaces the findings and GC totals with restored ones. The
@@ -272,11 +291,13 @@ impl Shard {
         let Some(watermark) = watermark else { return };
         let keep_empty = self.cfg.provenance_window.is_some();
         let gc = &mut self.gc;
-        self.objects.retain(|_, state| {
+        let ckpt_lines = &mut self.ckpt_lines;
+        self.objects.retain(|obj, state| {
             gc.retired += state.retire_quiesced(&watermark) as u64;
             if state.num_active() == 0 && !keep_empty {
                 gc.probes += state.num_probes();
                 gc.stats.merge(&state.clock_stats());
+                ckpt_lines.remove(obj);
                 false
             } else {
                 true
@@ -284,25 +305,58 @@ impl Shard {
         });
     }
 
-    pub fn findings(&self) -> &Arc<Findings> {
-        &self.findings
+    /// This shard's input to an `rd2` checkpoint's leading records.
+    pub fn ckpt_summary(&self) -> ShardSummary {
+        ShardSummary {
+            gc: self.gc,
+            live: self.live().cloned(),
+            findings: Arc::clone(&self.findings),
+        }
     }
 
-    pub fn gc(&self) -> GcCounters {
-        self.gc
+    /// Appends one checkpoint block per registered object to `out`, in
+    /// ascending id order: `object <id> <spec>` followed by its shadow
+    /// state (an empty one while it has none yet). `pt` records whose
+    /// clocks did not change since the last checkpoint are copied from the
+    /// cache. Returns each block's object, end offset in `out` and record
+    /// count.
+    pub fn ckpt_objects(&mut self, out: &mut String) -> Vec<(ObjId, usize, u64)> {
+        let mut ids: Vec<ObjId> = self.registry.keys().copied().collect();
+        ids.sort_unstable();
+        let mut blocks = Vec::with_capacity(ids.len());
+        let mut scratch = String::new();
+        for obj in ids {
+            let spec = &self.registry[&obj];
+            frame_line(out, &mut scratch, |p| {
+                p.push_str("object ");
+                push_u64(p, obj.0);
+                p.push(' ');
+                p.push_str(&esc(spec.spec().name()));
+            });
+            let state_records = match self.objects.get_mut(&obj) {
+                Some(state) => {
+                    let lines = self.ckpt_lines.entry(obj).or_default();
+                    state.ckpt_render(out, lines, &mut scratch)
+                }
+                None => {
+                    let mut empty = PointLines::default();
+                    self.cfg
+                        .new_state()
+                        .ckpt_render(out, &mut empty, &mut scratch)
+                }
+            };
+            blocks.push((obj, out.len(), 1 + state_records));
+        }
+        blocks
+    }
+
+    pub fn findings(&self) -> &Arc<Findings> {
+        &self.findings
     }
 
     /// The GC live set; `None` when GC is off and no live set is kept.
     pub fn live(&self) -> Option<&HashSet<ThreadId>> {
         (self.gc_every > 0).then_some(&self.live)
-    }
-
-    /// Every registered object with its shadow state (`None` while it has
-    /// none yet), in arbitrary order.
-    pub fn registered(&self) -> impl Iterator<Item = (ObjId, &CompiledSpec, Option<&ObjState>)> {
-        self.registry
-            .iter()
-            .map(|(obj, spec)| (*obj, spec.as_ref(), self.objects.get(obj)))
     }
 
     pub fn num_active(&self, obj: ObjId) -> usize {

@@ -103,14 +103,78 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// <payload>` (no newline) — the record frame shared by checkpoints and
 /// framed traces. `payload` must be a single line.
 pub fn frame(out: &mut String, payload: &str) {
-    use std::fmt::Write;
     debug_assert!(!payload.contains('\n'), "records are single lines");
-    let _ = write!(
-        out,
-        "={}:{:08x} {payload}",
-        payload.len(),
-        crc32(payload.as_bytes())
-    );
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let crc = crc32(payload.as_bytes());
+    let hex: [u8; 8] = std::array::from_fn(|i| HEX[(crc >> (28 - 4 * i)) as usize & 0xF]);
+    out.reserve(payload.len() + 31);
+    out.push('=');
+    push_u64(out, payload.len() as u64);
+    out.push(':');
+    out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+    out.push(' ');
+    out.push_str(payload);
+}
+
+/// Appends one framed record and its newline to `out`, building the
+/// payload in the reusable `scratch` — how records are rendered outside a
+/// [`CkptWriter`], e.g. blocks that another thread renders for
+/// [`CkptWriter::framed`].
+pub fn frame_line(out: &mut String, scratch: &mut String, build: impl FnOnce(&mut String)) {
+    scratch.clear();
+    build(scratch);
+    frame(out, scratch);
+    out.push('\n');
+}
+
+/// `DECIMAL[n]` for `n < 1000`: the digits of `n` padded to three bytes,
+/// then their count — one table load renders most clock components.
+static DECIMAL: [[u8; 4]; 1000] = decimal_table();
+
+const fn decimal_table() -> [[u8; 4]; 1000] {
+    const fn digit(n: usize) -> u8 {
+        b'0' + (n % 10) as u8
+    }
+    let mut table = [[0u8; 4]; 1000];
+    let mut n = 0;
+    while n < 1000 {
+        table[n] = match n {
+            0..=9 => [digit(n), 0, 0, 1],
+            10..=99 => [digit(n / 10), digit(n), 0, 2],
+            _ => [digit(n / 100), digit(n / 10), digit(n), 3],
+        };
+        n += 1;
+    }
+    table
+}
+
+/// The most bytes [`put_u64`] writes: `u64::MAX` has 20 digits.
+const U64_DIGITS: usize = 20;
+
+/// The one decimal writer: puts the digits of `n` at the front of `dst`
+/// (at least [`U64_DIGITS`] bytes long) and returns how many it put.
+fn put_u64(dst: &mut [u8], n: u64) -> usize {
+    if n < 1000 {
+        let entry = DECIMAL[n as usize];
+        dst[..4].copy_from_slice(&entry);
+        return usize::from(entry[3]);
+    }
+    let len = n.ilog10() as usize + 1;
+    let mut rest = n;
+    for slot in dst[..len].iter_mut().rev() {
+        *slot = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    len
+}
+
+/// Appends the decimal digits of `n` to `out` — exactly what
+/// `write!(out, "{n}")` appends, without the formatting machinery, which
+/// was most of the cost of rendering a checkpoint.
+pub fn push_u64(out: &mut String, n: u64) {
+    let mut buf = [0u8; U64_DIGITS];
+    let len = put_u64(&mut buf, n);
+    out.push_str(std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII"));
 }
 
 /// Checks one framed line (without its newline) and returns its payload.
@@ -237,8 +301,8 @@ pub fn unesc(word: &str) -> Result<String, String> {
 }
 
 /// Streaming writer of a checkpoint blob: header first, one framed
-/// record per [`CkptWriter::rec`], the `end` marker on
-/// [`CkptWriter::finish`].
+/// record per [`CkptWriter::rec`] (or per line given to
+/// [`CkptWriter::framed`]), the `end` marker on [`CkptWriter::finish`].
 pub struct CkptWriter {
     out: String,
     records: u64,
@@ -250,26 +314,31 @@ impl CkptWriter {
     /// whitespace-free tag such as `rd2`; readers must present the
     /// same kind).
     pub fn new(kind: &str) -> CkptWriter {
+        CkptWriter::with_capacity(kind, 0)
+    }
+
+    /// [`CkptWriter::new`] with room for `capacity` bytes, e.g. about the
+    /// length of the previous blob, so a checkpoint that is about as long
+    /// as the last one never regrows its buffer.
+    pub fn with_capacity(kind: &str, capacity: usize) -> CkptWriter {
         debug_assert!(
             !kind.is_empty() && !kind.contains(char::is_whitespace),
             "checkpoint kind must be a single word"
         );
+        let mut out = String::with_capacity(capacity);
+        out.push_str(&format!("{CKPT_MAGIC} v{CKPT_VERSION} {kind}\n"));
         CkptWriter {
-            out: format!("{CKPT_MAGIC} v{CKPT_VERSION} {kind}\n"),
+            out,
             records: 0,
             scratch: String::new(),
         }
     }
 
-    fn frame(&mut self, payload: &str) {
+    /// Appends one record; `payload` must be a single line (no newline).
+    pub fn rec(&mut self, payload: &str) {
         self.records += 1;
         frame(&mut self.out, payload);
         self.out.push('\n');
-    }
-
-    /// Appends one record; `payload` must be a single line (no newline).
-    pub fn rec(&mut self, payload: &str) {
-        self.frame(payload);
     }
 
     /// Appends one record whose payload is built directly into the
@@ -277,17 +346,34 @@ impl CkptWriter {
     /// [`CkptWriter::rec`] for hot serializers (per-clock records in a
     /// wide pipeline checkpoint number in the thousands).
     pub fn rec_with(&mut self, build: impl FnOnce(&mut String)) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        build(&mut payload);
-        self.frame(&payload);
-        self.scratch = payload;
+        self.records += 1;
+        frame_line(&mut self.out, &mut self.scratch, build);
+    }
+
+    /// Appends records that are already framed: `render` appends whole
+    /// lines, each ending in a newline as [`frame_line`] renders them, and
+    /// returns how many, which count toward the `end` marker. This is how
+    /// records cached from an earlier checkpoint, or rendered on another
+    /// thread, enter a blob verbatim.
+    pub fn framed(&mut self, render: impl FnOnce(&mut String) -> u64) {
+        let start = self.out.len();
+        let records = render(&mut self.out);
+        debug_assert_eq!(
+            self.out[start..].bytes().filter(|&b| b == b'\n').count() as u64,
+            records,
+            "framed records are whole lines"
+        );
+        debug_assert!(self.out.len() == start || self.out.ends_with('\n'));
+        self.records += records;
     }
 
     /// Appends the `end` marker and returns the finished blob.
     pub fn finish(mut self) -> String {
-        let payload = format!("end {}", self.records);
-        self.frame(&payload);
+        let records = self.records;
+        self.rec_with(|out| {
+            out.push_str("end ");
+            push_u64(out, records);
+        });
         self.out
     }
 }
@@ -488,17 +574,26 @@ pub fn vc_word(vc: &VectorClock) -> String {
 /// Appends the [`vc_word`] rendering of `vc` to `out` — no intermediate
 /// per-component strings, for the hot checkpoint serializers.
 pub fn vc_append(out: &mut String, vc: &VectorClock) {
-    use std::fmt::Write;
     if vc.dim() == 0 {
         out.push('-');
         return;
     }
-    for i in 0..vc.dim() {
-        if i > 0 {
-            out.push(',');
+    // Components go through a stack buffer, so `out` grows once per
+    // buffer rather than once per digit.
+    let mut buf = [0u8; 512];
+    let mut at = 0;
+    for (i, &c) in vc.components().iter().enumerate() {
+        if at + 1 + U64_DIGITS > buf.len() {
+            out.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII"));
+            at = 0;
         }
-        let _ = write!(out, "{}", vc.get(ThreadId(i as u32)));
+        if i > 0 {
+            buf[at] = b',';
+            at += 1;
+        }
+        at += put_u64(&mut buf[at..], c);
     }
+    out.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII"));
 }
 
 /// Parses a [`vc_word`] rendering back to a clock.
@@ -531,10 +626,12 @@ pub fn adaptive_word(clock: &AdaptiveClock) -> String {
 
 /// Appends the [`adaptive_word`] rendering of `clock` to `out`.
 pub fn adaptive_append(out: &mut String, clock: &AdaptiveClock) {
-    use std::fmt::Write;
     match clock {
         AdaptiveClock::Epoch(e) => {
-            let _ = write!(out, "e:{}@{}", e.clock(), e.tid().0);
+            out.push_str("e:");
+            push_u64(out, e.clock());
+            out.push('@');
+            push_u64(out, e.tid().0.into());
         }
         AdaptiveClock::Vector(v) => {
             out.push_str("v:");
@@ -572,10 +669,18 @@ pub fn adaptive_parse(word: &str, line: usize) -> Result<AdaptiveClock, CkptErro
 
 /// Renders clock-representation statistics as one word.
 pub fn stats_word(stats: &ClockStats) -> String {
-    format!(
-        "{},{},{}",
-        stats.epoch_updates, stats.promotions, stats.vector_updates
-    )
+    let mut out = String::new();
+    stats_append(&mut out, stats);
+    out
+}
+
+/// Appends the [`stats_word`] rendering of `stats` to `out`.
+pub fn stats_append(out: &mut String, stats: &ClockStats) {
+    push_u64(out, stats.epoch_updates);
+    out.push(',');
+    push_u64(out, stats.promotions);
+    out.push(',');
+    push_u64(out, stats.vector_updates);
 }
 
 /// Parses a [`stats_word`] rendering.
@@ -623,10 +728,11 @@ pub fn clocks_write<'c>(
     threads: impl IntoIterator<Item = (ThreadId, &'c VectorClock)>,
     locks: impl IntoIterator<Item = (LockId, &'c VectorClock)>,
 ) {
-    use std::fmt::Write;
     for (tid, clock) in threads {
         w.rec_with(|out| {
-            let _ = write!(out, "thread {} ", tid.0);
+            out.push_str("thread ");
+            push_u64(out, tid.0.into());
+            out.push(' ');
             vc_append(out, clock);
         });
     }
@@ -634,7 +740,9 @@ pub fn clocks_write<'c>(
     locks.sort_unstable_by_key(|(l, _)| l.0);
     for (lock, clock) in locks {
         w.rec_with(|out| {
-            let _ = write!(out, "lock {} ", lock.0);
+            out.push_str("lock ");
+            push_u64(out, lock.0);
+            out.push(' ');
             vc_append(out, clock);
         });
     }
@@ -710,6 +818,57 @@ mod tests {
                 "random buffer of {len} bytes"
             );
         }
+    }
+
+    #[test]
+    fn push_u64_equals_to_string() {
+        use rand::{Rng, SeedableRng};
+        let mut values = vec![0, 9, 10, u64::MAX];
+        for n in 0..20 {
+            values.extend([10u64.pow(n) - 1, 10u64.pow(n)]);
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1617);
+        // A random bit width first, so every digit count shows up.
+        values.extend((0..10_000).map(|_| rng.gen_range(0..=u64::MAX) >> rng.gen_range(0..64)));
+        for n in values {
+            let mut out = String::from("x");
+            push_u64(&mut out, n);
+            assert_eq!(out[1..], n.to_string(), "{n}");
+        }
+    }
+
+    #[test]
+    fn wide_clocks_render_like_the_formatter() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x57A1E);
+        for dim in [1usize, 2, 25, 26, 256, 300] {
+            // Components of one to twenty digits (nonzero, so none is
+            // trimmed), so the stack buffer flushes at many offsets.
+            let components: Vec<u64> = (0..dim)
+                .map(|_| (rng.gen_range(0..=u64::MAX) >> rng.gen_range(0..64)).max(1))
+                .collect();
+            let expected: Vec<String> = components.iter().map(u64::to_string).collect();
+            let vc = VectorClock::from_components(components);
+            assert_eq!(vc_word(&vc), expected.join(","), "dim {dim}");
+        }
+    }
+
+    #[test]
+    fn framed_lines_count_toward_end() {
+        let mut source = CkptWriter::new("t");
+        source.rec("alpha 1");
+        source.rec("beta 2");
+        let whole = source.finish();
+        let mut lines = String::new();
+        let mut scratch = String::new();
+        frame_line(&mut lines, &mut scratch, |p| p.push_str("alpha 1"));
+        frame_line(&mut lines, &mut scratch, |p| p.push_str("beta 2"));
+        let mut w = CkptWriter::new("t");
+        w.framed(|out| {
+            out.push_str(&lines);
+            2
+        });
+        assert_eq!(w.finish(), whole);
     }
 
     #[test]

@@ -166,6 +166,11 @@ impl VectorClock {
         self.components.is_empty()
     }
 
+    /// The stored components, thread 0 first: `dim` of them.
+    pub(crate) fn components(&self) -> &[u64] {
+        &self.components
+    }
+
     /// Number of stored components (threads with a nonzero entry bound).
     pub fn dim(&self) -> usize {
         self.components.len()

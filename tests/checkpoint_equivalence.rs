@@ -20,7 +20,10 @@
 //! silently restored into a detector that reports wrong races — and the
 //! panic-shield half: a worker skips a chaos poison mid-stream in place,
 //! so the final report equals serial and the checkpoint equals an
-//! un-poisoned pipeline's, byte for byte.
+//! un-poisoned pipeline's, byte for byte. Finally, a detector that
+//! checkpoints over and over copies unchanged `pt` records from its last
+//! checkpoint, so each of those warm blobs must equal a cold render of
+//! the same state.
 
 mod common;
 
@@ -28,12 +31,12 @@ use std::sync::Arc;
 
 use common::{assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, WIDTHS};
 use crace::core::{
-    builtin_resolver, Checkpoint, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector,
+    builtin_resolver, Checkpoint, ClockMode, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector,
 };
 use crace::model::replay;
 use crace::spec::builtin;
 use crace::vclock::CkptError;
-use crace::{Action, Analysis, Event, FastTrack, ObjId, Rd2, ThreadId, Trace, Value};
+use crace::{translate, Action, Analysis, Event, FastTrack, ObjId, Rd2, ThreadId, Trace, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -443,6 +446,155 @@ fn retired_rd2_checkpoint_kinds_are_rejected() {
                 .restore(&old, &resolve)
                 .expect_err(&format!("{name} restored a `{kind}` checkpoint"));
             assert!(err.reason.contains(kind), "{name}: {err}");
+        }
+    }
+}
+
+/// One step of a warm-checkpoint stream: an event, or re-registering an
+/// object, which clears its shadow state.
+enum Step {
+    Event(Event),
+    Register(ObjId),
+}
+
+/// Warm equals cold. A detector that checkpoints repeatedly copies the
+/// `pt` records whose clocks no action wrote since its last checkpoint,
+/// and renders only the rest; none of that may show in the bytes. One
+/// long-lived detector per front-end and configuration checkpoints after
+/// every k steps (k random in 1..64) of a random structured stream in
+/// which one object is re-registered mid-stream. Each blob must equal:
+///
+/// * the cold checkpoint of a fresh detector folded over the same prefix;
+/// * the re-checkpoint of a fresh detector restored from it, and, after
+///   the next steps, that restored detector's warm checkpoint must equal
+///   the cold checkpoint of a second one restored and fed the same way
+///   (and, without GC, the long-lived detector's next blob).
+///
+/// The front-ends are the serial detector, `Rd2`, and the pipeline at
+/// widths 1, 2 and 4 with and without epoch GC, each with and without a
+/// provenance window; the serial detector and `Rd2` also run with
+/// full-vector clocks.
+#[test]
+fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
+    type Make = Box<dyn Fn() -> Box<dyn FrontEnd>>;
+    let spec = builtin::dictionary();
+    let compiled = Arc::new(translate(&spec).expect("builtin specs are ECL"));
+    let resolve = builtin_resolver();
+    let mut cases: Vec<(String, bool, Make)> = Vec::new();
+    for window in [None, Some(3)] {
+        let prov = window.map_or(String::new(), |w| format!(" window {w}"));
+        cases.push((
+            format!("serial{prov}"),
+            false,
+            Box::new(move || match window {
+                Some(w) => Box::new(TraceDetector::with_provenance(w)),
+                None => Box::new(TraceDetector::new()),
+            }),
+        ));
+        cases.push((
+            format!("rd2{prov}"),
+            false,
+            Box::new(move || match window {
+                Some(w) => Box::new(Rd2::with_provenance(w)),
+                None => Box::new(Rd2::new()),
+            }),
+        ));
+        for workers in [1usize, 2, 4] {
+            for gc_every in [0usize, 5] {
+                let cfg = ParallelConfig {
+                    batch: 3,
+                    provenance_window: window,
+                    gc_every,
+                    ..ParallelConfig::default()
+                };
+                cases.push((
+                    format!("w{workers} gc {gc_every}{prov}"),
+                    gc_every > 0,
+                    Box::new(move || Box::new(ParallelRd2::with_config(workers, cfg.clone()))),
+                ));
+            }
+        }
+    }
+    cases.push((
+        "serial full-vector".into(),
+        false,
+        Box::new(|| Box::new(TraceDetector::with_mode(ClockMode::FullVector))),
+    ));
+    cases.push((
+        "rd2 full-vector".into(),
+        false,
+        Box::new(|| Box::new(Rd2::with_mode(ClockMode::FullVector))),
+    ));
+    let fresh = |make: &Make| {
+        let detector = make();
+        for obj in 1..=OBJECTS {
+            detector.register(ObjId(obj), Arc::clone(&compiled));
+        }
+        detector
+    };
+    let apply = |detector: &dyn FrontEnd, steps: &[Step]| {
+        for step in steps {
+            match step {
+                Step::Event(event) => detector.on_event(event),
+                Step::Register(obj) => detector.register(*obj, Arc::clone(&compiled)),
+            }
+        }
+    };
+    for seed in 900..906u64 {
+        let mut steps: Vec<Step> = random_trace(&spec, seed, 160, OBJECTS)
+            .events()
+            .iter()
+            .cloned()
+            .map(Step::Event)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xCAC4E);
+        let at = rng.gen_range(steps.len() / 4..steps.len() * 3 / 4);
+        steps.insert(at, Step::Register(ObjId(1 + seed % OBJECTS)));
+        let mut cuts = vec![0];
+        while *cuts.last().unwrap() < steps.len() {
+            let next = cuts.last().unwrap() + rng.gen_range(1..64usize);
+            cuts.push(next.min(steps.len()));
+        }
+        for (name, gc, make) in &cases {
+            let live = fresh(make);
+            let mut blobs = Vec::new();
+            for pair in cuts.windows(2) {
+                let (from, to) = (pair[0], pair[1]);
+                let label = format!("{name}, seed {seed}, steps ..{to}");
+                apply(&*live, &steps[from..to]);
+                let blob = live.checkpoint();
+                let cold = fresh(make);
+                apply(&*cold, &steps[..to]);
+                assert_eq!(blob, cold.checkpoint(), "{label}: warm != cold");
+                blobs.push(blob);
+            }
+            for (i, blob) in blobs.iter().enumerate() {
+                let label = format!("{name}, seed {seed}, checkpoint {i}");
+                let restored = fresh(make);
+                restored
+                    .restore(blob, &resolve)
+                    .unwrap_or_else(|e| panic!("{label}: restore failed: {e}"));
+                assert_eq!(&restored.checkpoint(), blob, "{label}: lossy restore");
+                let Some(next) = blobs.get(i + 1) else {
+                    continue;
+                };
+                let more = &steps[cuts[i + 1]..cuts[i + 2]];
+                apply(&*restored, more);
+                let warm = restored.checkpoint();
+                let twin = fresh(make);
+                twin.restore(blob, &resolve).expect("restored once already");
+                apply(&*twin, more);
+                assert_eq!(
+                    warm,
+                    twin.checkpoint(),
+                    "{label}: warm != cold after restore"
+                );
+                if !gc {
+                    // A restore does not carry the GC cadence, so only a
+                    // GC-free detector must meet the long-lived one again.
+                    assert_eq!(&warm, next, "{label}: resumed != uninterrupted");
+                }
+            }
         }
     }
 }
