@@ -4,9 +4,9 @@
 //! Replays the same mixed dictionary trace into RD2 (in both clock
 //! representations: the adaptive epoch fast path and the full-vector
 //! reference, so the before/after cost of the epoch compression is a
-//! single diff of adjacent rows), the sharded live `Rd2` analysis, and the
-//! direct detector, and an equally-sized read/write trace into FastTrack,
-//! so the per-event costs are directly comparable. The epoch-hit rate of
+//! single diff of adjacent rows) and the direct detector, and an
+//! equally-sized read/write trace into FastTrack, so the per-event costs
+//! are directly comparable. The epoch-hit rate of
 //! the benchmarked trace is printed alongside the timings.
 //!
 //! A local tool: it prints one line per row and writes no file. The
@@ -15,7 +15,7 @@
 
 use crace_bench::{local_dict_trace, mixed_dict_trace, rw_trace, sharded_dict_trace, OBJ};
 use crace_core::{
-    translate, Checkpoint, ClockMode, Direct, ParallelConfig, ParallelRd2, Rd2, TraceDetector,
+    translate, Checkpoint, ClockMode, Direct, ParallelConfig, ParallelRd2, TraceDetector,
 };
 use crace_fasttrack::FastTrack;
 use crace_model::{
@@ -162,17 +162,6 @@ fn bench_per_event(c: &mut Criterion) {
         );
     }
 
-    // The live sharded analysis (published clock snapshots, per-object
-    // mutexes) driven from one thread — measures hot-path bookkeeping, not
-    // contention.
-    group.bench_function("rd2-live", |b| {
-        b.iter(|| {
-            let detector = Rd2::new();
-            detector.register(OBJ, Arc::clone(&compiled));
-            replay(&dict_trace, &detector)
-        });
-    });
-
     // The direct detector is quadratic: run it on a 10× smaller trace and
     // report per-element cost (still ~10× worse per event at this size).
     let small_trace = mixed_dict_trace(N / 10, 4, 64, 0xFEED);
@@ -191,18 +180,13 @@ fn bench_per_event(c: &mut Criterion) {
         });
     });
 
-    // The sharded parallel pipeline vs the serial replay paths, all on the
-    // same many-thread multi-dictionary trace. The serial trace detector
-    // pays a sync-clock clone per action (O(threads), and this trace has
-    // 256 threads precisely because many-thread traces are where the
-    // pipeline earns its keep); the pipeline's workers read `Arc`'d
-    // clocks the ingress replayed once, so the pipeline comes out ahead
-    // even on one CPU, and on many CPUs the shards additionally detect
-    // concurrently. Each iteration builds the whole pipeline (thread
-    // spawn included) and ends with the report barrier, so setup and
-    // merge are priced in — which is why these rows use a 10× longer
-    // trace: spawning N worker threads is a fixed millisecond-scale cost
-    // that would otherwise drown the per-event story for both sides.
+    // The sharded parallel pipeline on a many-thread multi-dictionary
+    // trace (256 threads: many-thread traces are where the pipeline earns
+    // its keep). Each iteration builds the whole pipeline (thread spawn
+    // included) and ends with the report barrier, so setup and merge are
+    // priced in — which is why these rows use a 10× longer trace:
+    // spawning N worker threads is a fixed millisecond-scale cost that
+    // would otherwise drown the per-event story.
     let sharded = Arc::new(sharded_dict_trace(
         SHARD_N,
         SHARD_THREADS,
@@ -212,26 +196,6 @@ fn bench_per_event(c: &mut Criterion) {
     ));
     let objects: Vec<ObjId> = (1..=SHARD_OBJECTS).map(ObjId).collect();
     group.throughput(Throughput::Elements(SHARD_N as u64));
-
-    group.bench_function("rd2-serial-sharded", |b| {
-        b.iter(|| {
-            let detector = TraceDetector::new();
-            for &obj in &objects {
-                detector.register(obj, Arc::clone(&compiled));
-            }
-            replay(&sharded, &detector)
-        });
-    });
-
-    group.bench_function("rd2-live-sharded", |b| {
-        b.iter(|| {
-            let detector = Rd2::new();
-            for &obj in &objects {
-                detector.register(obj, Arc::clone(&compiled));
-            }
-            replay(&sharded, &detector)
-        });
-    });
 
     // The parallel rows take the zero-copy offline path (`ingest_shared`):
     // a recorded trace is already a shared immutable buffer, so the

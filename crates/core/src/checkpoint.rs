@@ -405,13 +405,12 @@ pub use crace_vclock::ckpt::{sync_read, sync_write};
 // ---------------------------------------------------------------------
 
 /// The checkpoint kind every RD2 front-end writes and reads —
-/// `TraceDetector`, `Rd2` and `ParallelRd2` at any worker count — since
-/// they fold the stream into one logical state.
+/// `TraceDetector` and `ParallelRd2` at any worker count — since they
+/// fold the stream into one logical state.
 pub(crate) const RD2_KIND: &str = "rd2";
 
 /// The counters an `rd2` checkpoint's `meta` record carries besides the
-/// configuration. A front-end that keeps no event counts (`Rd2`) writes
-/// zeros for them.
+/// configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Rd2Meta {
     /// Events shed by the abandoned-thread filter.

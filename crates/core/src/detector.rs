@@ -1,4 +1,5 @@
-//! The offline/single-consumer commutativity race detector.
+//! The in-process commutativity race detector, for recorded traces and
+//! live programs alike.
 
 use crate::checkpoint::{rd2_writer, Rd2Meta, Rd2State, RD2_KIND};
 use crate::engine::ClockMode;
@@ -13,10 +14,10 @@ use std::sync::Arc;
 /// The commutativity race detector of §5 over a single event stream —
 /// Table 1 synchronization handling plus Algorithm 1 per action.
 ///
-/// `TraceDetector` implements [`Analysis`] behind one internal lock, which
-/// makes it ideal for replaying recorded traces ([`crace_model::replay`])
-/// and for tests; for live multi-threaded programs prefer [`crate::Rd2`],
-/// which shards its state.
+/// `TraceDetector` implements [`Analysis`] behind one internal lock, so
+/// the same detector replays recorded traces ([`crace_model::replay`]) and
+/// takes the events of a live multi-threaded program from every thread at
+/// once; [`crate::ParallelRd2`] is the path for width.
 ///
 /// Objects must be [registered](TraceDetector::register) with a compiled
 /// specification; actions on unregistered objects are ignored, mirroring
@@ -46,6 +47,11 @@ struct Inner {
     /// Length of the last checkpoint, the next one's starting capacity.
     ckpt_len: usize,
 }
+
+/// RD2, the paper's name for its tool: Algorithm 1 over a Table 1 event
+/// stream, which [`TraceDetector`] is. Live programs, the runtime and the
+/// Table 2 workloads use this name.
+pub type Rd2 = TraceDetector;
 
 impl TraceDetector {
     /// Creates a detector with no registered objects, using the adaptive
@@ -94,8 +100,7 @@ impl TraceDetector {
 
     /// Creates a detector that records one-in-`sample_every` `on_action`
     /// dispatches as spans on `tracer`'s `rd2` lane (phase
-    /// `rd2.on_action`), like [`crate::Rd2::with_tracer`].
-    /// `sample_every == 0` disables the sampling.
+    /// `rd2.on_action`). `sample_every == 0` disables the sampling.
     pub fn with_tracer(tracer: &crace_obs::Tracer, sample_every: u64) -> TraceDetector {
         TraceDetector::new().traced(tracer, sample_every)
     }

@@ -1,4 +1,4 @@
-//! [`FrontEnd`]: the one interface of the three RD2 detectors.
+//! [`FrontEnd`]: the one interface of the two RD2 detectors.
 
 use crate::points::CompiledSpec;
 use crate::Checkpoint;
@@ -7,9 +7,9 @@ use crace_obs::Registry;
 use crace_vclock::ClockStats;
 use std::sync::Arc;
 
-/// An RD2 front-end: the serial [`TraceDetector`](crate::TraceDetector),
-/// the live [`Rd2`](crate::Rd2) or the [`ParallelRd2`](crate::ParallelRd2)
-/// pipeline. All three run Algorithm 1 on the same shard, give
+/// An RD2 front-end: the serial [`TraceDetector`](crate::TraceDetector)
+/// or the [`ParallelRd2`](crate::ParallelRd2) pipeline. Both run
+/// Algorithm 1 on the same shard, give
 /// bit-for-bit equal reports and read and write the one `rd2` checkpoint
 /// kind, so a caller that picks the worker count at run time builds one of
 /// them and drives a `Box<dyn FrontEnd>` from then on.
@@ -82,7 +82,7 @@ pub(crate) fn feed_work(registry: &Registry, prefix: &str, probes: u64, clocks: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{translate, ParallelRd2, Rd2, TraceDetector};
+    use crate::{translate, ParallelRd2, TraceDetector};
     use crace_model::{replay, Action, Event, MethodId, ThreadId, Trace, Value};
     use crace_obs::MetricValue;
 
@@ -119,9 +119,8 @@ mod tests {
     #[test]
     fn feeding_twice_leaves_every_counter_unchanged() {
         let spec = Arc::new(translate(&crace_spec::builtin::dictionary()).unwrap());
-        let front_ends: [(&str, Box<dyn FrontEnd>); 3] = [
+        let front_ends: [(&str, Box<dyn FrontEnd>); 2] = [
             ("serial", Box::new(TraceDetector::new())),
-            ("rd2", Box::new(Rd2::new())),
             ("w2", Box::new(ParallelRd2::new(2))),
         ];
         for (name, detector) in front_ends {

@@ -9,9 +9,10 @@
 //!   Appendix A.3 (consolidation, dropping, cleanup, congruence
 //!   replacement) — [`translate`],
 //! * **Algorithm 1**, the online commutativity race detector combining the
-//!   access points with vector clocks (§5.3) — [`TraceDetector`] for
-//!   recorded traces and [`Rd2`] for live multi-threaded programs, plus the
-//!   [`ParallelRd2`] pipeline; all three implement [`FrontEnd`],
+//!   access points with vector clocks (§5.3) — [`TraceDetector`] (also
+//!   named [`Rd2`], the paper's name for the tool) for recorded traces and
+//!   live multi-threaded programs alike, and the [`ParallelRd2`] pipeline
+//!   for width; both implement [`FrontEnd`],
 //! * the **direct detector** (§5.1), which checks the logical specification
 //!   pairwise against all previous actions — the Θ(|A|)-per-action baseline
 //!   the access-point representation improves on — [`DirectDetector`] /
@@ -70,7 +71,7 @@ mod shard;
 mod translate;
 
 pub use checkpoint::{builtin_resolver, Checkpoint, SpecResolver};
-pub use detector::TraceDetector;
+pub use detector::{Rd2, TraceDetector};
 pub use direct::{Direct, DirectDetector};
 pub use engine::{ClockMode, ObjState, RaceHit};
 pub use front_end::FrontEnd;
@@ -78,9 +79,6 @@ pub use points::{AccessPoint, ClassId, CompiledSpec, PointKind, TranslationStats
 pub use translate::{
     translate, translate_with, OptPass, TranslateError, A3_PIPELINE, MAX_ATOMS_PER_METHOD,
 };
-
-mod rd2;
-pub use rd2::Rd2;
 
 mod parallel;
 pub use parallel::{ParallelConfig, ParallelRd2, ParallelStats, WorkerStats};

@@ -6,11 +6,10 @@
 //! workers, each owning a disjoint slice of the 64-way object-shard space:
 //!
 //! * **routing** — action events are dispatched to the worker owning their
-//!   object's shard (`(obj % 64) % N`, the same shard function the live
-//!   [`Rd2`](crate::Rd2) uses), so each access point is only ever touched
-//!   by one worker and workers need no locks around their shadow state —
-//!   each worker runs Algorithm 1 through its own `Shard`, the same state
-//!   machine the serial detector is;
+//!   object's shard (`(obj % 64) % N`), so each access point is only ever
+//!   touched by one worker and workers need no locks around their shadow
+//!   state — each worker runs Algorithm 1 through its own `Shard`, the
+//!   same state machine the serial detector is;
 //! * **one admission step** — every event, fed online through the `on_*`
 //!   callbacks or recorded and passed to [`ParallelRd2::ingest_shared`],
 //!   goes through the same ingress step: the abandoned-thread shed filter,
@@ -62,7 +61,6 @@ use crate::checkpoint::{rd2_writer, write_blocks, Blocks, Rd2Meta, Rd2State, RD2
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
-use crate::rd2::OBJ_SHARDS;
 use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, Event, LockId, ObjId, RaceReport, ThreadId, Trace};
 use crace_obs::trace::{Lane, PhaseId, Tracer};
@@ -73,6 +71,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Number of object shards. Objects route to shards by `obj % OBJ_SHARDS`
+/// and shards to workers by `shard % workers`, so the width is at most
+/// this.
+const OBJ_SHARDS: usize = 64;
 
 /// Maximum in-flight messages per worker ring; producers block (back
 /// pressure) when a ring is full.
@@ -384,9 +387,9 @@ struct Cut {
 
 /// The sharded parallel commutativity race detector.
 ///
-/// Functionally identical to the serial [`Rd2`](crate::Rd2) — the
-/// differential suite asserts bit-for-bit equal [`RaceReport`]s — but the
-/// per-event work is split between a thin ingress (admit, route, chunk)
+/// Functionally identical to the serial [`TraceDetector`](crate::TraceDetector)
+/// — the differential suite asserts bit-for-bit equal [`RaceReport`]s — but
+/// the per-event work is split between a thin ingress (admit, route, chunk)
 /// and N single-owner workers that run phase 1/phase 2 of Algorithm 1
 /// without any locking around their shadow state.
 ///
@@ -448,7 +451,8 @@ impl ParallelRd2 {
     }
 
     /// Spawns a pipeline that collects race provenance with the given
-    /// event window, as [`Rd2::with_provenance`](crate::Rd2::with_provenance).
+    /// event window, as
+    /// [`TraceDetector::with_provenance`](crate::TraceDetector::with_provenance).
     pub fn with_provenance(workers: usize, window: usize) -> ParallelRd2 {
         ParallelRd2::with_config(
             workers,
@@ -1111,7 +1115,7 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
 mod tests {
     use super::*;
     use crate::translate;
-    use crate::{FrontEnd, Rd2};
+    use crate::{FrontEnd, TraceDetector};
     use crace_model::Value;
     use crace_spec::builtin;
 
@@ -1166,7 +1170,7 @@ mod tests {
                 ..ParallelConfig::default()
             },
         );
-        let serial = Rd2::new();
+        let serial = TraceDetector::new();
         for obj in 1..=8u64 {
             parallel.register(ObjId(obj), Arc::clone(&compiled));
             serial.register(ObjId(obj), Arc::clone(&compiled));
@@ -1230,7 +1234,7 @@ mod tests {
     fn shared_ingestion_matches_per_event_dispatch_and_serial() {
         let (spec, compiled) = dict_pair();
         let trace = Arc::new(recorded_trace(&spec));
-        let serial = Rd2::new();
+        let serial = TraceDetector::new();
         for obj in 1..=6u64 {
             serial.register(ObjId(obj), Arc::clone(&compiled));
         }
@@ -1346,7 +1350,7 @@ mod tests {
             // The poison writes nothing, so the worker skips it in place
             // and the final report is bit-for-bit the serial one.
             let rd2 = ParallelRd2::new(1);
-            let serial = Rd2::new();
+            let serial = TraceDetector::new();
             rd2.register(ObjId(1), Arc::clone(&compiled));
             serial.register(ObjId(1), Arc::clone(&compiled));
             let pre = |a: &dyn Analysis| {
@@ -1385,7 +1389,7 @@ mod tests {
                     ..ParallelConfig::default()
                 },
             );
-            let serial = Rd2::new();
+            let serial = TraceDetector::new();
             for obj in 1..=4u64 {
                 rd2.register(ObjId(obj), Arc::clone(&compiled));
                 serial.register(ObjId(obj), Arc::clone(&compiled));

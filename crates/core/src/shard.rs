@@ -7,10 +7,8 @@
 //! them, keyed by the ingress sequence number of the racing action.
 //! It is the only caller of Algorithm 1 ([`ObjState`]) among the detectors:
 //! [`TraceDetector`](crate::TraceDetector) is one shard behind a lock,
-//! [`Rd2`](crate::Rd2) is 64 shards behind one mutex each (objects routed
-//! by `obj % 64`), and each [`ParallelRd2`](crate::ParallelRd2) worker owns
-//! one shard. The front-ends also share the spec cache and the shed filter
-//! below.
+//! and each [`ParallelRd2`](crate::ParallelRd2) worker owns one shard.
+//! The front-ends also share the spec cache and the shed filter below.
 
 use crate::engine::{ClockMode, ObjState, PointLines, RaceHit};
 use crate::fxhash::FxHashMap;

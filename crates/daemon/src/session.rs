@@ -487,8 +487,10 @@ impl Session {
             }
             w.rec(&rec);
         }
-        let mut blob = w.finish();
-        blob.push_str(&sa.detector.checkpoint());
+        // The short header goes in front of the detector's blob, whose
+        // writer left room for it, so the blob is never copied whole.
+        let mut blob = sa.detector.checkpoint();
+        blob.insert_str(0, &w.finish());
         (blob, seq)
     }
 

@@ -10,8 +10,8 @@ use std::sync::{Mutex, PoisonError};
 /// the order the instrumentation emitted events (per-thread program order
 /// and lock-protected critical sections are preserved — see the runtime's
 /// emission discipline). Recordings can be replayed offline into any
-/// detector, written to the textual trace format, or fed to the atomicity
-/// checker — the RoadRunner record-and-replay workflow.
+/// detector or written to the textual trace format — the RoadRunner
+/// record-and-replay workflow.
 ///
 /// # Examples
 ///

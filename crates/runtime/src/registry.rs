@@ -1,7 +1,7 @@
 //! The [`ObjectRegistry`] trait: analyses that can be told about new
 //! monitored objects.
 
-use crace_core::{Direct, ParallelRd2, Rd2, TraceDetector};
+use crace_core::{Direct, ParallelRd2, TraceDetector};
 use crace_fasttrack::FastTrack;
 use crace_model::{Analysis, Isolated, NoopAnalysis, ObjId, Observer, Recorder};
 use crace_spec::Spec;
@@ -30,13 +30,6 @@ impl ObjectRegistry for NoopAnalysis {}
 impl ObjectRegistry for Recorder {}
 
 impl ObjectRegistry for FastTrack {}
-
-impl ObjectRegistry for Rd2 {
-    fn on_new_object(&self, obj: ObjId, spec: &Spec) {
-        self.register_spec(obj, spec)
-            .expect("monitored objects use ECL specifications");
-    }
-}
 
 impl ObjectRegistry for ParallelRd2 {
     fn on_new_object(&self, obj: ObjId, spec: &Spec) {
@@ -89,7 +82,6 @@ mod tests {
         fn assert_registry<T: ObjectRegistry>(_: &T) {}
         assert_registry(&NoopAnalysis::new());
         assert_registry(&FastTrack::new());
-        assert_registry(&Rd2::new());
         assert_registry(&ParallelRd2::new(2));
         assert_registry(&TraceDetector::new());
         assert_registry(&Direct::new());

@@ -30,10 +30,10 @@ pub enum Observation {
 ///
 /// # Exactness
 ///
-/// Against the clocks produced by [`crate::SyncClocks`] /
-/// [`crate::PublishedClocks`] over a *well-formed* trace (no events of a
-/// thread after it is joined), the adaptive representation answers every
-/// happens-before query identically to the full vector it stands for:
+/// Against the clocks produced by [`crate::SyncClocks`] over a
+/// *well-formed* trace (no events of a thread after it is joined), the
+/// adaptive representation answers every happens-before query identically
+/// to the full vector it stands for:
 ///
 /// * An epoch `c@t` stands for the acting thread's full clock `C` at the
 ///   access, where `c = C(t)`. Every export of `t`'s component (fork,

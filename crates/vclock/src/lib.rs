@@ -1,7 +1,6 @@
 //! Vector clocks and happens-before machinery (§3.2 of the paper).
 //!
-//! This crate provides the three pieces of temporal bookkeeping the
-//! detectors share:
+//! This crate provides the temporal bookkeeping the detectors share:
 //!
 //! * [`VectorClock`] — the lattice `VC = Tid → ℕ` with pointwise order `⊑`,
 //!   join `⊔`, bottom `⊥` and the per-component increment `inc_υ`,
@@ -13,10 +12,7 @@
 //! * [`AdaptiveClock`] — a per-access-point clock that stays an epoch
 //!   while accesses are totally ordered and promotes to a full vector on
 //!   the first concurrent access, with [`ClockStats`] counting how often
-//!   the compressed path was taken,
-//! * [`PublishedClocks`] — the Table 1 state sharded for concurrent
-//!   detectors: reading a thread's clock on the action hot path takes no
-//!   process-global lock and copies no vector.
+//!   the compressed path was taken.
 //!
 //! # Examples
 //!
@@ -41,12 +37,10 @@ mod adaptive;
 pub mod ckpt;
 mod clock;
 mod epoch;
-mod published;
 mod sync;
 
 pub use adaptive::{AdaptiveClock, ClockStats, Observation};
 pub use ckpt::{CkptError, CkptReader, CkptWriter};
 pub use clock::VectorClock;
 pub use epoch::Epoch;
-pub use published::PublishedClocks;
 pub use sync::SyncClocks;

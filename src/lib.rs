@@ -12,7 +12,8 @@
 //! * [`spec`] — the ECL specification language: parser, resolver, fragment
 //!   checker, builtin specifications (dictionary/set/counter/…),
 //! * [`core`] — the ECL → access-point translation and the Algorithm 1
-//!   detectors ([`Rd2`], [`TraceDetector`]) plus the naive
+//!   detectors ([`Rd2`], the paper's name for [`TraceDetector`], and the
+//!   [`ParallelRd2`] pipeline) plus the naive
 //!   [`Direct`] baseline and a quadratic test [`oracle`](core::oracle),
 //! * [`speclint`] — static analysis for specifications (`crace lint`):
 //!   fragment conformance, symmetry and orientation consistency,
@@ -36,10 +37,6 @@
 //!   latency histograms behind a [`Registry`], rendered as JSON or
 //!   Prometheus text from a [`Snapshot`], fed by the [`Observer`] tee and
 //!   surfaced as race provenance in `crace replay --explain`,
-//! * [`atomicity`] — Velodrome-style atomicity checking generalized to
-//!   access-point conflicts (the §8 extension),
-//! * [`boost`] — abstract locking from access points (commutativity-based
-//!   optimistic concurrency control),
 //! * [`cli`] — the textual trace format behind the `crace` command-line
 //!   tool,
 //! * [`daemon`] — the multi-tenant streaming detection service
@@ -92,8 +89,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use crace_atomicity as atomicity;
-pub use crace_boost as boost;
 pub use crace_cli as cli;
 pub use crace_core as core;
 pub use crace_daemon as daemon;
@@ -107,8 +102,6 @@ pub use crace_specsynth as specsynth;
 pub use crace_vclock as vclock;
 pub use crace_workloads as workloads;
 
-pub use crace_atomicity::AtomicityChecker;
-pub use crace_boost::LockManager;
 pub use crace_core::{
     translate, ClockMode, Direct, ParallelConfig, ParallelRd2, ParallelStats, Rd2, TraceDetector,
     TranslateError,
@@ -127,4 +120,4 @@ pub use crace_runtime::{
 pub use crace_spec::{parse as parse_spec, Spec, SpecBuilder};
 pub use crace_speclint::{lint as lint_spec, lint_with, LintOptions, LintReport};
 pub use crace_specsynth::{synthesize, synthesize_all, SynthConfig, SynthError, Synthesis};
-pub use crace_vclock::{AdaptiveClock, ClockStats, PublishedClocks, VectorClock};
+pub use crace_vclock::{AdaptiveClock, ClockStats, VectorClock};

@@ -9,10 +9,10 @@
 //!
 //! This file proves that equivalence bit-for-bit (`RaceReport` derives
 //! `Eq`) on randomly generated well-formed programs, split at random
-//! boundaries, for every checkpointable detector: the offline
-//! [`TraceDetector`], the live [`Rd2`], and the sharded [`ParallelRd2`]
+//! boundaries, for every checkpointable detector: the in-process
+//! [`TraceDetector`] (also named `Rd2`) and the sharded [`ParallelRd2`]
 //! at worker counts 1/2/4/8 here, and the [`FastTrack`] baseline inside
-//! `common::assert_all_paths_agree`, which every sweep runs. The three RD2
+//! `common::assert_all_paths_agree`, which every sweep runs. The RD2
 //! front-ends share one checkpoint kind, so every one of them must also
 //! restore every other's checkpoint, at any width. It also checks
 //! the fail-closed half of the contract — a version-bumped, truncated,
@@ -36,16 +36,16 @@ use crace::core::{
 use crace::model::replay;
 use crace::spec::builtin;
 use crace::vclock::CkptError;
-use crace::{translate, Action, Analysis, Event, FastTrack, ObjId, Rd2, ThreadId, Trace, Value};
+use crace::{translate, Action, Analysis, Event, FastTrack, ObjId, ThreadId, Trace, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const OBJECTS: u64 = 4;
 
 /// `restore(checkpoint(fold(prefix))) ≡ fold(prefix)` for the serial
-/// detectors — Rd2 and TraceDetector, each restoring its own checkpoint —
-/// on random programs split at random boundaries. The harness adds a
-/// cross-front-end restore and FastTrack in both provenance modes.
+/// detector restoring its own checkpoint, on random programs split at
+/// random boundaries. The harness adds a cross-front-end restore and
+/// FastTrack in both provenance modes.
 #[test]
 fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
     let spec = builtin::dictionary();
@@ -53,18 +53,9 @@ fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
         let trace = random_trace(&spec, seed, 140, OBJECTS);
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0xC4E9).gen_range(0..=trace.len());
-        let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
         let serial = || monitored(TraceDetector::new(), &spec, OBJECTS);
-        let label = |kind: &str| format!("{kind} seed {seed} split {split}");
-        assert_resumes(&label("rd2"), &rd2(), &rd2(), &trace, split, &expected);
-        assert_resumes(
-            &label("serial"),
-            &serial(),
-            &serial(),
-            &trace,
-            split,
-            &expected,
-        );
+        let label = format!("serial seed {seed} split {split}");
+        assert_resumes(&label, &serial(), &serial(), &trace, split, &expected);
     }
 }
 
@@ -173,7 +164,7 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
 #[test]
 fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
     let spec = builtin::dictionary();
-    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
     let trace = random_trace(&spec, 7, 120, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
@@ -217,7 +208,7 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
 #[test]
 fn truncated_checkpoints_fail_closed() {
     let spec = builtin::dictionary();
-    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
     let trace = random_trace(&spec, 11, 100, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
@@ -244,7 +235,7 @@ fn truncated_checkpoints_fail_closed() {
 #[test]
 fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
     let spec = builtin::dictionary();
-    let rd2 = || monitored(Rd2::new(), &spec, OBJECTS);
+    let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
     let trace = random_trace(&spec, 13, 100, OBJECTS);
     let split = trace.len() / 2;
     let uninterrupted = replay(&trace, &rd2());
@@ -470,10 +461,9 @@ enum Step {
 ///   the cold checkpoint of a second one restored and fed the same way
 ///   (and, without GC, the long-lived detector's next blob).
 ///
-/// The front-ends are the serial detector, `Rd2`, and the pipeline at
-/// widths 1, 2 and 4 with and without epoch GC, each with and without a
-/// provenance window; the serial detector and `Rd2` also run with
-/// full-vector clocks.
+/// The front-ends are the serial detector and the pipeline at widths 1, 2
+/// and 4 with and without epoch GC, each with and without a provenance
+/// window; the serial detector also runs with full-vector clocks.
 #[test]
 fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
     type Make = Box<dyn Fn() -> Box<dyn FrontEnd>>;
@@ -489,14 +479,6 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
             Box::new(move || match window {
                 Some(w) => Box::new(TraceDetector::with_provenance(w)),
                 None => Box::new(TraceDetector::new()),
-            }),
-        ));
-        cases.push((
-            format!("rd2{prov}"),
-            false,
-            Box::new(move || match window {
-                Some(w) => Box::new(Rd2::with_provenance(w)),
-                None => Box::new(Rd2::new()),
             }),
         ));
         for workers in [1usize, 2, 4] {
@@ -519,11 +501,6 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
         "serial full-vector".into(),
         false,
         Box::new(|| Box::new(TraceDetector::with_mode(ClockMode::FullVector))),
-    ));
-    cases.push((
-        "rd2 full-vector".into(),
-        false,
-        Box::new(|| Box::new(Rd2::with_mode(ClockMode::FullVector))),
     ));
     let fresh = |make: &Make| {
         let detector = make();

@@ -3,10 +3,11 @@
 //!
 //! Theorem 5.1 says Algorithm 1 reports a race iff the trace has one. The
 //! harness checks that on every execution path the repo has: the serial
-//! [`TraceDetector`] is anchored to the quadratic oracle, and every other
-//! front-end — live [`Rd2`], the [`ParallelRd2`] pipeline at every width
-//! (online, zero-copy shared, with epoch GC, full-vector clocks), traced
-//! runs, checkpoint-and-resume across front-ends and widths, and in-process
+//! [`TraceDetector`] (the one in-process detector, also named `Rd2`) is
+//! anchored to the quadratic oracle, and every other path — full-vector
+//! clocks, the [`ParallelRd2`] pipeline at every width (online, zero-copy
+//! shared, with epoch GC, full-vector clocks), traced runs,
+//! checkpoint-and-resume across front-ends and widths, and in-process
 //! daemon sessions — must produce a bit-for-bit equal [`RaceReport`].
 //!
 //! Each integration suite includes this module with `mod common;` and uses
@@ -21,7 +22,7 @@ use crace::core::{builtin_resolver, oracle, Checkpoint, CompiledSpec, FrontEnd, 
 use crace::daemon::SessionConfig;
 use crace::{
     replay, translate, Action, Analysis, ClockMode, Direct, Event, FastTrack, LocId, LockId,
-    MethodId, ObjId, ParallelConfig, ParallelRd2, RaceReport, Rd2, Session, Spec, ThreadId, Trace,
+    MethodId, ObjId, ParallelConfig, ParallelRd2, RaceReport, Session, Spec, ThreadId, Trace,
     TraceDetector, Tracer, Value,
 };
 use rand::rngs::StdRng;
@@ -117,14 +118,12 @@ pub fn monitored<D: FrontEnd>(detector: D, spec: &Spec, objects: u64) -> D {
 /// Builds a fresh, monitored front-end.
 pub type Make = Box<dyn Fn() -> Box<dyn FrontEnd>>;
 
-/// Every RD2 front-end: the serial detector, live `Rd2`, and the pipeline
-/// at every width with the given batch size. The 4-worker pipeline runs
-/// epoch GC, so a restore must rebuild a sound GC live set too.
+/// Every RD2 front-end: the serial detector and the pipeline at every
+/// width with the given batch size. The 4-worker pipeline runs epoch GC,
+/// so a restore must rebuild a sound GC live set too.
 pub fn front_ends(spec: &Spec, objects: u64, batch: usize) -> Vec<(String, Make)> {
-    let mut all: Vec<(String, Make)> = vec![
-        ("serial".into(), Box::new(|| Box::new(TraceDetector::new()))),
-        ("rd2".into(), Box::new(|| Box::new(Rd2::new()))),
-    ];
+    let mut all: Vec<(String, Make)> =
+        vec![("serial".into(), Box::new(|| Box::new(TraceDetector::new())))];
     for workers in WIDTHS {
         let cfg = ParallelConfig {
             batch,
@@ -210,8 +209,8 @@ impl Knobs {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             });
         let mut rng = StdRng::seed_from_u64(hash);
-        // The serial detector, `Rd2`, and the pipeline at every width.
-        let front_ends = WIDTHS.len() + 2;
+        // The serial detector and the pipeline at every width.
+        let front_ends = WIDTHS.len() + 1;
         let from = rng.gen_range(0..front_ends);
         Knobs {
             batch: [1, 3, 7, 512][rng.gen_range(0..4)],
@@ -229,13 +228,13 @@ impl Knobs {
 /// * Theorem 5.1 on the reference: the serial [`TraceDetector`] reports a
 ///   race iff the quadratic oracle finds a racing pair, and [`Direct`]
 ///   counts exactly the oracle's pairs;
-/// * bit-for-bit report equality with the reference for live `Rd2`; the
-///   pipeline at every width, online and through `ingest_shared`; epoch
-///   GC and full-vector clocks; traced serial and pipeline runs; a
-///   checkpoint at a cut restored into a different front-end at another
-///   width (and FastTrack resumed against uninterrupted FastTrack); and
-///   in-process daemon sessions, serial and sharded, whose JSON must be
-///   the reference's.
+/// * bit-for-bit report equality with the reference for serial
+///   full-vector clocks; the pipeline at every width, online and through
+///   `ingest_shared`; epoch GC and full-vector clocks in the pipeline;
+///   traced serial and pipeline runs; a checkpoint at a cut restored into
+///   a different front-end at another width (and FastTrack resumed against
+///   uninterrupted FastTrack); and in-process daemon sessions, serial and
+///   sharded, whose JSON must be the reference's.
 ///
 /// Objects `1..=objects` are monitored with `spec`.
 pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceReport {
@@ -276,12 +275,10 @@ pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceR
     traced.tracer = Some(Arc::new(Tracer::new()));
     let tracer = Tracer::new();
     let mut paths: Vec<(String, Box<dyn FrontEnd>)> = vec![
-        ("rd2".into(), Box::new(Rd2::new())),
         (
             "serial full-vector".into(),
             Box::new(TraceDetector::with_mode(full)),
         ),
-        ("rd2 full-vector".into(), Box::new(Rd2::with_mode(full))),
         (
             "serial traced".into(),
             Box::new(TraceDetector::with_tracer(&tracer, 1)),

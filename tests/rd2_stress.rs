@@ -1,17 +1,16 @@
-//! Concurrency stress tests for the lock-free `Rd2` hot path.
+//! Concurrency stress tests for the in-process detector on real threads.
 //!
-//! `Rd2::on_action` takes no process-global lock: thread clocks are read
-//! from sharded published snapshots and object shadow state lives behind
-//! per-object mutexes in a sharded map. These tests drive it with real
-//! threads through the instrumented runtime and check it against results
-//! that are *invariant under scheduling*:
+//! [`Rd2`] (the paper's name for [`TraceDetector`]) takes every event
+//! under one lock, from whichever thread delivers it. These tests drive it
+//! with real threads through the instrumented runtime and check it against
+//! results that are *invariant under scheduling*:
 //!
 //! 1. workloads whose race count is the same in every linearization
 //!    (disjoint keys → zero; k pairwise-concurrent same-key writes → k−1),
 //! 2. an exact record/replay differential: a `Tee` analysis atomically
 //!    feeds every event to both a [`Recorder`] and a live [`Rd2`], and the
-//!    recorded trace replayed through the serial [`TraceDetector`] must
-//!    yield a bit-for-bit identical [`RaceReport`].
+//!    recorded trace replayed through a fresh detector must yield a
+//!    bit-for-bit identical [`RaceReport`].
 
 use std::sync::{Arc, Mutex};
 
@@ -137,9 +136,8 @@ fn lock_protected_writers_never_race() {
 /// An [`Analysis`] that atomically forwards every event to both a
 /// [`Recorder`] and a live [`Rd2`]. The mutex serializes the pair, so the
 /// recorded trace is exactly the event order the live detector saw — which
-/// makes an *exact* (not merely existence-level) differential against the
-/// serial [`TraceDetector`] possible even though race totals are
-/// schedule-dependent.
+/// makes an *exact* (not merely existence-level) differential against a
+/// serial replay possible even though race totals are schedule-dependent.
 struct Tee {
     gate: Mutex<()>,
     recorder: Recorder,
@@ -263,7 +261,7 @@ fn live_rd2_report_equals_serial_replay_of_the_recorded_trace() {
 
         assert_eq!(
             live, replayed,
-            "round {round}: live sharded Rd2 and serial replay diverge"
+            "round {round}: live Rd2 and serial replay diverge"
         );
         assert!(live.total() > 0, "round {round}: workload must race");
     }

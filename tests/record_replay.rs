@@ -1,12 +1,11 @@
 //! Record-and-replay integration: capture a live workload run with the
-//! [`Recorder`], then replay the recording into offline detectors, the
-//! textual trace format, and the atomicity checker.
+//! [`Recorder`], then replay the recording into offline detectors and the
+//! textual trace format.
 
 use crace::cli::{parse_trace, render_trace};
 use crace::workloads::connections::run_connections;
 use crace::{
-    translate, Analysis, AtomicityChecker, Direct, MonitoredDict, Rd2, Recorder, Runtime,
-    TraceDetector, Value,
+    translate, Analysis, Direct, MonitoredDict, Rd2, Recorder, Runtime, TraceDetector, Value,
 };
 use crace_model::replay;
 use std::sync::Arc;
@@ -58,28 +57,6 @@ fn recording_round_trips_through_the_text_format() {
     let text = render_trace(&trace, spec);
     let reparsed = parse_trace(&text, spec).expect("rendered traces parse");
     assert_eq!(reparsed, trace);
-}
-
-#[test]
-fn recorded_workload_feeds_the_atomicity_checker() {
-    // Record a run where each thread's put is its own unary transaction —
-    // unary transactions cannot be non-serializable, so no violations.
-    let recorder = Arc::new(Recorder::new());
-    run_connections(recorder.clone(), &["a.com", "a.com"]);
-    let trace = recorder.snapshot();
-
-    let mut checker = AtomicityChecker::new();
-    let obj = trace
-        .iter()
-        .find_map(|e| e.action())
-        .map(|a| a.obj())
-        .expect("actions recorded");
-    checker.register(obj, Arc::new(translate(MonitoredDict::spec()).unwrap()));
-    for event in &trace {
-        checker.sync(event);
-    }
-    assert!(checker.violations().is_empty());
-    assert!(checker.num_txns() >= 3);
 }
 
 #[test]
