@@ -1,5 +1,5 @@
-//! Durable detector state: the [`Checkpoint`] trait and the shared
-//! serializers detectors use to implement it.
+//! Durable detector state: the [`Checkpoint`] trait and the one `rd2`
+//! checkpoint format every RD2 front-end implements it with.
 //!
 //! A detector is a deterministic fold over the event stream, so its
 //! state at any record boundary is a value. `checkpoint()` writes that
@@ -7,8 +7,8 @@
 //! [`crace_vclock::ckpt`]; `restore()` reads it back into a
 //! freshly-configured detector, after which
 //! `restore(checkpoint(fold(prefix))) ≡ fold(prefix)` — the equivalence
-//! `tests/checkpoint_equivalence.rs` proves differentially for every
-//! detector in the workspace.
+//! `tests/checkpoint_equivalence.rs` proves differentially for the serial
+//! detector and the pipeline at every width.
 //!
 //! Compiled specifications are deliberately **not** serialized: a
 //! checkpoint records each registered object's *spec name*, and restore
@@ -24,16 +24,14 @@
 
 use crate::engine::{ClockMode, ObjState};
 use crate::points::{AccessPoint, ClassId, CompiledSpec};
-use crate::shard::{Findings, GcCounters, Shard, ShardConfig, ShardSummary};
+use crate::shard::{Shard, ShardConfig};
 use crace_model::{
     Action, LocId, MethodId, ObjId, Provenance, RaceKind, RaceRecord, RaceReport, ThreadId, Value,
 };
 use crace_vclock::ckpt::{
-    clocks_write, esc, push_u64, stats_append, stats_parse, CkptError, CkptReader, CkptRecord,
-    CkptWriter,
+    clocks_write, esc, push_u64, sync_read, CkptError, CkptReader, CkptRecord, CkptWriter,
 };
 use crace_vclock::SyncClocks;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Resolves a registered object's spec name back to its compiled
@@ -47,14 +45,11 @@ pub type SpecResolver<'a> = dyn Fn(&str) -> Option<Arc<CompiledSpec>> + 'a;
 /// `restore` is called on a **freshly-constructed detector with the
 /// same configuration** (clock mode, provenance window); a checkpoint
 /// written under a different configuration is rejected — silently
-/// continuing with different semantics could change verdicts. The RD2
-/// front-ends share one kind (`rd2`), so a checkpoint of any of them
-/// restores into any other, at any worker count.
+/// continuing with different semantics could change verdicts. Every
+/// implementation writes the one `rd2` kind and refuses any other, so a
+/// checkpoint of any RD2 front-end restores into any other, at any worker
+/// count.
 pub trait Checkpoint {
-    /// The detector-kind tag in the checkpoint header (e.g. `rd2`).
-    /// Restore refuses a checkpoint of any other kind.
-    fn checkpoint_kind(&self) -> &'static str;
-
     /// Serializes the complete detector state.
     fn checkpoint(&self) -> String;
 
@@ -80,7 +75,7 @@ pub fn builtin_resolver() -> impl Fn(&str) -> Option<Arc<CompiledSpec>> {
 }
 
 // ---------------------------------------------------------------------
-// Word-level serializers shared by every detector impl.
+// Word-level serializers.
 // ---------------------------------------------------------------------
 
 /// A [`Value`] as a single word: `n` (nil), `b0`/`b1`, `i<int>`,
@@ -397,9 +392,6 @@ pub fn mode_parse(word: &str, line: usize) -> Result<ClockMode, CkptError> {
     }
 }
 
-/// Thin re-export so detector impls only import this module.
-pub use crace_vclock::ckpt::{sync_read, sync_write};
-
 // ---------------------------------------------------------------------
 // The one RD2 checkpoint kind.
 // ---------------------------------------------------------------------
@@ -408,6 +400,13 @@ pub use crace_vclock::ckpt::{sync_read, sync_write};
 /// `TraceDetector` and `ParallelRd2` at any worker count — since they
 /// fold the stream into one logical state.
 pub(crate) const RD2_KIND: &str = "rd2";
+
+/// The reserved fields of an `rd2` checkpoint: the `meta` record's three
+/// GC totals (points retired, probes and clock statistics of reclaimed
+/// states) and the `joined` record. Every writer emits these constants;
+/// they are what a detector without epoch GC always wrote there.
+const RESERVED_GC: [&str; 3] = ["0", "0", "0,0,0"];
+const RESERVED_JOINED: [&str; 2] = ["joined", "0"];
 
 /// The counters an `rd2` checkpoint's `meta` record carries besides the
 /// configuration.
@@ -419,44 +418,28 @@ pub(crate) struct Rd2Meta {
     pub events: u64,
     /// Synchronization events accepted.
     pub syncs: u64,
-    pub gc: GcCounters,
 }
 
-/// Starts the `rd2` checkpoint of a front-end whose objects live in the
-/// shards `summaries` were taken from ([`Shard::ckpt_summary`]), under
-/// the Table 1 clocks `sync`, and writes every record before the objects:
-/// `meta <mode> <window|-> <shed> <events> <syncs> <gc-retired>
-/// <gc-probes> <gc-stats>` (the shards' GC totals added into
-/// `meta.gc`); a `thread <tid> <vc>` record per initialized thread (tid
-/// order) and a `lock <id> <vc>` record per lock (id order); the
-/// `abandoned` set; the `joined` set (initialized threads outside the
-/// union of the shards' GC live sets, empty without GC); and the shards'
-/// findings merged into one report. The caller appends every registered
-/// object's block in id order ([`Shard::ckpt_objects`], or
-/// [`write_blocks`] for several shards) and finishes the writer.
+/// Starts the `rd2` checkpoint of a front-end under the Table 1 clocks
+/// `sync` and writes every record that precedes the report:
+/// `meta <mode> <window|-> <shed> <events> <syncs> 0 0 0,0,0` (the last
+/// three reserved); a `thread <tid> <vc>` record per initialized thread
+/// (tid order) and a `lock <id> <vc>` record per lock (id order); the
+/// `abandoned` set; and the reserved `joined 0`. The caller appends the
+/// report ([`report_write`] of the merged findings), then every
+/// registered object's block in id order ([`Shard::ckpt_objects`], or
+/// [`write_blocks`] for several shards), and finishes the writer.
 ///
 /// `last` is the length of the previous blob: the writer starts with room
 /// for it and an eighth more, so a blob a little longer than the last
 /// never doubles its buffer.
-pub(crate) fn rd2_writer(
+pub(crate) fn rd2_head(
     cfg: ShardConfig,
     sync: &SyncClocks,
-    mut meta: Rd2Meta,
+    meta: Rd2Meta,
     abandoned: &[ThreadId],
-    summaries: &[ShardSummary],
     last: usize,
 ) -> CkptWriter {
-    let mut live: Option<HashSet<ThreadId>> = Some(HashSet::new());
-    for shard in summaries {
-        meta.gc.merge(&shard.gc);
-        live = live.zip(shard.live.as_ref()).map(|(all, l)| &all | l);
-    }
-    let finished = |t: &ThreadId| live.as_ref().is_some_and(|live| !live.contains(t));
-    let joined: Vec<ThreadId> = sync
-        .initialized()
-        .map(|(t, _)| t)
-        .filter(finished)
-        .collect();
     let mut w = CkptWriter::with_capacity(RD2_KIND, last + last / 8);
     w.rec_with(|out| {
         out.push_str("meta ");
@@ -466,35 +449,25 @@ pub(crate) fn rd2_writer(
             Some(window) => push_u64(out, window as u64),
             None => out.push('-'),
         }
-        for n in [
-            meta.shed,
-            meta.events,
-            meta.syncs,
-            meta.gc.retired,
-            meta.gc.probes,
-        ] {
+        for n in [meta.shed, meta.events, meta.syncs] {
             out.push(' ');
             push_u64(out, n);
         }
-        out.push(' ');
-        stats_append(out, &meta.gc.stats);
+        for word in RESERVED_GC {
+            out.push(' ');
+            out.push_str(word);
+        }
     });
     clocks_write(&mut w, sync.initialized(), sync.lock_slots());
-    for (tag, tids) in [("abandoned", abandoned), ("joined", &joined[..])] {
-        w.rec_with(|out| {
-            out.push_str(tag);
+    w.rec_with(|out| {
+        out.push_str("abandoned ");
+        push_u64(out, abandoned.len() as u64);
+        for t in abandoned {
             out.push(' ');
-            push_u64(out, tids.len() as u64);
-            for t in tids {
-                out.push(' ');
-                push_u64(out, t.0.into());
-            }
-        });
-    }
-    report_write(
-        &mut w,
-        &Findings::merge(summaries.iter().map(|s| &s.findings)),
-    );
+            push_u64(out, t.0.into());
+        }
+    });
+    w.rec(&RESERVED_JOINED.join(" "));
     w
 }
 
@@ -540,7 +513,6 @@ pub(crate) struct Rd2State {
     /// The Table 1 clocks (uninitialized slots at ⊥).
     pub sync: SyncClocks,
     pub abandoned: Vec<ThreadId>,
-    joined: Vec<ThreadId>,
     pub report: RaceReport,
     pub objects: Vec<(ObjId, Arc<CompiledSpec>, ObjState)>,
 }
@@ -552,8 +524,10 @@ impl Rd2State {
     /// # Errors
     ///
     /// A spanned [`CkptError`] on any damage, on another kind (including
-    /// the retired `rd2-trace` / `rd2-parallel` kinds), or when the
-    /// checkpoint was written under a configuration other than `cfg`.
+    /// the retired `rd2-trace` / `rd2-parallel` kinds), when the
+    /// checkpoint was written under a configuration other than `cfg`, or
+    /// when a reserved field is not its constant (a blob of a detector
+    /// that ran epoch GC, whose state this one cannot hold).
     pub fn read(
         text: &str,
         resolve: &SpecResolver<'_>,
@@ -586,20 +560,25 @@ impl Rd2State {
             shed: head.num(3)?,
             events: head.num(4)?,
             syncs: head.num(5)?,
-            gc: GcCounters {
-                retired: head.num(6)?,
-                probes: head.num(7)?,
-                stats: stats_parse(head.word(8)?, head.line)?,
-            },
         };
+        if head.words[6..] != RESERVED_GC {
+            return Err(CkptError::at(
+                head.line,
+                "reserved GC totals are not `0 0 0,0,0` — written with epoch GC",
+            ));
+        }
         let sync = sync_read(&mut r)?;
-        let mut tids = |tag: &str| -> Result<Vec<ThreadId>, CkptError> {
-            let rec = expect(&mut r, tag)?;
-            (0..rec.num::<usize>(1)?)
-                .map(|i| rec.num(2 + i).map(ThreadId))
-                .collect()
-        };
-        let (abandoned, joined) = (tids("abandoned")?, tids("joined")?);
+        let rec = expect(&mut r, "abandoned")?;
+        let abandoned = (0..rec.num::<usize>(1)?)
+            .map(|i| rec.num(2 + i).map(ThreadId))
+            .collect::<Result<_, _>>()?;
+        let rec = expect(&mut r, "joined")?;
+        if rec.words != RESERVED_JOINED {
+            return Err(CkptError::at(
+                rec.line,
+                "reserved `joined` set is not empty — written with epoch GC",
+            ));
+        }
         let report = report_read(&mut r)?;
         let mut objects = Vec::new();
         while r.peek().is_some() {
@@ -619,30 +598,17 @@ impl Rd2State {
             meta,
             sync,
             abandoned,
-            joined,
             report,
             objects,
         })
     }
 
     /// Moves the objects into `n` fresh shards, `route` naming each
-    /// object's owner; shard 0 keeps the report and the GC totals as the
-    /// base its later findings and sweeps add to. Every initialized thread
-    /// not `joined` enters each GC live set (a thread's liveness does not
-    /// depend on which shard saw it).
-    pub fn take_shards(
-        &mut self,
-        n: usize,
-        gc_every: usize,
-        route: impl Fn(ObjId) -> usize,
-    ) -> Vec<Shard> {
-        let mut shards = vec![Shard::new(self.cfg, gc_every); n];
-        for shard in &mut shards {
-            for (tid, _) in self.sync.initialized() {
-                shard.observe(tid, !self.joined.contains(&tid));
-            }
-        }
-        shards[0].set_base(std::mem::take(&mut self.report), self.meta.gc);
+    /// object's owner; shard 0 keeps the report as the base its later
+    /// findings add to.
+    pub fn take_shards(&mut self, n: usize, route: impl Fn(ObjId) -> usize) -> Vec<Shard> {
+        let mut shards = vec![Shard::new(self.cfg); n];
+        shards[0].set_base(std::mem::take(&mut self.report));
         for (obj, spec, state) in self.objects.drain(..) {
             shards[route(obj)].insert(obj, spec, state);
         }

@@ -1,11 +1,11 @@
 //! The in-process commutativity race detector, for recorded traces and
 //! live programs alike.
 
-use crate::checkpoint::{rd2_writer, Rd2Meta, Rd2State, RD2_KIND};
+use crate::checkpoint::{rd2_head, report_write, Rd2Meta, Rd2State};
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
-use crate::shard::{Abandoned, Shard, ShardConfig, SpecCache};
+use crate::shard::{Abandoned, Findings, Shard, ShardConfig, SpecCache};
 use crace_model::{Action, Analysis, LockId, ObjId, RaceReport, ThreadId};
 use crace_vclock::{ClockStats, SyncClocks};
 use parking_lot::Mutex;
@@ -75,7 +75,7 @@ impl TraceDetector {
         TraceDetector {
             inner: Mutex::new(Inner {
                 sync: SyncClocks::new(),
-                shard: Shard::new(cfg, 0),
+                shard: Shard::new(cfg),
                 abandoned: Abandoned::default(),
                 seq: 0,
                 syncs: 0,
@@ -256,26 +256,21 @@ impl crate::FrontEnd for TraceDetector {
 }
 
 impl crate::Checkpoint for TraceDetector {
-    fn checkpoint_kind(&self) -> &'static str {
-        RD2_KIND
-    }
-
     fn checkpoint(&self) -> String {
         let inner = &mut *self.inner.lock();
         let meta = Rd2Meta {
             shed: inner.abandoned.shed(),
             events: inner.seq,
             syncs: inner.syncs,
-            ..Rd2Meta::default()
         };
-        let mut w = rd2_writer(
+        let mut w = rd2_head(
             inner.shard.cfg(),
             &inner.sync,
             meta,
             &inner.abandoned.tids(),
-            &[inner.shard.ckpt_summary()],
             inner.ckpt_len,
         );
+        report_write(&mut w, &Findings::merge([inner.shard.findings()]));
         // One shard: its blocks are already in id order, so they render
         // straight into the blob.
         w.framed(|out| inner.shard.ckpt_objects(out).iter().map(|b| b.2).sum());
@@ -291,7 +286,7 @@ impl crate::Checkpoint for TraceDetector {
     ) -> Result<(), crace_vclock::CkptError> {
         let inner = &mut *self.inner.lock();
         let mut state = Rd2State::read(text, resolve, inner.shard.cfg())?;
-        inner.shard = state.take_shards(1, 0, |_| 0).remove(0);
+        inner.shard = state.take_shards(1, |_| 0).remove(0);
         inner.sync = state.sync;
         inner.abandoned.restore(state.abandoned, state.meta.shed);
         (inner.seq, inner.syncs) = (state.meta.events, state.meta.syncs);

@@ -82,7 +82,7 @@ pub enum ClockMode {
 pub struct ObjState {
     /// `pt.vc` for every active point, keyed by `(class, value)`.
     active: FxHashMap<AccessPoint, PointClock>,
-    /// A point was added or retired since the last checkpoint render, so
+    /// A point was added since the last checkpoint render, so
     /// the cached `pt` line order no longer matches the active set.
     reshaped: bool,
     /// Total phase-1 conflict probes performed (one per conflicting class
@@ -212,34 +212,6 @@ impl ObjState {
         self.stats
     }
 
-    /// Epoch-GC sweep: retires every active access point whose clock is
-    /// dominated by `watermark`, returning how many points were dropped.
-    ///
-    /// The watermark must be a lower bound of every clock a future action
-    /// event can carry — in practice the pointwise meet of all *live*
-    /// thread clocks (threads observed but neither joined nor abandoned),
-    /// over a fork-structured stream (every thread except the root enters
-    /// via a fork, so no fresh incomparable clock can appear later). Under
-    /// that contract retirement is invisible:
-    ///
-    /// * phase 1 can never report a retired point again — a future clock
-    ///   `D` dominates the watermark, so `pt.vc ⊑ watermark ⊑ D` means the
-    ///   conflict probe `¬(pt.vc ⊑ D)` was already doomed to fail;
-    /// * phase 2 re-materializes the point exactly — the fresh clock the
-    ///   re-access inserts equals what the join/epoch-overwrite would have
-    ///   produced, because the old clock was dominated by the new one.
-    ///
-    /// Provenance bookkeeping (event window, last-touch descriptors) is
-    /// deliberately untouched, so explanations of later races are
-    /// identical with GC on or off.
-    pub fn retire_quiesced(&mut self, watermark: &VectorClock) -> usize {
-        let before = self.active.len();
-        self.active.retain(|_, pt| !pt.clock.le(watermark));
-        let retired = before - self.active.len();
-        self.reshaped |= retired > 0;
-        retired
-    }
-
     /// Renders this object's shadow state as framed checkpoint lines
     /// into `out`: one `ostate` header (mode, probes, clock stats,
     /// provenance cap), one `pt` record per active access point (sorted by
@@ -249,7 +221,7 @@ impl ObjState {
     /// `lines` holds the `pt` lines this state's previous render produced.
     /// A point whose clock phase 2 has not written since is copied from
     /// there verbatim; only stale and new points are rendered, and the
-    /// lines are sorted again only when a point was added or retired.
+    /// lines are sorted again only when a point was added.
     /// The bytes are always those of a cold render (an empty `lines`).
     /// Returns the number of records rendered.
     pub(crate) fn ckpt_render(
@@ -879,79 +851,6 @@ mod tests {
         let races = st.on_action(&c, &w2, T1, &vc(&[0, 1]));
         assert_eq!(races.len(), 1);
         assert!(races[0].provenance.is_none());
-    }
-
-    #[test]
-    fn retire_quiesced_drops_only_dominated_points() {
-        let (spec, c) = setup();
-        let mut st = ObjState::new();
-        // τ0's point is below the watermark; τ1's concurrent point is not.
-        st.on_action(
-            &c,
-            &put(&spec, 1, Value::Int(1), Value::Int(9)),
-            T0,
-            &vc(&[1, 0]),
-        );
-        st.on_action(
-            &c,
-            &put(&spec, 2, Value::Int(1), Value::Int(9)),
-            T1,
-            &vc(&[0, 5]),
-        );
-        assert_eq!(st.num_active(), 2);
-        let retired = st.retire_quiesced(&vc(&[2, 1]));
-        assert_eq!(retired, 1); // w:1 at 1@τ0 ⊑ ⟨2,1⟩; w:2 at 5@τ1 is not
-        assert_eq!(st.num_active(), 1);
-    }
-
-    /// The no-false-negatives property behind the GC: a retired point that
-    /// is touched again is re-materialized exactly, so a later concurrent
-    /// access still races just as it would have with GC off.
-    #[test]
-    fn retired_point_rematerializes_without_losing_races() {
-        let (spec, c) = setup();
-        let mut gc = ObjState::new();
-        let mut plain = ObjState::new();
-        let w1 = put(&spec, 1, Value::Int(1), Value::Int(9));
-        for st in [&mut gc, &mut plain] {
-            assert!(st.on_action(&c, &w1, T0, &vc(&[1, 0])).is_empty());
-        }
-        // Watermark ⟨2,1⟩ dominates the point: GC retires it.
-        assert_eq!(gc.retire_quiesced(&vc(&[2, 1])), 1);
-        assert_eq!(plain.num_active(), 1);
-        // τ1 (clock above the watermark) re-touches the key …
-        let w2 = put(&spec, 1, Value::Int(2), Value::Int(1));
-        assert_eq!(
-            gc.on_action(&c, &w2, T1, &vc(&[2, 1])),
-            plain.on_action(&c, &w2, T1, &vc(&[2, 1]))
-        );
-        // … and a later access concurrent with τ1 races identically.
-        let w3 = put(&spec, 1, Value::Int(3), Value::Int(2));
-        let gc_races = gc.on_action(&c, &w3, T2, &vc(&[2, 0, 1]));
-        let plain_races = plain.on_action(&c, &w3, T2, &vc(&[2, 0, 1]));
-        assert_eq!(gc_races.len(), 1);
-        assert_eq!(gc_races, plain_races);
-    }
-
-    #[test]
-    fn retire_quiesced_handles_both_representations() {
-        let (spec, c) = setup();
-        for mode in [ClockMode::Adaptive, ClockMode::FullVector] {
-            let mut st = ObjState::with_mode(mode);
-            // Overwrite put (prev non-nil): touches only the w:1 point.
-            st.on_action(
-                &c,
-                &put(&spec, 1, Value::Int(1), Value::Int(9)),
-                T0,
-                &vc(&[3, 0]),
-            );
-            assert_eq!(st.num_active(), 1);
-            // Watermark below the point: nothing retired.
-            assert_eq!(st.retire_quiesced(&vc(&[2, 0])), 0);
-            // Watermark at/above the point: retired, in either representation.
-            assert_eq!(st.retire_quiesced(&vc(&[3, 7])), 1, "{mode:?}");
-            assert_eq!(st.num_active(), 0, "{mode:?}");
-        }
     }
 
     #[test]

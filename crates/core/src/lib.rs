@@ -59,7 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
+mod checkpoint;
 mod detector;
 mod direct;
 mod engine;

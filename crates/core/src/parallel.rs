@@ -35,12 +35,6 @@
 //!   the report through the ordinary [`RaceReport`] machinery, which makes
 //!   the merged report *bit-for-bit equal* to the serial detector's
 //!   (`tests/parallel_vs_serial.rs` asserts exactly that);
-//! * **epoch GC** — per-thread abandonment generalizes to a
-//!   watermark sweep: every `gc_every` actions a worker computes the meet
-//!   of all live thread clocks and retires access points dominated by it
-//!   (see [`ObjState::retire_quiesced`](crate::ObjState::retire_quiesced));
-//!   a retired point re-materializes
-//!   exactly if touched again, so GC never changes a report;
 //! * **panic shield** — each message is processed under `catch_unwind`.
 //!   The chaos poison panics before it writes anything, so the worker
 //!   skips it and carries on with its state. Any other panic may have
@@ -51,13 +45,15 @@
 //!   restore rebuilds a worker. The contract: *never invent races*;
 //! * **checkpoint/restore** — the pipeline implements
 //!   [`Checkpoint`](crate::Checkpoint) in the one `rd2` format every RD2
-//!   front-end shares: a barrier gathers the master clocks, the merged
-//!   report and the object records each worker renders on its own shard
-//!   (merged by object id) at one ingress sequence number, and restore
+//!   front-end shares: at one ingress sequence number, a barrier renders
+//!   the head of the blob (counts, master clocks, abandoned set) under
+//!   the ingress lock while each worker renders its own shard's object
+//!   records; the merged report and the records (merged by object id)
+//!   follow the head. Restore
 //!   routes each object to its owner at *this*
 //!   pipeline's width, so a checkpoint restores at any worker count.
 
-use crate::checkpoint::{rd2_writer, write_blocks, Blocks, Rd2Meta, Rd2State, RD2_KIND};
+use crate::checkpoint::{rd2_head, report_write, write_blocks, Blocks, Rd2Meta, Rd2State};
 use crate::engine::ClockMode;
 use crate::front_end::feed_work;
 use crate::points::CompiledSpec;
@@ -94,13 +90,9 @@ pub struct ParallelConfig {
     pub mode: ClockMode,
     /// When set, workers collect race provenance with this event window.
     pub provenance_window: Option<usize>,
-    /// Run the epoch-GC watermark sweep every this many actions per
-    /// worker; `0` disables GC. Enabling GC assumes a fork-structured
-    /// stream (every thread except the root enters via a fork event).
-    pub gc_every: usize,
     /// When set, the pipeline records span timelines into this tracer:
     /// ingress chunk shipments, sync-event admissions, per-worker message
-    /// dispatch, GC sweeps and the report merge, plus
+    /// dispatch and the report merge, plus
     /// ring-queue-depth counter samples. `None` (the default) records
     /// nothing and adds no work to any path — the same double-gating
     /// discipline as `provenance_window`.
@@ -122,7 +114,6 @@ impl Default for ParallelConfig {
             batch: 512,
             mode: ClockMode::Adaptive,
             provenance_window: None,
-            gc_every: 0,
             tracer: None,
         }
     }
@@ -167,9 +158,6 @@ struct ClockSet {
     off: u32,
     tid: ThreadId,
     clock: Arc<VectorClock>,
-    /// The thread emits no further events (a joined child): it leaves the
-    /// GC live set instead of entering it.
-    dead: bool,
 }
 
 impl Msg {
@@ -269,7 +257,6 @@ struct IngressTrace {
 struct WorkerTrace {
     lane: Arc<Lane>,
     p_batch: PhaseId,
-    p_gc: PhaseId,
 }
 
 /// Lock-free per-worker counters, shared between the worker thread and
@@ -551,40 +538,37 @@ impl ParallelRd2 {
         let _span = (self.trace.as_ref())
             .filter(|_| event.is_sync())
             .map(|t| t.lane.span(t.p_sync));
-        let mut set = |sync: &mut SyncClocks, tid: ThreadId, dead: bool| {
+        let mut set = |sync: &mut SyncClocks, tid: ThreadId| {
             cut.sets.push(ClockSet {
                 off,
                 tid,
                 clock: Arc::new(sync.clock(tid).clone()),
-                dead,
             });
         };
         match *event {
             Event::Fork { parent, child } => {
                 sync.fork(parent, child);
-                set(sync, parent, false);
-                set(sync, child, false);
+                set(sync, parent);
+                set(sync, child);
             }
             Event::Join { parent, child } => {
                 sync.join(parent, child);
-                set(sync, parent, false);
-                // A joined thread emits no further events (well-formed
-                // traces), so it leaves the GC live set.
-                set(sync, child, true);
+                set(sync, parent);
+                set(sync, child);
             }
             Event::Acquire { tid, lock } => {
                 sync.acquire(tid, lock);
-                set(sync, tid, false);
+                set(sync, tid);
             }
             Event::Release { tid, lock } => {
                 sync.release(tid, lock);
-                set(sync, tid, false);
+                set(sync, tid);
             }
             Event::Action { tid, ref action } => {
                 // A thread whose first event is an action starts at its
                 // fresh clock, exactly as the serial detector initializes it.
                 if sync.peek_clock(tid).is_none() {
-                    set(sync, tid, false);
+                    set(sync, tid);
                 }
                 cut.picks[self.route(action.obj())].push(off);
                 return true;
@@ -774,12 +758,6 @@ impl ParallelRd2 {
         stats
     }
 
-    /// Access points retired by the epoch-GC watermark sweeps so far. A
-    /// report barrier.
-    pub fn gc_retired(&self) -> u64 {
-        self.barrier(|s| s.gc_retired(), |_| ()).1.iter().sum()
-    }
-
     /// Non-blocking snapshot of the pipeline counters (ingress totals,
     /// per-worker occupancy / queue depth / degradation).
     pub fn stats(&self) -> ParallelStats {
@@ -824,34 +802,29 @@ impl crate::FrontEnd for ParallelRd2 {
 }
 
 impl crate::Checkpoint for ParallelRd2 {
-    fn checkpoint_kind(&self) -> &'static str {
-        RD2_KIND
-    }
-
     /// Folds the pipeline into the one `rd2` layout at a barrier: the
-    /// ingress counts and master clocks, the union of the workers' live
-    /// sets, their summed GC totals, the merged report, and the object
-    /// records each worker renders on its own shard, merged by object id.
+    /// ingress renders the head (counts, master clocks, abandoned set)
+    /// under its lock while each worker renders its own shard's object
+    /// records; the merged report and the records, merged by object id,
+    /// follow the head.
     fn checkpoint(&self) -> String {
-        let read = |shard: &mut Shard| (shard.ckpt_summary(), Blocks::of(shard));
-        let ((sync, abandoned, meta), parts) = self.barrier(read, |ingress| {
+        let read = |shard: &mut Shard| (Arc::clone(shard.findings()), Blocks::of(shard));
+        let (mut w, parts) = self.barrier(read, |ingress| {
             let meta = Rd2Meta {
                 shed: self.abandoned.shed(),
                 events: self.events_in.load(Ordering::Relaxed),
                 syncs: self.sync_broadcasts.load(Ordering::Relaxed),
-                ..Rd2Meta::default()
             };
-            (ingress.sync.clone(), self.abandoned.tids(), meta)
+            rd2_head(
+                self.cfg.shard_config(),
+                &ingress.sync,
+                meta,
+                &self.abandoned.tids(),
+                self.ckpt_len.load(Ordering::Relaxed),
+            )
         });
-        let (summaries, blocks): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
-        let mut w = rd2_writer(
-            self.cfg.shard_config(),
-            &sync,
-            meta,
-            &abandoned,
-            &summaries,
-            self.ckpt_len.load(Ordering::Relaxed),
-        );
+        let (findings, blocks): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        report_write(&mut w, &Findings::merge(&findings));
         write_blocks(&mut w, &blocks);
         let blob = w.finish();
         self.ckpt_len.store(blob.len(), Ordering::Relaxed);
@@ -867,7 +840,7 @@ impl crate::Checkpoint for ParallelRd2 {
         resolve: &crate::SpecResolver<'_>,
     ) -> Result<(), crace_vclock::CkptError> {
         let mut state = Rd2State::read(text, resolve, self.cfg.shard_config())?;
-        let shards = state.take_shards(self.workers, self.cfg.gc_every, |obj| self.route(obj));
+        let shards = state.take_shards(self.workers, |obj| self.route(obj));
         let clocks: HashMap<ThreadId, Arc<VectorClock>> = state
             .sync
             .initialized()
@@ -973,18 +946,17 @@ impl WorkerState {
     fn new(cfg: &ParallelConfig) -> WorkerState {
         WorkerState {
             clocks: HashMap::new(),
-            shard: Shard::new(cfg.shard_config(), cfg.gc_every),
+            shard: Shard::new(cfg.shard_config()),
         }
     }
 
     /// Installs one thread clock from the ingress: an `Arc` pointer swap.
     fn clock_set(&mut self, set: &ClockSet) {
         self.clocks.insert(set.tid, Arc::clone(&set.clock));
-        self.shard.observe(set.tid, !set.dead);
     }
 
     /// Applies one message.
-    fn process(&mut self, msg: Msg, trace: Option<&WorkerTrace>) {
+    fn process(&mut self, msg: Msg) {
         match msg {
             Msg::Chunk {
                 base,
@@ -1005,7 +977,7 @@ impl WorkerState {
                     // The ingress only picks action offsets; anything else
                     // would be an indexing bug, so don't detect on it.
                     if let Event::Action { tid, action } = &events[off as usize] {
-                        self.action(base + 1 + u64::from(off), *tid, action, trace);
+                        self.action(base + 1 + u64::from(off), *tid, action);
                     }
                 }
                 // Sets past the last pick still matter: later actions read
@@ -1018,7 +990,6 @@ impl WorkerState {
             Msg::Forget(obj) => self.shard.forget(obj),
             Msg::Abandon(tid) => {
                 self.clocks.remove(&tid);
-                self.shard.observe(tid, false);
             }
             Msg::Poison => panic!("injected worker panic"),
             // Handled by the worker loop, never forwarded here.
@@ -1028,17 +999,13 @@ impl WorkerState {
         }
     }
 
-    /// Algorithm 1 on one routed action, then the epoch-GC sweep when due.
-    fn action(&mut self, seq: u64, tid: ThreadId, action: &Action, trace: Option<&WorkerTrace>) {
+    /// Algorithm 1 on one routed action.
+    fn action(&mut self, seq: u64, tid: ThreadId, action: &Action) {
         let clock = self
             .clocks
             .get(&tid)
             .expect("the ingress sets a thread's clock before its first action");
         self.shard.action(|| seq, tid, action, clock);
-        if self.shard.gc_due() {
-            let _span = trace.map(|t| t.lane.span(t.p_gc));
-            self.shard.sweep(&self.clocks);
-        }
     }
 }
 
@@ -1048,7 +1015,6 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
     let trace = cfg.tracer.as_ref().map(|t| WorkerTrace {
         lane: t.lane(&format!("worker{w}")),
         p_batch: t.phase("parallel.worker"),
-        p_gc: t.phase("parallel.gc"),
     });
     let trace = trace.as_ref();
     let mut state = WorkerState::new(cfg);
@@ -1063,7 +1029,7 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
                 if catch_unwind(AssertUnwindSafe(|| visit(&mut state.shard))).is_err() {
                     shared.panics.fetch_add(1, Ordering::Relaxed);
                     shared.degraded.store(true, Ordering::Relaxed);
-                    visit(&mut Shard::new(cfg.shard_config(), 0));
+                    visit(&mut Shard::new(cfg.shard_config()));
                 }
                 continue;
             }
@@ -1087,7 +1053,7 @@ fn worker_main(ring: &Ring, shared: &WorkerShared, cfg: &ParallelConfig, w: usiz
         // per-worker occupancy share is the counter-based `parallel.*` one
         // by construction.
         let mut span = trace.map(|t| t.lane.span(t.p_batch));
-        if catch_unwind(AssertUnwindSafe(|| state.process(msg, trace))).is_ok() {
+        if catch_unwind(AssertUnwindSafe(|| state.process(msg))).is_ok() {
             shared.events.fetch_add(weight, Ordering::Relaxed);
             if let Some(span) = span.as_mut() {
                 span.set_aux(weight);
@@ -1256,30 +1222,6 @@ mod tests {
                 assert_eq!(rd2.stats().events_in, trace.len() as u64);
             }
         }
-    }
-
-    /// GC must stay report-preserving on the shared path too, where the
-    /// watermark is computed from the clocks a chunk's message installs.
-    #[test]
-    fn shared_ingestion_with_gc_matches_gc_off() {
-        let (spec, compiled) = dict_pair();
-        let trace = Arc::new(recorded_trace(&spec));
-        let run = |gc_every: usize| {
-            let rd2 = ParallelRd2::with_config(
-                2,
-                ParallelConfig {
-                    gc_every,
-                    batch: 4,
-                    ..ParallelConfig::default()
-                },
-            );
-            for obj in 1..=6u64 {
-                rd2.register(ObjId(obj), Arc::clone(&compiled));
-            }
-            rd2.ingest_shared(&trace);
-            rd2.report()
-        };
-        assert_eq!(run(3), run(0));
     }
 
     #[test]
@@ -1527,15 +1469,14 @@ mod tests {
 
     /// Restore loses nothing a checkpoint records: re-checkpointing a
     /// restored pipeline, at any width, gives back the same blob — event
-    /// counts, GC totals and the GC live set (via the `joined` set)
-    /// included — and the restored pipeline's counters match.
+    /// counts and the reserved constants included — and the restored
+    /// pipeline's counters match.
     #[test]
     fn checkpoint_is_a_fixed_point_of_restore_at_any_width() {
         use crate::Checkpoint;
         let (spec, compiled) = dict_pair();
         let resolver = crate::builtin_resolver();
         let cfg = ParallelConfig {
-            gc_every: 3,
             batch: 2,
             ..ParallelConfig::default()
         };
@@ -1558,8 +1499,11 @@ mod tests {
             }
         }
         let blob = rd2.checkpoint();
-        assert!(rd2.gc_retired() > 0, "no GC totals to carry");
-        assert!(blob.contains(" joined 7 1 2 3 4 5 6 7\n"), "{blob}");
+        assert!(
+            blob.contains(" meta adaptive - 0 47 15 0 0 0,0,0\n"),
+            "{blob}"
+        );
+        assert!(blob.contains(" joined 0\n"), "{blob}");
         for workers in [1usize, 2, 3, 4] {
             let restored = ParallelRd2::with_config(workers, cfg.clone());
             restored.restore(&blob, &resolver).unwrap();
@@ -1567,7 +1511,6 @@ mod tests {
             let (a, b) = (restored.stats(), rd2.stats());
             assert_eq!(a.events_in, b.events_in, "workers={workers}");
             assert_eq!(a.sync_broadcasts, b.sync_broadcasts, "workers={workers}");
-            assert_eq!(restored.gc_retired(), rd2.gc_retired(), "workers={workers}");
             assert_eq!(restored.num_probes(), rd2.num_probes(), "workers={workers}");
             assert_eq!(
                 restored.clock_stats(),
@@ -1636,59 +1579,6 @@ mod tests {
             rd2.on_action(ThreadId(1), &put(&spec, 1, 1, 2, Value::Int(1)));
             assert_eq!(rd2.report().total(), 1);
         });
-    }
-
-    #[test]
-    fn gc_on_and_off_report_identically_and_gc_retires() {
-        let (spec, compiled) = dict_pair();
-        let gc = ParallelRd2::with_config(
-            2,
-            ParallelConfig {
-                gc_every: 4,
-                ..ParallelConfig::default()
-            },
-        );
-        let plain = ParallelRd2::new(2);
-        for rd2 in [&gc, &plain] {
-            rd2.register(ObjId(1), Arc::clone(&compiled));
-            rd2.register(ObjId(2), Arc::clone(&compiled));
-        }
-        let drive = |a: &dyn Analysis| {
-            // Fork/join generations touching generation-unique keys: once a
-            // generation is joined back, its points are dominated by every
-            // later clock and the next watermark sweep retires them. The
-            // two children of each generation race on shared keys, so GC
-            // must also preserve already-found races exactly.
-            let root = ThreadId(0);
-            for g in 0..6u32 {
-                let (c1, c2) = (ThreadId(2 * g + 1), ThreadId(2 * g + 2));
-                a.on_fork(root, c1);
-                a.on_fork(root, c2);
-                for i in 0..4i64 {
-                    let key = 10 * i64::from(g) + i;
-                    let obj = 1 + (i as u64 % 2);
-                    a.on_action(c1, &put(&spec, obj, key, 1, Value::Nil));
-                }
-                for i in 0..4i64 {
-                    let key = 10 * i64::from(g) + i;
-                    let obj = 1 + (i as u64 % 2);
-                    a.on_action(c2, &put(&spec, obj, key, 2, Value::Int(1)));
-                }
-                a.on_join(root, c1);
-                a.on_join(root, c2);
-            }
-        };
-        drive(&gc);
-        drive(&plain);
-        let (gc_report, plain_report) = (gc.report(), plain.report());
-        assert_eq!(gc_report, plain_report);
-        assert_eq!(
-            gc_report.total(),
-            24,
-            "one race per shared key per generation"
-        );
-        assert!(gc.gc_retired() > 0, "watermark sweep never retired a point");
-        assert_eq!(plain.gc_retired(), 0);
     }
 
     #[test]

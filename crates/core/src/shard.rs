@@ -86,73 +86,34 @@ impl Findings {
     }
 }
 
-/// Epoch-GC totals: access points retired, and the probe and clock
-/// counters folded out of object states the GC dropped, so those
-/// statistics survive state reclamation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct GcCounters {
-    pub retired: u64,
-    pub probes: u64,
-    pub stats: ClockStats,
-}
-
-impl GcCounters {
-    pub fn merge(&mut self, other: &GcCounters) {
-        self.retired += other.retired;
-        self.probes += other.probes;
-        self.stats.merge(&other.stats);
-    }
-}
-
-/// What the records before the objects in an `rd2` checkpoint need from
-/// one shard: its GC totals and live set, and its findings.
-pub(crate) struct ShardSummary {
-    pub gc: GcCounters,
-    /// The GC live set; `None` when GC is off.
-    pub live: Option<HashSet<ThreadId>>,
-    pub findings: Arc<Findings>,
-}
-
-/// One Algorithm 1 shard: the objects it owns, their shadow state, the
-/// races found on them, and the epoch-GC bookkeeping. Single-threaded;
-/// the caller supplies each action's thread clock.
+/// One Algorithm 1 shard: the objects it owns, their shadow state and
+/// the races found on them. Single-threaded; the caller supplies each
+/// action's thread clock.
 #[derive(Clone)]
 pub(crate) struct Shard {
     cfg: ShardConfig,
-    /// Run the epoch-GC watermark sweep every this many actions; `0`
-    /// disables GC.
-    gc_every: usize,
     registry: FxHashMap<ObjId, Arc<CompiledSpec>>,
     objects: FxHashMap<ObjId, ObjState>,
     /// Copy-on-write, so a reader (a pipeline report barrier) takes a
     /// reference instead of a deep copy, and the thread that allocated
     /// the records is the one that frees them.
     findings: Arc<Findings>,
-    /// Threads that may still produce events (observed − joined −
-    /// abandoned); the GC watermark is the meet of their clocks.
-    live: HashSet<ThreadId>,
-    since_gc: usize,
-    gc: GcCounters,
     /// Scratch for one action's race hits, reused across actions.
     hits: Vec<RaceHit>,
     /// Each object's `pt` records as the last checkpoint rendered them,
     /// so the next one renders only the points whose clocks changed. Text
-    /// only; an entry goes with its object (re-registered, forgotten or
-    /// reclaimed), and a restore starts from fresh shards.
+    /// only; an entry goes with its object (re-registered or forgotten),
+    /// and a restore starts from fresh shards.
     ckpt_lines: FxHashMap<ObjId, PointLines>,
 }
 
 impl Shard {
-    pub fn new(cfg: ShardConfig, gc_every: usize) -> Shard {
+    pub fn new(cfg: ShardConfig) -> Shard {
         Shard {
             cfg,
-            gc_every,
             registry: FxHashMap::default(),
             objects: FxHashMap::default(),
             findings: Arc::new(Findings::new()),
-            live: HashSet::new(),
-            since_gc: 0,
-            gc: GcCounters::default(),
             hits: Vec::new(),
             ckpt_lines: FxHashMap::default(),
         }
@@ -183,13 +144,11 @@ impl Shard {
         self.ckpt_lines.remove(&obj);
     }
 
-    /// Replaces the findings and GC totals with restored ones. The
-    /// report's samples sort ahead of every later race (sequence numbers
-    /// start at 1).
-    pub fn set_base(&mut self, report: RaceReport, gc: GcCounters) {
+    /// Replaces the findings with a restored report. Its samples sort
+    /// ahead of every later race (sequence numbers start at 1).
+    pub fn set_base(&mut self, report: RaceReport) {
         let seqs = vec![0; report.samples().len()];
         self.findings = Arc::new(Findings { report, seqs });
-        self.gc = gc;
     }
 
     /// Algorithm 1 on one action event by thread `tid` whose clock `T(tid)`
@@ -206,10 +165,6 @@ impl Shard {
         let Some(spec) = self.registry.get(&action.obj()) else {
             return;
         };
-        if self.gc_every > 0 {
-            self.live.insert(tid);
-            self.since_gc += 1;
-        }
         // Rendering provenance is pointless once the sample buffer is full.
         let want_detail =
             self.cfg.provenance_window.is_some() && self.findings.report.wants_detail();
@@ -243,72 +198,6 @@ impl Shard {
         let kept = report.samples().len() - before;
         if kept > 0 {
             seqs.resize(seqs.len() + kept, seq());
-        }
-    }
-
-    /// GC live-set bookkeeping for a thread named by a synchronization
-    /// event: `live == false` for a thread that emits no further events
-    /// (a joined child, an abandoned thread). A no-op without GC.
-    pub fn observe(&mut self, tid: ThreadId, live: bool) {
-        if self.gc_every == 0 {
-            return;
-        }
-        if live {
-            self.live.insert(tid);
-        } else {
-            self.live.remove(&tid);
-        }
-    }
-
-    /// True when `gc_every` actions have passed since the last sweep.
-    pub fn gc_due(&self) -> bool {
-        self.gc_every > 0 && self.since_gc >= self.gc_every
-    }
-
-    /// The epoch-GC sweep: computes the watermark (meet of all live
-    /// thread clocks in `clocks`) and retires dominated access points.
-    /// Whole object states emptied by the sweep are reclaimed (their
-    /// counters folded), except in provenance mode where the event window
-    /// must survive for later explanations.
-    pub fn sweep(&mut self, clocks: &HashMap<ThreadId, Arc<VectorClock>>) {
-        self.since_gc = 0;
-        let mut watermark: Option<VectorClock> = None;
-        for &tid in &self.live {
-            match clocks.get(&tid) {
-                Some(clock) => match &mut watermark {
-                    Some(wm) => wm.meet_in_place(clock),
-                    None => watermark = Some((**clock).clone()),
-                },
-                // A live thread without an initialized clock: skip the
-                // sweep rather than retire against a wrong bound.
-                None => return,
-            }
-        }
-        // No live thread at all: be conservative and keep everything (a
-        // fresh root thread could still appear in a hand-written trace).
-        let Some(watermark) = watermark else { return };
-        let keep_empty = self.cfg.provenance_window.is_some();
-        let gc = &mut self.gc;
-        let ckpt_lines = &mut self.ckpt_lines;
-        self.objects.retain(|obj, state| {
-            gc.retired += state.retire_quiesced(&watermark) as u64;
-            if state.num_active() == 0 && !keep_empty {
-                gc.probes += state.num_probes();
-                gc.stats.merge(&state.clock_stats());
-                ckpt_lines.remove(obj);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    /// This shard's input to an `rd2` checkpoint's leading records.
-    pub fn ckpt_summary(&self) -> ShardSummary {
-        ShardSummary {
-            gc: self.gc,
-            live: self.live().cloned(),
-            findings: Arc::clone(&self.findings),
         }
     }
 
@@ -352,31 +241,22 @@ impl Shard {
         &self.findings
     }
 
-    /// The GC live set; `None` when GC is off and no live set is kept.
-    pub fn live(&self) -> Option<&HashSet<ThreadId>> {
-        (self.gc_every > 0).then_some(&self.live)
-    }
-
     pub fn num_active(&self, obj: ObjId) -> usize {
         self.objects.get(&obj).map_or(0, ObjState::num_active)
     }
 
-    /// Phase-1 conflict probes, including those of GC-reclaimed states.
+    /// Phase-1 conflict probes.
     pub fn num_probes(&self) -> u64 {
-        self.gc.probes + self.objects.values().map(ObjState::num_probes).sum::<u64>()
+        self.objects.values().map(ObjState::num_probes).sum()
     }
 
-    /// Clock-representation statistics, including GC-reclaimed states.
+    /// Clock-representation statistics.
     pub fn clock_stats(&self) -> ClockStats {
-        let mut stats = self.gc.stats;
+        let mut stats = ClockStats::default();
         for state in self.objects.values() {
             stats.merge(&state.clock_stats());
         }
         stats
-    }
-
-    pub fn gc_retired(&self) -> u64 {
-        self.gc.retired
     }
 }
 

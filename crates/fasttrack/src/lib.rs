@@ -332,151 +332,6 @@ impl Default for FastTrack {
     }
 }
 
-impl crace_core::Checkpoint for FastTrack {
-    fn checkpoint_kind(&self) -> &'static str {
-        "fasttrack"
-    }
-
-    /// Serializes the complete detector state: the Table 1 clocks, the
-    /// abandonment set, the race report, and every shadowed location's
-    /// `VarState` (`var <loc> <write-epoch> (re <read-epoch> | rv <vc>)`,
-    /// sorted by location for reproducible checkpoints).
-    fn checkpoint(&self) -> String {
-        use crace_core::checkpoint as ck;
-        use crace_vclock::ckpt::vc_word;
-        let mut w = crace_vclock::CkptWriter::new(self.checkpoint_kind());
-        w.rec(&format!(
-            "meta {} {}",
-            u8::from(self.provenance),
-            self.shed.load(Ordering::Relaxed)
-        ));
-        ck::sync_write(&mut w, &self.sync.read());
-        let mut abandoned: Vec<u32> = self.abandoned.read().iter().map(|t| t.0).collect();
-        abandoned.sort_unstable();
-        let mut words = vec!["abandoned".to_string(), abandoned.len().to_string()];
-        words.extend(abandoned.iter().map(u32::to_string));
-        w.rec(&words.join(" "));
-        ck::report_write(&mut w, &self.report.lock());
-        let mut vars: Vec<(LocId, VarState)> = Vec::new();
-        for shard in &self.shards {
-            for (loc, var) in shard.lock().iter() {
-                vars.push((*loc, var.clone()));
-            }
-        }
-        vars.sort_by_key(|(loc, _)| loc.0);
-        for (loc, var) in vars {
-            let read = match &var.read {
-                ReadState::Epoch(e) => format!("re {}@{}", e.clock(), e.tid().0),
-                ReadState::Shared(vc) => format!("rv {}", vc_word(vc)),
-            };
-            w.rec(&format!(
-                "var {} {}@{} {read}",
-                loc.0,
-                var.write.clock(),
-                var.write.tid().0
-            ));
-        }
-        w.finish()
-    }
-
-    fn restore(
-        &self,
-        text: &str,
-        _resolve: &crace_core::SpecResolver<'_>,
-    ) -> Result<(), crace_vclock::CkptError> {
-        use crace_core::checkpoint as ck;
-        use crace_vclock::ckpt::vc_parse;
-        use crace_vclock::CkptError;
-        fn epoch_parse(word: &str, line: usize) -> Result<Epoch, CkptError> {
-            let (clock, tid) = word
-                .split_once('@')
-                .ok_or_else(|| CkptError::at(line, format!("bad epoch `{word}`")))?;
-            let clock: u64 = clock
-                .parse()
-                .map_err(|_| CkptError::at(line, format!("bad epoch clock `{clock}`")))?;
-            let tid: u32 = tid
-                .parse()
-                .map_err(|_| CkptError::at(line, format!("bad epoch tid `{tid}`")))?;
-            Ok(Epoch::new(ThreadId(tid), clock))
-        }
-        let mut r = crace_vclock::CkptReader::new(text, self.checkpoint_kind())?;
-        let head = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint has no `meta` record"))?;
-        if head.tag() != "meta" {
-            return Err(CkptError::at(
-                head.line,
-                format!("expected `meta`, found `{}`", head.tag()),
-            ));
-        }
-        let provenance = match head.word(1)? {
-            "0" => false,
-            "1" => true,
-            other => {
-                return Err(CkptError::at(
-                    head.line,
-                    format!("bad provenance flag `{other}`"),
-                ))
-            }
-        };
-        if provenance != self.provenance {
-            return Err(CkptError::at(
-                head.line,
-                format!(
-                    "checkpoint provenance mode ({provenance:?}) does not match this detector's \
-                     ({:?}) — restore into a detector with the same configuration",
-                    self.provenance
-                ),
-            ));
-        }
-        self.shed.store(head.num(2)?, Ordering::Relaxed);
-        *self.sync.write() = ck::sync_read(&mut r)?;
-        let rec = r
-            .next_rec()
-            .ok_or_else(|| CkptError::at(0, "checkpoint ends where `abandoned` was expected"))?;
-        if rec.tag() != "abandoned" {
-            return Err(CkptError::at(
-                rec.line,
-                format!("expected `abandoned`, found `{}`", rec.tag()),
-            ));
-        }
-        let n: usize = rec.num(1)?;
-        let mut abandoned = HashSet::with_capacity(n);
-        for i in 0..n {
-            abandoned.insert(ThreadId(rec.num(2 + i)?));
-        }
-        self.has_abandoned
-            .store(!abandoned.is_empty(), Ordering::Relaxed);
-        *self.abandoned.write() = abandoned;
-        *self.report.lock() = ck::report_read(&mut r)?;
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        while let Some(rec) = r.next_rec() {
-            if rec.tag() != "var" {
-                return Err(CkptError::at(
-                    rec.line,
-                    format!("expected `var`, found `{}`", rec.tag()),
-                ));
-            }
-            let loc = LocId(rec.num(1)?);
-            let write = epoch_parse(rec.word(2)?, rec.line)?;
-            let read = match rec.word(3)? {
-                "re" => ReadState::Epoch(epoch_parse(rec.word(4)?, rec.line)?),
-                "rv" => ReadState::Shared(vc_parse(rec.word(4)?, rec.line)?),
-                other => {
-                    return Err(CkptError::at(
-                        rec.line,
-                        format!("bad read-state marker `{other}`"),
-                    ))
-                }
-            };
-            self.shard(loc).lock().insert(loc, VarState { write, read });
-        }
-        Ok(())
-    }
-}
-
 impl Analysis for FastTrack {
     fn name(&self) -> &str {
         "fasttrack"
@@ -735,79 +590,6 @@ mod tests {
         // …and no HB edge protects T2's concurrent write.
         ft.on_write(T2, X);
         assert_eq!(ft.report().total(), 1);
-    }
-
-    #[test]
-    fn checkpoint_restore_resumes_identically() {
-        use crace_core::{builtin_resolver, Checkpoint};
-        let resolver = builtin_resolver();
-        for provenance in [false, true] {
-            let make = || {
-                if provenance {
-                    FastTrack::with_provenance()
-                } else {
-                    FastTrack::new()
-                }
-            };
-            let ft = make();
-            // Prefix: fork structure, an epoch-mode and a read-shared
-            // location, an abandoned thread, and one recorded race.
-            ft.on_fork(T0, T1);
-            ft.on_fork(T0, T2);
-            ft.on_write(T0, X);
-            ft.on_read(T1, LocId(2));
-            ft.on_read(T2, LocId(2)); // inflates to read-shared
-            ft.on_write(T1, X); // write-write race
-            ft.abandon_thread(T2);
-            let blob = ft.checkpoint();
-            let restored = make();
-            restored.restore(&blob, &resolver).unwrap();
-            assert_eq!(restored.report(), ft.report(), "provenance={provenance}");
-            assert_eq!(restored.events_shed(), ft.events_shed());
-            // Suffix drives both identically: same verdicts, same sheds.
-            for d in [&ft, &restored] {
-                d.on_write(T0, X); // races with T1's write epoch
-                d.on_write(T2, LocId(9)); // shed: abandoned
-                d.on_read(T1, LocId(2)); // read-shared update, no race
-            }
-            assert_eq!(
-                restored.report().to_json(),
-                ft.report().to_json(),
-                "provenance={provenance}"
-            );
-            assert_eq!(restored.events_shed(), ft.events_shed());
-        }
-    }
-
-    #[test]
-    fn checkpoint_rejects_mismatched_configuration_and_damage() {
-        use crace_core::{builtin_resolver, Checkpoint};
-        let resolver = builtin_resolver();
-        let ft = FastTrack::new();
-        ft.on_fork(T0, T1);
-        ft.on_write(T0, X);
-        let blob = ft.checkpoint();
-        // Provenance-mode mismatch fails closed.
-        assert!(FastTrack::with_provenance()
-            .restore(&blob, &resolver)
-            .is_err());
-        // Kind mismatch fails closed.
-        assert!(crace_vclock::CkptReader::new(&blob, "rd2").is_err());
-        // A flipped byte in any framed record fails closed.
-        let mut damaged = blob.clone().into_bytes();
-        let mid = damaged.len() / 2;
-        damaged[mid] ^= 0x20;
-        let damaged = String::from_utf8_lossy(&damaged).into_owned();
-        if damaged != blob {
-            let fresh = FastTrack::new();
-            let err = fresh.restore(&damaged, &resolver);
-            if let Ok(()) = err {
-                // The flip may land in a spot that keeps framing intact
-                // only if it produced the identical text — anything else
-                // must have errored.
-                assert_eq!(damaged, blob);
-            }
-        }
     }
 
     #[test]

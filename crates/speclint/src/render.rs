@@ -2,6 +2,7 @@
 //! stable hand-written JSON shape for tooling.
 
 use crate::{Diagnostic, LintReport, Severity};
+use crace_obs::json::escape_into;
 use crace_spec::{line_col, render_snippet};
 use std::fmt::Write;
 
@@ -60,25 +61,9 @@ pub(crate) fn pretty(report: &LintReport, source: &str) -> String {
     out
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 fn push_str_field(out: &mut String, key: &str, value: &str) {
     let _ = write!(out, "\"{key}\":\"");
-    escape(value, out);
+    escape_into(out, value);
     out.push('"');
 }
 
@@ -118,7 +103,7 @@ fn diagnostic_json(d: &Diagnostic, source: &str, out: &mut String) {
             out.push(',');
         }
         out.push('"');
-        escape(note, out);
+        escape_into(out, note);
         out.push('"');
     }
     out.push_str("]}");

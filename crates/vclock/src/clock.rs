@@ -135,32 +135,6 @@ impl VectorClock {
         }
     }
 
-    /// The greatest lower bound `self ⊓ other` (pointwise minimum).
-    ///
-    /// The meet of a set of live thread clocks is the epoch-GC watermark:
-    /// every future event of a live thread carries a clock that dominates
-    /// it, so any access-point clock at or below the meet can never race
-    /// again and its state may be retired.
-    pub fn meet(&self, other: &VectorClock) -> VectorClock {
-        let mut met = self.clone();
-        met.meet_in_place(other);
-        met
-    }
-
-    /// In-place meet, for folding many clocks into one watermark without
-    /// reallocating.
-    pub fn meet_in_place(&mut self, other: &VectorClock) {
-        // Components beyond `other`'s support are zero there, so the
-        // pointwise minimum truncates to the shorter support.
-        if self.components.len() > other.components.len() {
-            self.components.truncate(other.components.len());
-        }
-        for (i, c) in self.components.iter_mut().enumerate() {
-            *c = (*c).min(other.components[i]);
-        }
-        self.trim();
-    }
-
     /// Returns `true` iff this is the bottom clock `⊥`.
     pub fn is_bottom(&self) -> bool {
         self.components.is_empty()
@@ -298,46 +272,6 @@ mod tests {
                 assert_eq!(j.get(t), a.get(t).max(b.get(t)));
             }
         }
-    }
-
-    #[test]
-    fn meet_is_greatest_lower_bound() {
-        let mut rng = StdRng::seed_from_u64(0x3EE7);
-        for _ in 0..2_000 {
-            let (a, b) = (random_clock(&mut rng), random_clock(&mut rng));
-            let m = a.meet(&b);
-            assert!(m.le(&a) && m.le(&b), "{a} ⊓ {b} = {m} is not a lower bound");
-            // Greatest: every component of the meet comes from a or b.
-            for i in 0..a.dim().max(b.dim()) {
-                let t = ThreadId(i as u32);
-                assert_eq!(m.get(t), a.get(t).min(b.get(t)));
-            }
-        }
-    }
-
-    #[test]
-    fn meet_commutative_associative_absorptive() {
-        let mut rng = StdRng::seed_from_u64(0xAB50);
-        for _ in 0..2_000 {
-            let (a, b, c) = (
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-            );
-            assert_eq!(a.meet(&b), b.meet(&a));
-            assert_eq!(a.meet(&b).meet(&c), a.meet(&b.meet(&c)));
-            assert_eq!(a.meet(&a), a);
-            // Absorption ties meet and join into one lattice.
-            assert_eq!(a.meet(&a.join(&b)), a);
-            assert_eq!(a.join(&a.meet(&b)), a);
-        }
-    }
-
-    #[test]
-    fn meet_with_bottom_is_bottom() {
-        let a = vc(&[3, 1, 4]);
-        assert!(a.meet(&VectorClock::new()).is_bottom());
-        assert!(VectorClock::new().meet(&a).is_bottom());
     }
 
     #[test]

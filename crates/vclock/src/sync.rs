@@ -155,12 +155,6 @@ impl SyncClocks {
         self.threads.len()
     }
 
-    /// Iterates the raw thread slots `T(τ0), T(τ1), …` in index order,
-    /// including retired (`⊥`) slots, for checkpoint serialization.
-    pub fn thread_slots(&self) -> impl Iterator<Item = &VectorClock> {
-        self.threads.iter()
-    }
-
     /// Iterates the initialized thread clocks `(τ, T(τ))` in tid order —
     /// the slots [`SyncClocks::peek_clock`] answers.
     pub fn initialized(&self) -> impl Iterator<Item = (ThreadId, &VectorClock)> {
@@ -176,8 +170,8 @@ impl SyncClocks {
         self.locks.iter().map(|(l, c)| (*l, c))
     }
 
-    /// Rebuilds the state from raw slots, the inverse of
-    /// [`SyncClocks::thread_slots`] / [`SyncClocks::lock_slots`].
+    /// Rebuilds the state from raw thread slots (`⊥` where uninitialized)
+    /// and the lock clocks.
     pub fn from_slots(
         threads: Vec<VectorClock>,
         locks: impl IntoIterator<Item = (LockId, VectorClock)>,

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{assert_all_paths_agree, monitored, random_trace};
+use common::{assert_all_paths_agree, monitored, random_trace, Shape};
 use crace::model::replay;
 use crace::spec::builtin;
 use crace::{Action, ClockMode, ClockStats, Event, ObjId, ThreadId, Trace, TraceDetector, Value};
@@ -44,7 +44,7 @@ fn adaptive_reports_equal_full_vector_reports_on_random_traces() {
     let mut epoch_updates = 0u64;
     let mut promotions = 0u64;
     for seed in 0..80u64 {
-        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
         assert_all_paths_agree(&spec, &trace, OBJECTS);
         let stats = clock_stats(&trace, ClockMode::Adaptive);
         let full_stats = clock_stats(&trace, ClockMode::FullVector);

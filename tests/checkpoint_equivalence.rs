@@ -8,16 +8,17 @@
 //! ```
 //!
 //! This file proves that equivalence bit-for-bit (`RaceReport` derives
-//! `Eq`) on randomly generated well-formed programs, split at random
-//! boundaries, for every checkpointable detector: the in-process
-//! [`TraceDetector`] (also named `Rd2`) and the sharded [`ParallelRd2`]
-//! at worker counts 1/2/4/8 here, and the [`FastTrack`] baseline inside
-//! `common::assert_all_paths_agree`, which every sweep runs. The RD2
-//! front-ends share one checkpoint kind, so every one of them must also
-//! restore every other's checkpoint, at any width. It also checks
-//! the fail-closed half of the contract — a version-bumped, truncated,
-//! or byte-flipped checkpoint must be rejected with an error, never
-//! silently restored into a detector that reports wrong races — and the
+//! `Eq`) on randomly generated programs, split at random boundaries, for
+//! every checkpointable detector: the in-process [`TraceDetector`] (also
+//! named `Rd2`) and the sharded [`ParallelRd2`] at worker counts 1/2/4/8.
+//! The two share one checkpoint kind, so every front-end must also
+//! restore every other's checkpoint, at any width, including on streams
+//! whose threads first appear unforked. The `rd2` bytes are pinned by a
+//! committed fixture that every front-end must write. It also checks the
+//! fail-closed half of the contract — a version-bumped, re-kinded,
+//! truncated or byte-flipped checkpoint, or one whose reserved fields are
+//! not their constants, must be rejected with an error, never silently
+//! restored into a detector that reports wrong races — and the
 //! panic-shield half: a worker skips a chaos poison mid-stream in place,
 //! so the final report equals serial and the checkpoint equals an
 //! un-poisoned pipeline's, byte for byte. Finally, a detector that
@@ -29,14 +30,17 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, WIDTHS};
+use common::{
+    assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, Shape, WIDTHS,
+};
 use crace::core::{
     builtin_resolver, Checkpoint, ClockMode, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector,
 };
 use crace::model::replay;
 use crace::spec::builtin;
+use crace::vclock::ckpt::{frame, unframe};
 use crace::vclock::CkptError;
-use crace::{translate, Action, Analysis, Event, FastTrack, ObjId, ThreadId, Trace, Value};
+use crace::{translate, Action, Analysis, Event, ObjId, ThreadId, Trace, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,13 +48,12 @@ const OBJECTS: u64 = 4;
 
 /// `restore(checkpoint(fold(prefix))) ≡ fold(prefix)` for the serial
 /// detector restoring its own checkpoint, on random programs split at
-/// random boundaries. The harness adds a cross-front-end restore and
-/// FastTrack in both provenance modes.
+/// random boundaries. The harness adds a cross-front-end restore.
 #[test]
 fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 0..40u64 {
-        let trace = random_trace(&spec, seed, 140, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 140, OBJECTS);
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0xC4E9).gen_range(0..=trace.len());
         let serial = || monitored(TraceDetector::new(), &spec, OBJECTS);
@@ -67,7 +70,7 @@ fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
 fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
     let spec = builtin::dictionary();
     for seed in 100..125u64 {
-        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0x9E37).gen_range(0..=trace.len());
         let batch = [1usize, 3, 512][seed as usize % 3];
@@ -105,7 +108,7 @@ fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
 fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 700..720u64 {
-        let trace = random_trace(&spec, seed, 140, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 140, OBJECTS);
         let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in [1usize, 4] {
             let cfg = ParallelConfig {
@@ -158,14 +161,14 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
 }
 
 /// Fail-closed format evolution: a future format version, a checkpoint
-/// of a different detector kind, and a checkpoint whose spec names this
+/// of another kind, and a checkpoint whose spec names this
 /// process cannot resolve are all rejected with an error — never
 /// half-restored.
 #[test]
 fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, 7, 120, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 7, 120, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
@@ -185,12 +188,11 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
         "version error should mention the version: {err}"
     );
 
-    // An RD2 checkpoint refuses to restore into FastTrack (and vice
-    // versa): the kinds differ.
-    assert!(FastTrack::new().restore(&blob, &resolve).is_err());
-    assert!(rd2()
-        .restore(&FastTrack::new().checkpoint(), &resolve)
-        .is_err());
+    // A blob of another kind — here the retired `fasttrack` kind — is
+    // refused, naming the kind.
+    let other = blob.replacen(" rd2\n", " fasttrack\n", 1);
+    let err = rd2().restore(&other, &resolve).unwrap_err();
+    assert!(err.reason.contains("fasttrack"), "{err}");
 
     // A resolver that cannot supply the referenced spec fails the
     // restore closed instead of silently dropping the object.
@@ -209,7 +211,7 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
 fn truncated_checkpoints_fail_closed() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, 11, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 11, 100, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
@@ -236,7 +238,7 @@ fn truncated_checkpoints_fail_closed() {
 fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, 13, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 13, 100, OBJECTS);
     let split = trace.len() / 2;
     let uninterrupted = replay(&trace, &rd2());
     let (prefix, suffix) = trace.events().split_at(split);
@@ -280,14 +282,16 @@ fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
 
 /// Cross-width durability: a checkpoint taken by any RD2 front-end at any
 /// width restores into every other one, and the resumed run's report is
-/// bit-for-bit the uninterrupted serial report.
+/// bit-for-bit the uninterrupted serial report — on structured streams
+/// and on streams with unforked threads alike.
 #[test]
 fn checkpoints_restore_across_every_front_end_and_width() {
     let spec = builtin::dictionary();
     let resolve = builtin_resolver();
     let fronts = front_ends(&spec, OBJECTS, 3);
-    for seed in 200..208u64 {
-        let trace = random_trace(&spec, seed, 120, OBJECTS);
+    let shapes = [Shape::Structured, Shape::Unforked];
+    for (seed, shape) in (200..208u64).flat_map(|seed| shapes.map(|shape| (seed, shape))) {
+        let trace = random_trace(&spec, shape, seed, 120, OBJECTS);
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0x77AA).gen_range(0..=trace.len());
         let (prefix, suffix) = trace.events().split_at(split);
@@ -298,7 +302,7 @@ fn checkpoints_restore_across_every_front_end_and_width() {
             }
             let blob = source.checkpoint();
             for (to, make_to) in &fronts {
-                let label = format!("seed {seed} split {split}: {from} -> {to}");
+                let label = format!("{shape:?} seed {seed} split {split}: {from} -> {to}");
                 let restored = make_to();
                 restored
                     .restore(&blob, &resolve)
@@ -317,8 +321,8 @@ fn checkpoints_restore_across_every_front_end_and_width() {
     }
 }
 
-/// One logical state, one blob: with GC off, the serial detector and the
-/// pipeline at every width — fed event by event or through
+/// One logical state, one blob: the serial detector and the pipeline at
+/// every width — fed event by event or through
 /// `ingest_shared` — write byte-identical `rd2` checkpoints. Each stream
 /// has a thread that acts without any synchronization event ever naming
 /// it, whose fresh clock only exists if the pipeline's ingress
@@ -332,7 +336,9 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
     let orphan = ThreadId(99);
     let put = spec.method_id("put").unwrap();
     for seed in 300..308u64 {
-        let mut events = random_trace(&spec, seed, 120, OBJECTS).events().to_vec();
+        let mut events = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS)
+            .events()
+            .to_vec();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         for key in 0..2 {
             let action = Action::new(
@@ -416,6 +422,73 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
     }
 }
 
+/// The `rd2` bytes are pinned. Fig. 3's trace has two joins, so its
+/// blob holds the reserved `joined 0` record and GC totals; the serial
+/// detector and the pipeline at every width must write the committed
+/// fixture byte for byte, and each restored from it reports Fig. 3's one
+/// race.
+#[test]
+fn fig3_checkpoint_is_the_committed_fixture_on_every_front_end() {
+    let spec = builtin::dictionary();
+    let resolve = builtin_resolver();
+    let source = std::fs::read_to_string("crates/cli/tests/data/fig3.trace").unwrap();
+    let trace = crace::cli::parse_trace(&source, &spec).unwrap();
+    let fixture = std::fs::read_to_string("crates/cli/tests/data/fig3.rd2.ckpt").unwrap();
+    let expected = replay(&trace, &monitored(TraceDetector::new(), &spec, 1));
+    assert_eq!(expected.total(), 1);
+    for (name, make) in front_ends(&spec, 1, 2) {
+        let detector = make();
+        for event in trace.events() {
+            detector.on_event(event);
+        }
+        assert_eq!(detector.checkpoint(), fixture, "{name}");
+        let restored = make();
+        restored
+            .restore(&fixture, &resolve)
+            .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
+        assert_eq!(restored.report(), expected, "{name}");
+    }
+}
+
+/// The reserved fields hold state no detector keeps any more: a blob
+/// whose GC totals are not zero, or whose `joined` set is not empty, is
+/// refused by every front-end even when re-framed with a valid CRC, so a
+/// resume falls back to a capture replay.
+#[test]
+fn non_zero_reserved_fields_fail_closed() {
+    let spec = builtin::dictionary();
+    let resolve = builtin_resolver();
+    let fixture = std::fs::read_to_string("crates/cli/tests/data/fig3.rd2.ckpt").unwrap();
+    // The fixture with the record whose payload is `old` re-framed as `new`.
+    let reframe = |old: &str, new: &str| {
+        let mut out = String::new();
+        for line in fixture.lines() {
+            if unframe(line) == Ok(old) {
+                frame(&mut out, new);
+            } else {
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        assert_ne!(out, fixture, "no `{old}` record");
+        out
+    };
+    let meta = "meta adaptive - 0 7 4 0 0 0,0,0";
+    for (field, blob) in [
+        ("retired", reframe(meta, "meta adaptive - 0 7 4 3 0 0,0,0")),
+        ("probes", reframe(meta, "meta adaptive - 0 7 4 0 5 0,0,0")),
+        ("stats", reframe(meta, "meta adaptive - 0 7 4 0 0 1,0,0")),
+        ("joined", reframe("joined 0", "joined 1 1")),
+    ] {
+        for (name, make) in front_ends(&spec, 1, 2) {
+            let err: CkptError = make()
+                .restore(&blob, &resolve)
+                .expect_err(&format!("{name} restored a blob with a non-zero {field}"));
+            assert!(err.reason.contains("reserved"), "{name}, {field}: {err}");
+        }
+    }
+}
+
 /// The retired per-detector kinds (`rd2-trace`, `rd2-parallel`) have no
 /// compatibility reader: every front-end rejects them with a
 /// `CkptError`, which the daemon turns into a full capture replay.
@@ -423,7 +496,7 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
 fn retired_rd2_checkpoint_kinds_are_rejected() {
     let spec = builtin::dictionary();
     let resolve = builtin_resolver();
-    let trace = random_trace(&spec, 17, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 17, 100, OBJECTS);
     let detector = monitored(TraceDetector::new(), &spec, OBJECTS);
     for event in trace.events() {
         detector.on_event(event);
@@ -458,48 +531,42 @@ enum Step {
 /// * the cold checkpoint of a fresh detector folded over the same prefix;
 /// * the re-checkpoint of a fresh detector restored from it, and, after
 ///   the next steps, that restored detector's warm checkpoint must equal
-///   the cold checkpoint of a second one restored and fed the same way
-///   (and, without GC, the long-lived detector's next blob).
+///   the cold checkpoint of a second one restored and fed the same way,
+///   and the long-lived detector's next blob.
 ///
 /// The front-ends are the serial detector and the pipeline at widths 1, 2
-/// and 4 with and without epoch GC, each with and without a provenance
-/// window; the serial detector also runs with full-vector clocks.
+/// and 4, each with and without a provenance window; the serial detector
+/// also runs with full-vector clocks.
 #[test]
 fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
     type Make = Box<dyn Fn() -> Box<dyn FrontEnd>>;
     let spec = builtin::dictionary();
     let compiled = Arc::new(translate(&spec).expect("builtin specs are ECL"));
     let resolve = builtin_resolver();
-    let mut cases: Vec<(String, bool, Make)> = Vec::new();
+    let mut cases: Vec<(String, Make)> = Vec::new();
     for window in [None, Some(3)] {
         let prov = window.map_or(String::new(), |w| format!(" window {w}"));
         cases.push((
             format!("serial{prov}"),
-            false,
             Box::new(move || match window {
                 Some(w) => Box::new(TraceDetector::with_provenance(w)),
                 None => Box::new(TraceDetector::new()),
             }),
         ));
         for workers in [1usize, 2, 4] {
-            for gc_every in [0usize, 5] {
-                let cfg = ParallelConfig {
-                    batch: 3,
-                    provenance_window: window,
-                    gc_every,
-                    ..ParallelConfig::default()
-                };
-                cases.push((
-                    format!("w{workers} gc {gc_every}{prov}"),
-                    gc_every > 0,
-                    Box::new(move || Box::new(ParallelRd2::with_config(workers, cfg.clone()))),
-                ));
-            }
+            let cfg = ParallelConfig {
+                batch: 3,
+                provenance_window: window,
+                ..ParallelConfig::default()
+            };
+            cases.push((
+                format!("w{workers}{prov}"),
+                Box::new(move || Box::new(ParallelRd2::with_config(workers, cfg.clone()))),
+            ));
         }
     }
     cases.push((
         "serial full-vector".into(),
-        false,
         Box::new(|| Box::new(TraceDetector::with_mode(ClockMode::FullVector))),
     ));
     let fresh = |make: &Make| {
@@ -518,7 +585,7 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
         }
     };
     for seed in 900..906u64 {
-        let mut steps: Vec<Step> = random_trace(&spec, seed, 160, OBJECTS)
+        let mut steps: Vec<Step> = random_trace(&spec, Shape::Structured, seed, 160, OBJECTS)
             .events()
             .iter()
             .cloned()
@@ -532,7 +599,7 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
             let next = cuts.last().unwrap() + rng.gen_range(1..64usize);
             cuts.push(next.min(steps.len()));
         }
-        for (name, gc, make) in &cases {
+        for (name, make) in &cases {
             let live = fresh(make);
             let mut blobs = Vec::new();
             for pair in cuts.windows(2) {
@@ -566,11 +633,7 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
                     twin.checkpoint(),
                     "{label}: warm != cold after restore"
                 );
-                if !gc {
-                    // A restore does not carry the GC cadence, so only a
-                    // GC-free detector must meet the long-lived one again.
-                    assert_eq!(&warm, next, "{label}: resumed != uninterrupted");
-                }
+                assert_eq!(&warm, next, "{label}: resumed != uninterrupted");
             }
         }
     }

@@ -6,9 +6,11 @@
 //! [`TraceDetector`] (the one in-process detector, also named `Rd2`) is
 //! anchored to the quadratic oracle, and every other path — full-vector
 //! clocks, the [`ParallelRd2`] pipeline at every width (online, zero-copy
-//! shared, with epoch GC, full-vector clocks), traced runs,
-//! checkpoint-and-resume across front-ends and widths, and in-process
-//! daemon sessions — must produce a bit-for-bit equal [`RaceReport`].
+//! shared, full-vector clocks), traced runs, checkpoint-and-resume across
+//! front-ends and widths, and in-process daemon sessions — must produce a
+//! bit-for-bit equal [`RaceReport`]. The generator makes two [`Shape`]s
+//! of stream; `theorem_5_1`, `parallel_vs_serial` and
+//! `checkpoint_equivalence` run both through the harness.
 //!
 //! Each integration suite includes this module with `mod common;` and uses
 //! only part of it, hence the module-wide `dead_code` allowance.
@@ -21,9 +23,9 @@ use crace::cli::frame_event;
 use crace::core::{builtin_resolver, oracle, Checkpoint, CompiledSpec, FrontEnd, SpecResolver};
 use crace::daemon::SessionConfig;
 use crace::{
-    replay, translate, Action, Analysis, ClockMode, Direct, Event, FastTrack, LocId, LockId,
-    MethodId, ObjId, ParallelConfig, ParallelRd2, RaceReport, Session, Spec, ThreadId, Trace,
-    TraceDetector, Tracer, Value,
+    replay, translate, Action, Analysis, ClockMode, Direct, Event, LocId, LockId, MethodId, ObjId,
+    ParallelConfig, ParallelRd2, RaceReport, Session, Spec, ThreadId, Trace, TraceDetector, Tracer,
+    Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,13 +48,24 @@ fn random_action(spec: &Spec, obj: ObjId, rng: &mut StdRng) -> Action {
     Action::new(obj, method, args, value(rng))
 }
 
-/// A random well-formed trace of `events` steps over objects
-/// `1..=objects`, all monitored with `spec`: forks (at most six live
-/// threads), joins that retire the joined thread, lock acquire/release
-/// pairs, reads and writes of four locations (so FastTrack has state), and
-/// actions. Every thread but the root enters through a fork, as epoch GC
-/// requires.
-pub fn random_trace(spec: &Spec, seed: u64, events: usize, objects: u64) -> Trace {
+/// How threads enter a [`random_trace`] stream.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Shape {
+    /// Every thread but the root enters through a fork.
+    Structured,
+    /// About half the new threads are never forked: each first appears
+    /// through an action or a lock acquire, so its clock starts fresh and
+    /// is concurrent with everything before it.
+    Unforked,
+}
+
+/// A random trace of `shape` with `events` steps over objects
+/// `1..=objects`, all monitored with `spec`: new threads (at most six
+/// live), joins that retire the joined thread, lock acquire/release pairs,
+/// reads and writes of four locations (which RD2 must ignore), and
+/// actions. No thread acts after it is joined. A `Structured` trace of a
+/// seed is the same whatever other shapes exist.
+pub fn random_trace(spec: &Spec, shape: Shape, seed: u64, events: usize, objects: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut trace = Trace::new();
     let mut live = vec![0u32];
@@ -63,7 +76,19 @@ pub fn random_trace(spec: &Spec, seed: u64, events: usize, objects: u64) -> Trac
             0 if live.len() < 6 => {
                 let child = ThreadId(next);
                 next += 1;
-                trace.push(Event::Fork { parent: tid, child });
+                // `Structured` draws nothing from `rng` here, so a seed's
+                // structured trace stays fixed (suites pin seeds).
+                if shape == Shape::Structured || rng.gen_bool(0.5) {
+                    trace.push(Event::Fork { parent: tid, child });
+                } else if rng.gen_bool(0.5) {
+                    let obj = ObjId(1 + rng.gen_range(0..objects));
+                    let action = random_action(spec, obj, &mut rng);
+                    trace.push(Event::Action { tid: child, action });
+                } else {
+                    let lock = LockId(rng.gen_range(0..2));
+                    trace.push(Event::Acquire { tid: child, lock });
+                    trace.push(Event::Release { tid: child, lock });
+                }
                 live.push(child.0);
             }
             1 if live.len() > 1 => {
@@ -119,15 +144,13 @@ pub fn monitored<D: FrontEnd>(detector: D, spec: &Spec, objects: u64) -> D {
 pub type Make = Box<dyn Fn() -> Box<dyn FrontEnd>>;
 
 /// Every RD2 front-end: the serial detector and the pipeline at every
-/// width with the given batch size. The 4-worker pipeline runs epoch GC,
-/// so a restore must rebuild a sound GC live set too.
+/// width with the given batch size.
 pub fn front_ends(spec: &Spec, objects: u64, batch: usize) -> Vec<(String, Make)> {
     let mut all: Vec<(String, Make)> =
         vec![("serial".into(), Box::new(|| Box::new(TraceDetector::new())))];
     for workers in WIDTHS {
         let cfg = ParallelConfig {
             batch,
-            gc_every: if workers == 4 { 5 } else { 0 },
             ..ParallelConfig::default()
         };
         all.push((
@@ -230,11 +253,10 @@ impl Knobs {
 ///   counts exactly the oracle's pairs;
 /// * bit-for-bit report equality with the reference for serial
 ///   full-vector clocks; the pipeline at every width, online and through
-///   `ingest_shared`; epoch GC and full-vector clocks in the pipeline;
-///   traced serial and pipeline runs; a checkpoint at a cut restored into
-///   a different front-end at another width (and FastTrack resumed against
-///   uninterrupted FastTrack); and in-process daemon sessions, serial and
-///   sharded, whose JSON must be the reference's.
+///   `ingest_shared`; full-vector clocks in the pipeline; traced serial
+///   and pipeline runs; a checkpoint at a cut restored into a different
+///   front-end at another width; and in-process daemon sessions, serial
+///   and sharded, whose JSON must be the reference's.
 ///
 /// Objects `1..=objects` are monitored with `spec`.
 pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceReport {
@@ -269,8 +291,7 @@ pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceR
         batch,
         ..ParallelConfig::default()
     };
-    let (mut gc, mut full_vector, mut traced) = (cfg.clone(), cfg.clone(), cfg.clone());
-    gc.gc_every = 4;
+    let (mut full_vector, mut traced) = (cfg.clone(), cfg.clone());
     full_vector.mode = full;
     traced.tracer = Some(Arc::new(Tracer::new()));
     let tracer = Tracer::new();
@@ -288,7 +309,7 @@ pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceR
         let pipeline = ParallelRd2::with_config(workers, cfg.clone());
         paths.push((format!("w{workers}"), Box::new(pipeline)));
     }
-    for (what, cfg) in [("gc", gc), ("full-vector", full_vector), ("traced", traced)] {
+    for (what, cfg) in [("full-vector", full_vector), ("traced", traced)] {
         let pipeline = ParallelRd2::with_config(width, cfg);
         paths.push((format!("w{width} {what}"), Box::new(pipeline)));
     }
@@ -321,13 +342,6 @@ pub fn assert_all_paths_agree(spec: &Spec, trace: &Trace, objects: u64) -> RaceR
         knobs.cut,
         &reference,
     );
-    for (label, make) in [
-        ("fasttrack", FastTrack::new as fn() -> FastTrack),
-        ("fasttrack+prov", FastTrack::with_provenance),
-    ] {
-        let uninterrupted = replay(trace, &make());
-        assert_resumes(label, &make(), &make(), trace, knobs.cut, &uninterrupted);
-    }
 
     for workers in [0, width] {
         let cfg = SessionConfig {

@@ -17,7 +17,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{assert_all_paths_agree, random_trace};
+use common::{assert_all_paths_agree, random_trace, Shape};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
 use crace::spec::builtin;
 use crace::Trace;
@@ -118,7 +118,7 @@ fn killed_and_resumed_sessions_report_bit_for_bit() {
     let spec = builtin::dictionary();
     let widths = [0usize, 1, 2, 4, 8];
     for seed in 0..20u64 {
-        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
         let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let workers = widths[seed as usize % widths.len()];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
@@ -153,7 +153,7 @@ fn killed_and_resumed_sessions_report_bit_for_bit() {
 fn resume_at_a_changed_width_restores_from_the_checkpoint() {
     let spec = builtin::dictionary();
     for (i, (before, after)) in [(0usize, 4usize), (2, 0), (8, 1)].into_iter().enumerate() {
-        let trace = random_trace(&spec, 107 + i as u64, 140, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, 107 + i as u64, 140, OBJECTS);
         let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let dir = record_dir(&format!("width-{i}"));
         let session = format!("width-{i}");
@@ -186,7 +186,7 @@ fn resume_at_a_changed_width_restores_from_the_checkpoint() {
 #[test]
 fn resume_without_a_checkpoint_replays_the_full_capture() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 31, 150, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 31, 150, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let dir = record_dir("nockpt");
     stream_then_kill(durable_config(&dir, 0), "nockpt", &trace, 2, 90);
@@ -240,7 +240,7 @@ fn nest_detector_record(b: &mut Vec<u8>) {
 #[test]
 fn corrupt_checkpoints_fall_closed_to_capture_replay() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 47, 140, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 47, 140, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     for (i, corrupt) in [
         |b: &mut Vec<u8>| {
@@ -294,7 +294,7 @@ fn corrupt_checkpoints_fall_closed_to_capture_replay() {
 #[test]
 fn non_canonical_records_are_captured_verbatim_and_resume_exactly() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 83, 120, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 83, 120, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let sent: Vec<String> = crace::cli::render_trace(&trace, &spec)
         .lines()
@@ -357,7 +357,7 @@ fn non_canonical_records_are_captured_verbatim_and_resume_exactly() {
 #[test]
 fn torn_capture_tails_are_clipped_with_exact_accounting() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 59, 130, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 59, 130, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let dir = record_dir("torn");
     stream_then_kill(durable_config(&dir, 32), "torn", &trace, 2, 80);
@@ -410,7 +410,7 @@ fn torn_capture_tails_are_clipped_with_exact_accounting() {
 #[test]
 fn resumed_sessions_append_to_their_original_capture_lineage() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 73, 110, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 73, 110, OBJECTS);
     let dir = record_dir("lineage");
     stream_then_kill(durable_config(&dir, 16), "lineage", &trace, 0, 60);
     let (_, _, server) = resume_and_finish(durable_config(&dir, 16), "lineage", &trace, 0);
@@ -436,7 +436,7 @@ fn resumed_sessions_append_to_their_original_capture_lineage() {
 #[test]
 fn clean_bye_retires_the_checkpoint() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 91, 120, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 91, 120, OBJECTS);
     let dir = record_dir("retire");
     let server = start(durable_config(&dir, 8));
     let mut client = Client::connect(server.endpoint()).expect("connect");

@@ -11,18 +11,18 @@
 //! `common::assert_all_paths_agree` checks exactly that at worker counts
 //! 1/2/4/8, online and through `ingest_shared`, with batch sizes down to a
 //! single event per batch, and anchors the reference to the quadratic
-//! oracle. This file drives it over random programs and the paper's
-//! fixture traces, and adds what one replay cannot show: sample-cap
-//! overflow, GC retirements, shared ingestion at every batch size, mixed
+//! oracle. This file drives it over random programs of both shapes
+//! (every thread forked, and threads that first appear unforked) and the
+//! paper's fixture traces, and adds what one replay cannot show:
+//! sample-cap overflow, shared ingestion at every batch size, mixed
 //! dispatch and interim report barriers.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, monitored, random_trace, WIDTHS};
+use common::{assert_all_paths_agree, monitored, random_trace, Shape, WIDTHS};
 use crace::core::{ParallelConfig, ParallelRd2};
-use crace::model::replay;
 use crace::spec::builtin;
 use crace::{Analysis, Trace};
 
@@ -40,7 +40,13 @@ fn parallel_reports_equal_serial_at_every_width_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 0..104u64 {
         let long = seed >= 100;
-        let trace = random_trace(&spec, seed, if long { 1_500 } else { 120 }, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            seed,
+            if long { 1_500 } else { 120 },
+            OBJECTS,
+        );
         let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         if long {
             let objects: std::collections::HashSet<_> =
@@ -68,35 +74,17 @@ fn parallel_reports_equal_serial_on_the_fixture_traces() {
     }
 }
 
-/// The epoch GC must be invisible in reports: with the watermark sweep
-/// running aggressively (every 8 actions per worker), every random
-/// program still produces the exact serial report — retired points
-/// re-materialize without losing or inventing races.
+/// Threads that first appear through an action or an acquire, with no
+/// fork naming them, start at a fresh clock concurrent with everything
+/// before them: every path must report their races exactly as serial
+/// replay does, at every width.
 #[test]
-fn gc_on_and_off_produce_identical_reports_on_random_traces() {
+fn parallel_reports_equal_serial_on_unforked_threads() {
     let spec = builtin::dictionary();
-    let mut retired_total = 0u64;
     for seed in 300..340u64 {
-        let trace = random_trace(&spec, seed, 150, OBJECTS);
-        let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
-        for workers in [1usize, 4] {
-            let cfg = ParallelConfig {
-                batch: 16,
-                gc_every: 8,
-                ..ParallelConfig::default()
-            };
-            let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
-            assert_eq!(
-                replay(&trace, &detector),
-                serial,
-                "seed {seed}, {workers} worker(s): GC changed the report"
-            );
-            retired_total += detector.gc_retired();
-        }
+        let trace = random_trace(&spec, Shape::Unforked, seed, 150, OBJECTS);
+        assert_all_paths_agree(&spec, &trace, OBJECTS);
     }
-    // The differential is only meaningful if sweeps actually retired
-    // state somewhere in the corpus.
-    assert!(retired_total > 0, "no sweep ever retired an access point");
 }
 
 /// The zero-copy offline path: `ingest_shared` broadcasts `Arc`'d trace
@@ -108,7 +96,7 @@ fn gc_on_and_off_produce_identical_reports_on_random_traces() {
 fn shared_ingestion_equals_serial_at_every_width_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 500..560u64 {
-        let trace = Arc::new(random_trace(&spec, seed, 120, OBJECTS));
+        let trace = Arc::new(random_trace(&spec, Shape::Structured, seed, 120, OBJECTS));
         let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for batch in [1usize, 7, 512] {
             for workers in WIDTHS {
@@ -135,7 +123,7 @@ fn shared_ingestion_equals_serial_at_every_width_on_random_traces() {
 fn shared_ingestion_composes_with_online_dispatch() {
     let spec = builtin::dictionary();
     for seed in 600..620u64 {
-        let full = random_trace(&spec, seed, 150, OBJECTS);
+        let full = random_trace(&spec, Shape::Structured, seed, 150, OBJECTS);
         let serial = assert_all_paths_agree(&spec, &full, OBJECTS);
         let events = full.events();
         let (head, rest) = events.split_at(events.len() / 3);
@@ -169,7 +157,7 @@ fn shared_ingestion_composes_with_online_dispatch() {
 #[test]
 fn interim_report_barriers_do_not_perturb_the_final_report() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 4242, 200, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 4242, 200, OBJECTS);
     let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
     for workers in WIDTHS {
         let cfg = ParallelConfig {

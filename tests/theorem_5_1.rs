@@ -2,17 +2,22 @@
 //! race **iff** the observed trace contains one — validated against the
 //! quadratic oracle for every builtin specification on many random traces,
 //! through every detector path (see `common::assert_all_paths_agree`).
+//! Each seed runs both trace shapes: every thread forked, and threads that
+//! first appear through an action or an acquire.
 
 mod common;
 
-use common::{assert_all_paths_agree, random_trace};
+use common::{assert_all_paths_agree, random_trace, Shape};
 use crace_spec::{builtin, Spec};
 
 const OBJECTS: u64 = 2;
 
 fn check_spec(spec: &Spec, seeds: std::ops::Range<u64>) {
     for seed in seeds {
-        assert_all_paths_agree(spec, &random_trace(spec, seed, 100, OBJECTS), OBJECTS);
+        for shape in [Shape::Structured, Shape::Unforked] {
+            let trace = random_trace(spec, shape, seed, 100, OBJECTS);
+            assert_all_paths_agree(spec, &trace, OBJECTS);
+        }
     }
 }
 

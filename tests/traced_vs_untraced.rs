@@ -2,7 +2,7 @@
 //!
 //! Span tracing is observability, not semantics: wiring a [`Tracer`]
 //! into any detector must not change a single bit of its `RaceReport`,
-//! at any worker count, with GC on or off. This file replays random
+//! at any worker count. This file replays random
 //! well-formed programs through the serial detector and the parallel
 //! pipeline with tracing enabled, and asserts the reports are identical
 //! to the untraced reference of `common::assert_all_paths_agree` — then
@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, monitored, random_trace, WIDTHS};
+use common::{assert_all_paths_agree, monitored, random_trace, Shape, WIDTHS};
 use crace::core::{ParallelConfig, ParallelRd2};
 use crace::model::replay;
 use crace::obs::EventKind;
@@ -32,7 +32,7 @@ const OBJECTS: u64 = 4;
 fn serial_reports_are_identical_traced_and_untraced() {
     let spec = builtin::dictionary();
     for seed in 0..30u64 {
-        let trace = random_trace(&spec, seed, 120, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
         let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for sample in [1u64, 64] {
             let tracer = Tracer::new();
@@ -46,29 +46,26 @@ fn serial_reports_are_identical_traced_and_untraced() {
     }
 }
 
-/// The pipeline: at widths 1/2/4/8, with GC off and aggressively on, the
-/// traced report equals the untraced reference bit for bit.
+/// The pipeline: at widths 1/2/4/8, the traced report equals the
+/// untraced reference bit for bit.
 #[test]
 fn parallel_reports_are_identical_traced_and_untraced_at_every_width() {
     let spec = builtin::dictionary();
     for seed in 100..130u64 {
-        let trace = random_trace(&spec, seed, 150, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, seed, 150, OBJECTS);
         let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in WIDTHS {
-            for gc_every in [0usize, 8] {
-                let cfg = ParallelConfig {
-                    batch: 16,
-                    gc_every,
-                    tracer: Some(Arc::new(Tracer::new())),
-                    ..ParallelConfig::default()
-                };
-                let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
-                assert_eq!(
-                    replay(&trace, &detector),
-                    reference,
-                    "seed {seed}, {workers} worker(s), gc {gc_every}: tracing changed the report"
-                );
-            }
+            let cfg = ParallelConfig {
+                batch: 16,
+                tracer: Some(Arc::new(Tracer::new())),
+                ..ParallelConfig::default()
+            };
+            let detector = monitored(ParallelRd2::with_config(workers, cfg), &spec, OBJECTS);
+            assert_eq!(
+                replay(&trace, &detector),
+                reference,
+                "seed {seed}, {workers} worker(s): tracing changed the report"
+            );
         }
     }
 }
@@ -89,16 +86,15 @@ fn aux_by_phase(tracer: &Tracer) -> std::collections::BTreeMap<String, (u64, u64
 }
 
 /// A traced pipeline run covers every phase — ingress, worker batches,
-/// sync broadcasts, GC sweeps, and the report merge all record at least
+/// sync broadcasts and the report merge all record at least
 /// one span — and both exports are well-formed.
 #[test]
 fn parallel_timeline_covers_every_phase_and_exports_validate() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 4242, 400, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 4242, 400, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
-        gc_every: 8,
         tracer: Some(Arc::clone(&tracer)),
         ..ParallelConfig::default()
     };
@@ -112,7 +108,6 @@ fn parallel_timeline_covers_every_phase_and_exports_validate() {
         "parallel.ingress",
         "parallel.worker",
         "parallel.sync",
-        "parallel.gc",
         "parallel.merge",
     ] {
         let (spans, _) = by_phase.get(phase).copied().unwrap_or((0, 0));
@@ -141,7 +136,7 @@ fn parallel_timeline_covers_every_phase_and_exports_validate() {
 #[test]
 fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, 777, 600, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, 777, 600, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
@@ -181,7 +176,7 @@ fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
 #[test]
 fn shared_ingestion_is_unchanged_by_tracing() {
     let spec = builtin::dictionary();
-    let trace = Arc::new(random_trace(&spec, 999, 300, OBJECTS));
+    let trace = Arc::new(random_trace(&spec, Shape::Structured, 999, 300, OBJECTS));
     let untraced = assert_all_paths_agree(&spec, &trace, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
