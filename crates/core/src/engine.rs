@@ -82,9 +82,6 @@ pub enum ClockMode {
 pub struct ObjState {
     /// `pt.vc` for every active point, keyed by `(class, value)`.
     active: FxHashMap<AccessPoint, PointClock>,
-    /// A point was added since the last checkpoint render, so
-    /// the cached `pt` line order no longer matches the active set.
-    reshaped: bool,
     /// Total phase-1 conflict probes performed (one per conflicting class
     /// per touched point) — the quantity §5.4 bounds by `|Cₒ(pt)|`.
     probes: u64,
@@ -245,15 +242,18 @@ impl ObjState {
                 None => p.push('-'),
             }
         });
+        // The active set only grows, and the cache goes with the state, so
+        // a point was added since the last render iff the sizes differ.
         let start = out.len();
-        if !self.reshaped && lines.0.len() == self.active.len() {
+        let mut reshaped = lines.0.len() != self.active.len();
+        if !reshaped {
             // The active set is the cached one: walk it in cached order.
             for cached in &mut lines.0 {
                 let Some(pt) = self.active.get_mut(&cached.pt) else {
-                    // Only a missed `reshaped` mark gets here: render the
+                    // Only a cache of another state gets here: render the
                     // whole set below rather than write a wrong blob.
                     out.truncate(start);
-                    self.reshaped = true;
+                    reshaped = true;
                     break;
                 };
                 if pt.stale {
@@ -262,10 +262,8 @@ impl ObjState {
                 }
                 out.push_str(&cached.line);
             }
-        } else {
-            self.reshaped = true;
         }
-        if std::mem::take(&mut self.reshaped) {
+        if reshaped {
             let mut old: FxHashMap<AccessPoint, (String, String)> = lines
                 .0
                 .drain(..)
@@ -351,7 +349,6 @@ impl ObjState {
         };
         let mut state = ObjState {
             active: FxHashMap::default(),
-            reshaped: true,
             probes,
             stats,
             mode,
@@ -514,7 +511,6 @@ impl ObjState {
                         ClockMode::FullVector => AdaptiveClock::Vector(clock.clone()),
                     };
                     e.insert(PointClock { clock, stale: true });
-                    self.reshaped = true;
                 }
             }
         }

@@ -505,11 +505,6 @@ impl ParallelRd2 {
         }
     }
 
-    /// Number of detector workers in the pool.
-    pub fn num_workers(&self) -> usize {
-        self.workers
-    }
-
     /// The worker owning `obj`'s shard — the same partition the serial
     /// sharded detector uses, folded onto the worker pool.
     fn route(&self, obj: ObjId) -> usize {

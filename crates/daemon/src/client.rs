@@ -23,7 +23,7 @@ pub enum Transport {
 }
 
 impl Transport {
-    fn try_clone(&self) -> std::io::Result<Transport> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Transport> {
         match self {
             Transport::Unix(s) => s.try_clone().map(Transport::Unix),
             Transport::Tcp(s) => s.try_clone().map(Transport::Tcp),

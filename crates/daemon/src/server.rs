@@ -20,6 +20,7 @@
 //! accounting, and the outcome is retained server-side so nothing about
 //! the tenant's run is lost with the connection.
 
+use crate::client::Transport;
 use crate::protocol::{parse_request, Request, Resume, MAX_LINE_BYTES};
 use crate::session::{peek_checkpoint_meta, Session, SessionConfig, SessionOutcome, StreamDamage};
 use crace_cli::{parse_framed_tolerant, FRAMED_HEADER};
@@ -29,8 +30,8 @@ use crace_runtime::FaultPlan;
 use crace_spec::{builtin, Spec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::TcpListener;
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,46 +109,6 @@ impl Default for ServerConfig {
 enum Listener {
     Unix(UnixListener),
     Tcp(TcpListener),
-}
-
-/// One accepted connection, unified over the two transports.
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
 }
 
 struct Inner {
@@ -250,11 +211,6 @@ impl Server {
             .len()
     }
 
-    /// Number of live connections.
-    pub fn active_connections(&self) -> usize {
-        self.inner.active_conns.load(Ordering::Relaxed)
-    }
-
     /// The retained outcome of a finished session, if any.
     pub fn outcome(&self, name: &str) -> Option<SessionOutcome> {
         self.inner
@@ -304,8 +260,8 @@ fn accept_loop(inner: Arc<Inner>, listener: Listener) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !inner.stop.load(Ordering::SeqCst) {
         let accepted = match &listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Transport::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Transport::Tcp(s)),
         };
         match accepted {
             Ok(conn) => {
@@ -365,7 +321,7 @@ fn read_capped_line<R: BufRead>(reader: &mut R) -> std::io::Result<Option<(Vec<u
     Ok(Some((buf, newline)))
 }
 
-fn handle_connection(inner: &Arc<Inner>, conn: Conn) {
+fn handle_connection(inner: &Arc<Inner>, conn: Transport) {
     let writer = match conn.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -385,8 +341,8 @@ fn handle_connection(inner: &Arc<Inner>, conn: Conn) {
 
 fn drive_protocol(
     inner: &Arc<Inner>,
-    reader: &mut BufReader<Conn>,
-    writer: &mut Conn,
+    reader: &mut BufReader<Transport>,
+    writer: &mut Transport,
     first: (Vec<u8>, bool),
 ) {
     let mut state: Option<Arc<Session>> = None;
@@ -562,12 +518,12 @@ fn drive_protocol(
     }
 }
 
-fn protocol_error(inner: &Arc<Inner>, writer: &mut Conn, message: &str) {
+fn protocol_error(inner: &Arc<Inner>, writer: &mut Transport, message: &str) {
     inner.registry.counter("daemon.protocol_errors").inc();
     let _ = writer.write_all(format!("ERR {message}\n").as_bytes());
 }
 
-fn write_report(writer: &mut Conn, json: &str) -> std::io::Result<()> {
+fn write_report(writer: &mut Transport, json: &str) -> std::io::Result<()> {
     writer.write_all(format!("REPORT {}\n", json.len()).as_bytes())?;
     writer.write_all(json.as_bytes())?;
     writer.flush()
@@ -598,7 +554,7 @@ fn stats_line(outcome: &SessionOutcome) -> String {
 /// the peer may already be gone), the outcome is retained.
 fn finish_torn(
     inner: &Arc<Inner>,
-    writer: &mut Conn,
+    writer: &mut Transport,
     session: Arc<Session>,
     lost_bytes: u64,
     lost_records: u64,
@@ -1042,7 +998,12 @@ fn scrape(inner: &Arc<Inner>) -> Snapshot {
     Snapshot::merged(parts)
 }
 
-fn serve_http(inner: &Arc<Inner>, reader: &mut BufReader<Conn>, writer: &mut Conn, first: &[u8]) {
+fn serve_http(
+    inner: &Arc<Inner>,
+    reader: &mut BufReader<Transport>,
+    writer: &mut Transport,
+    first: &[u8],
+) {
     // Drain request headers (bounded) so the peer's write never blocks.
     for _ in 0..128 {
         match read_capped_line(reader) {

@@ -75,15 +75,6 @@ impl<A: Analysis> Observer<A> {
         Observer::with_sampling(inner, registry, DEFAULT_SAMPLE_EVERY)
     }
 
-    /// Wraps `inner` with a fresh registry and an explicit dispatch-latency
-    /// sampling rate: time one event in `rate` (`1` times every dispatch,
-    /// `0` disables timing). Event counting stays exact regardless. The
-    /// default rate is [`DEFAULT_SAMPLE_EVERY`] (64), surfaced on the CLI
-    /// as `crace replay --metrics --sample-rate <n>`.
-    pub fn with_sample_rate(inner: A, rate: u64) -> Observer<A> {
-        Observer::with_sampling(inner, Arc::new(Registry::new()), rate)
-    }
-
     /// Full-control constructor: `sample_every` = 1 times every dispatch
     /// (highest fidelity, highest overhead); 0 disables timing entirely.
     pub fn with_sampling(inner: A, registry: Arc<Registry>, sample_every: u64) -> Observer<A> {

@@ -227,12 +227,6 @@ impl JoinError {
             .copied()
             .or_else(|| self.payload.downcast_ref::<String>().map(String::as_str))
     }
-
-    /// Consumes the error, returning the raw panic payload (suitable for
-    /// [`std::panic::resume_unwind`]).
-    pub fn into_payload(self) -> Box<dyn std::any::Any + Send + 'static> {
-        self.payload
-    }
 }
 
 impl fmt::Debug for JoinError {

@@ -101,13 +101,3 @@ pub fn parse(source: &str) -> Result<Spec, SpecError> {
     let file = parser::parse_source(source)?;
     resolve::resolve(&file)
 }
-
-/// Parses a source file containing several `spec` blocks.
-///
-/// # Errors
-///
-/// Same conditions as [`parse`].
-pub fn parse_all(source: &str) -> Result<Vec<Spec>, SpecError> {
-    let file = parser::parse_source_multi(source)?;
-    file.iter().map(resolve::resolve).collect()
-}

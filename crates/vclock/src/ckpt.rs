@@ -563,16 +563,9 @@ fn clip(text: &str) -> String {
 // Clock serialization: the vclock types as single checkpoint words.
 // ---------------------------------------------------------------------
 
-/// Renders a vector clock as one word: comma-joined components, `-` for
-/// the bottom clock `⊥`.
-pub fn vc_word(vc: &VectorClock) -> String {
-    let mut out = String::with_capacity(2 * vc.dim().max(1));
-    vc_append(&mut out, vc);
-    out
-}
-
-/// Appends the [`vc_word`] rendering of `vc` to `out` — no intermediate
-/// per-component strings, for the hot checkpoint serializers.
+/// Appends a vector clock to `out` as one word: comma-joined components,
+/// `-` for the bottom clock `⊥`. No intermediate per-component strings,
+/// for the hot checkpoint serializers.
 pub fn vc_append(out: &mut String, vc: &VectorClock) {
     if vc.dim() == 0 {
         out.push('-');
@@ -596,7 +589,7 @@ pub fn vc_append(out: &mut String, vc: &VectorClock) {
     out.push_str(std::str::from_utf8(&buf[..at]).expect("ASCII"));
 }
 
-/// Parses a [`vc_word`] rendering back to a clock.
+/// Parses a [`vc_append`] rendering back to a clock.
 ///
 /// # Errors
 ///
@@ -616,15 +609,8 @@ pub fn vc_parse(word: &str, line: usize) -> Result<VectorClock, CkptError> {
     Ok(VectorClock::from_components(components))
 }
 
-/// Renders an adaptive clock as one word: `e:<c>@<t>` while compressed,
-/// `v:<components>` once promoted.
-pub fn adaptive_word(clock: &AdaptiveClock) -> String {
-    let mut out = String::new();
-    adaptive_append(&mut out, clock);
-    out
-}
-
-/// Appends the [`adaptive_word`] rendering of `clock` to `out`.
+/// Appends an adaptive clock to `out` as one word: `e:<c>@<t>` while
+/// compressed, `v:<components>` once promoted.
 pub fn adaptive_append(out: &mut String, clock: &AdaptiveClock) {
     match clock {
         AdaptiveClock::Epoch(e) => {
@@ -640,7 +626,7 @@ pub fn adaptive_append(out: &mut String, clock: &AdaptiveClock) {
     }
 }
 
-/// Parses an [`adaptive_word`] rendering.
+/// Parses an [`adaptive_append`] rendering.
 ///
 /// # Errors
 ///
@@ -667,14 +653,7 @@ pub fn adaptive_parse(word: &str, line: usize) -> Result<AdaptiveClock, CkptErro
     ))
 }
 
-/// Renders clock-representation statistics as one word.
-pub fn stats_word(stats: &ClockStats) -> String {
-    let mut out = String::new();
-    stats_append(&mut out, stats);
-    out
-}
-
-/// Appends the [`stats_word`] rendering of `stats` to `out`.
+/// Appends clock-representation statistics to `out` as one word.
 pub fn stats_append(out: &mut String, stats: &ClockStats) {
     push_u64(out, stats.epoch_updates);
     out.push(',');
@@ -683,7 +662,7 @@ pub fn stats_append(out: &mut String, stats: &ClockStats) {
     push_u64(out, stats.vector_updates);
 }
 
-/// Parses a [`stats_word`] rendering.
+/// Parses a [`stats_append`] rendering.
 ///
 /// # Errors
 ///
@@ -827,6 +806,13 @@ mod tests {
         }
     }
 
+    /// What an `*_append` renderer writes into an empty string.
+    fn word(render: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        render(&mut out);
+        out
+    }
+
     #[test]
     fn wide_clocks_render_like_the_formatter() {
         use rand::{Rng, SeedableRng};
@@ -839,7 +825,7 @@ mod tests {
                 .collect();
             let expected: Vec<String> = components.iter().map(u64::to_string).collect();
             let vc = VectorClock::from_components(components);
-            assert_eq!(vc_word(&vc), expected.join(","), "dim {dim}");
+            assert_eq!(word(|o| vc_append(o, &vc)), expected.join(","), "dim {dim}");
         }
     }
 
@@ -968,18 +954,27 @@ mod tests {
             VectorClock::from_components([3, 0, 1]),
             VectorClock::from_components([0, 0, 7]),
         ] {
-            assert_eq!(vc_parse(&vc_word(&vc), 1).unwrap(), vc);
+            assert_eq!(vc_parse(&word(|o| vc_append(o, &vc)), 1).unwrap(), vc);
         }
         let e = AdaptiveClock::Epoch(Epoch::new(ThreadId(2), 9));
-        assert_eq!(adaptive_parse(&adaptive_word(&e), 1).unwrap(), e);
+        assert_eq!(
+            adaptive_parse(&word(|o| adaptive_append(o, &e)), 1).unwrap(),
+            e
+        );
         let v = AdaptiveClock::Vector(VectorClock::from_components([1, 4]));
-        assert_eq!(adaptive_parse(&adaptive_word(&v), 1).unwrap(), v);
+        assert_eq!(
+            adaptive_parse(&word(|o| adaptive_append(o, &v)), 1).unwrap(),
+            v
+        );
         let stats = ClockStats {
             epoch_updates: 5,
             promotions: 1,
             vector_updates: 2,
         };
-        assert_eq!(stats_parse(&stats_word(&stats), 1).unwrap(), stats);
+        assert_eq!(
+            stats_parse(&word(|o| stats_append(o, &stats)), 1).unwrap(),
+            stats
+        );
     }
 
     #[test]

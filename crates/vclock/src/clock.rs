@@ -180,8 +180,6 @@ impl fmt::Display for VectorClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn vc(components: &[u64]) -> VectorClock {
         VectorClock::from_components(components.iter().copied())
@@ -246,100 +244,5 @@ mod tests {
     fn display_uses_angle_brackets() {
         assert_eq!(vc(&[3, 0, 1]).to_string(), "⟨3, 0, 1⟩");
         assert_eq!(VectorClock::new().to_string(), "⟨⟩");
-    }
-
-    // Randomized lattice-law checks in the seeded-StdRng style of
-    // crates/core/tests/random_formulas.rs. Small dimensions/values make
-    // incomparable, equal and ordered pairs all common.
-    fn random_clock(rng: &mut StdRng) -> VectorClock {
-        let dim = rng.gen_range(0..5usize);
-        VectorClock::from_components((0..dim).map(|_| rng.gen_range(0u64..6)))
-    }
-
-    #[test]
-    fn join_is_least_upper_bound() {
-        let mut rng = StdRng::seed_from_u64(0xC10C);
-        for _ in 0..2_000 {
-            let (a, b) = (random_clock(&mut rng), random_clock(&mut rng));
-            let j = a.join(&b);
-            assert!(
-                a.le(&j) && b.le(&j),
-                "{a} ⊔ {b} = {j} is not an upper bound"
-            );
-            // Least: every component of the join comes from a or b.
-            for i in 0..j.dim() {
-                let t = ThreadId(i as u32);
-                assert_eq!(j.get(t), a.get(t).max(b.get(t)));
-            }
-        }
-    }
-
-    #[test]
-    fn join_commutative_associative_idempotent() {
-        let mut rng = StdRng::seed_from_u64(0x10B);
-        for _ in 0..2_000 {
-            let (a, b, c) = (
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-            );
-            assert_eq!(a.join(&b), b.join(&a));
-            assert_eq!(a.join(&b).join(&c), a.join(&b.join(&c)));
-            assert_eq!(a.join(&a), a);
-        }
-    }
-
-    #[test]
-    fn order_is_reflexive_and_antisymmetric() {
-        let mut rng = StdRng::seed_from_u64(0x0D0);
-        for _ in 0..2_000 {
-            let (a, b) = (random_clock(&mut rng), random_clock(&mut rng));
-            assert!(a.le(&a));
-            if a.le(&b) && b.le(&a) {
-                assert_eq!(a, b);
-            }
-        }
-    }
-
-    #[test]
-    fn order_is_transitive() {
-        let mut rng = StdRng::seed_from_u64(0x7A5);
-        for _ in 0..5_000 {
-            let (a, b, c) = (
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-                random_clock(&mut rng),
-            );
-            if a.le(&b) && b.le(&c) {
-                assert!(a.le(&c), "{a} ⊑ {b} ⊑ {c} but not {a} ⊑ {c}");
-            }
-        }
-    }
-
-    #[test]
-    fn inc_strictly_increases() {
-        let mut rng = StdRng::seed_from_u64(0x14C);
-        for _ in 0..2_000 {
-            let mut a = random_clock(&mut rng);
-            let t = rng.gen_range(0u32..5);
-            let before = a.clone();
-            a.inc(ThreadId(t));
-            assert!(before.le(&a));
-            assert!(!a.le(&before));
-        }
-    }
-
-    #[test]
-    fn le_agrees_with_partial_cmp() {
-        let mut rng = StdRng::seed_from_u64(0x1E);
-        for _ in 0..2_000 {
-            let (a, b) = (random_clock(&mut rng), random_clock(&mut rng));
-            let le = a.le(&b);
-            let cmp = a.partial_cmp(&b);
-            assert_eq!(
-                le,
-                matches!(cmp, Some(Ordering::Less) | Some(Ordering::Equal))
-            );
-        }
     }
 }

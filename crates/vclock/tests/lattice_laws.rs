@@ -5,12 +5,14 @@
 //!
 //! 1. `(VC, ⊔, ⊑)` is a join-semilattice: `⊔` is commutative, associative
 //!    and idempotent, and computes the *least* upper bound of `⊑`.
-//! 2. `⊑` is a partial order: reflexive, antisymmetric, transitive; `inc`
-//!    is strictly inflationary.
+//! 2. `⊑` is a partial order: reflexive, antisymmetric, transitive, and
+//!    the one `partial_cmp` reports; `inc` is strictly inflationary.
 //! 3. [`AdaptiveClock`] is a faithful compression: under simulated
 //!    well-formed histories its `le` answers and its promotion to a full
 //!    [`VectorClock`] agree exactly with the shadow full-vector clock it
 //!    stands for.
+
+use std::cmp::Ordering;
 
 use crace_model::ThreadId;
 use crace_vclock::{AdaptiveClock, Epoch, Observation, VectorClock};
@@ -51,6 +53,11 @@ fn join_is_the_least_upper_bound() {
             a.le(&j) && b.le(&j),
             "{a} ⊔ {b} = {j} is not an upper bound"
         );
+        // Pointwise: every component of the join comes from a or b.
+        for i in 0..j.dim() {
+            let t = ThreadId(i as u32);
+            assert_eq!(j.get(t), a.get(t).max(b.get(t)), "{a} ⊔ {b} = {j}");
+        }
         // Least: any other upper bound dominates the join.
         let u = random_clock(&mut rng);
         if a.le(&u) && b.le(&u) {
@@ -106,6 +113,21 @@ fn concurrent_with_is_exactly_incomparability() {
         assert_eq!(a.concurrent_with(&b), !a.le(&b) && !b.le(&a));
         assert_eq!(a.concurrent_with(&b), b.concurrent_with(&a));
         assert!(!a.concurrent_with(&a));
+    }
+}
+
+#[test]
+fn le_agrees_with_partial_cmp() {
+    let mut rng = StdRng::seed_from_u64(0x1E);
+    for _ in 0..2_000 {
+        let (a, b) = (random_clock(&mut rng), random_clock(&mut rng));
+        let le = a.le(&b);
+        let cmp = a.partial_cmp(&b);
+        assert_eq!(
+            le,
+            matches!(cmp, Some(Ordering::Less) | Some(Ordering::Equal)),
+            "{a} vs {b}"
+        );
     }
 }
 

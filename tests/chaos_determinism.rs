@@ -11,13 +11,16 @@
 //! 3. The differential harness ([`run_chaos`]) finds no contract
 //!    violations on any of these programs.
 
+mod common;
+
+use common::{random_program, Programs};
 use crace::runtime::chaos::{run_chaos, ChaosConfig};
 use crace::runtime::explore::replay_with_faults;
-use crace::runtime::sim::{sim_dict_obj, simulate, simulate_with_faults, SimOp, SimProgram};
-use crace::{replay, FaultPlan, Isolated, TraceDetector, Value};
+use crace::runtime::sim::{sim_dict_obj, simulate, simulate_with_faults, SimProgram};
+use crace::{replay, FaultPlan, Isolated, TraceDetector};
 use crace_spec::builtin;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 fn fixture(name: &str) -> SimProgram {
     let path = format!(
@@ -28,50 +31,14 @@ fn fixture(name: &str) -> SimProgram {
     crace::cli::parse_program(&source).expect("fixture parses")
 }
 
-fn random_program(rng: &mut StdRng) -> SimProgram {
-    let threads = rng.gen_range(2..=4);
-    let num_locks = rng.gen_range(0..=2);
-    let scripts = (0..threads)
-        .map(|_| {
-            let len = rng.gen_range(1..=6);
-            let mut script = Vec::new();
-            let mut held: Option<usize> = None;
-            for _ in 0..len {
-                match rng.gen_range(0..6) {
-                    0 if num_locks > 0 && held.is_none() => {
-                        let l = rng.gen_range(0..num_locks);
-                        script.push(SimOp::Lock(l));
-                        held = Some(l);
-                    }
-                    1 => {
-                        if let Some(l) = held.take() {
-                            script.push(SimOp::Unlock(l));
-                        }
-                    }
-                    2 | 3 => script.push(SimOp::DictPut {
-                        dict: 0,
-                        key: Value::Int(rng.gen_range(0..3)),
-                        value: Value::Int(rng.gen_range(0..100)),
-                    }),
-                    4 => script.push(SimOp::DictGet {
-                        dict: 0,
-                        key: Value::Int(rng.gen_range(0..3)),
-                    }),
-                    _ => script.push(SimOp::DictSize { dict: 0 }),
-                }
-            }
-            if let Some(l) = held {
-                script.push(SimOp::Unlock(l));
-            }
-            script
-        })
-        .collect();
-    SimProgram {
-        num_dicts: 1,
-        num_locks,
-        threads: scripts,
-    }
-}
+/// Chaos programs: up to four threads, and critical sections over up to
+/// two locks.
+const PROGRAMS: Programs = Programs {
+    threads: 2..=4,
+    ops: 1..=6,
+    locks: 0..=2,
+    disjoint: 0.0,
+};
 
 /// Satellite requirement: the same `(program, schedule, FaultPlan)`
 /// triple produces identical race reports and degradation counters
@@ -164,7 +131,7 @@ fn chaos_campaigns_uphold_the_contract_on_random_programs() {
     let mut rng = StdRng::seed_from_u64(2024);
     let mut programs: Vec<SimProgram> = vec![fixture("fig3.sim"), fixture("fig3_ordered.sim")];
     for _ in 0..10 {
-        programs.push(random_program(&mut rng));
+        programs.push(random_program(&PROGRAMS, &mut rng));
     }
     for (i, program) in programs.iter().enumerate() {
         let cfg = ChaosConfig {

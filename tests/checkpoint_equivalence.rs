@@ -31,7 +31,8 @@ mod common;
 use std::sync::Arc;
 
 use common::{
-    assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, Shape, WIDTHS,
+    assert_all_paths_agree, assert_resumes, front_ends, monitored, random_trace, Shape, Universe,
+    WIDTHS,
 };
 use crace::core::{
     builtin_resolver, Checkpoint, ClockMode, FrontEnd, ParallelConfig, ParallelRd2, TraceDetector,
@@ -53,7 +54,14 @@ const OBJECTS: u64 = 4;
 fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 0..40u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 140, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            140,
+            OBJECTS,
+        );
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0xC4E9).gen_range(0..=trace.len());
         let serial = || monitored(TraceDetector::new(), &spec, OBJECTS);
@@ -70,7 +78,14 @@ fn restore_equals_fold_prefix_for_serial_detectors_on_random_traces() {
 fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
     let spec = builtin::dictionary();
     for seed in 100..125u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            120,
+            OBJECTS,
+        );
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0x9E37).gen_range(0..=trace.len());
         let batch = [1usize, 3, 512][seed as usize % 3];
@@ -108,7 +123,14 @@ fn restore_equals_fold_prefix_for_the_parallel_pipeline_at_every_width() {
 fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 700..720u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 140, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            140,
+            OBJECTS,
+        );
         let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in [1usize, 4] {
             let cfg = ParallelConfig {
@@ -168,7 +190,7 @@ fn healed_pipelines_match_serial_bit_for_bit_on_random_traces() {
 fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, Shape::Structured, 7, 120, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 7, 120, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
@@ -211,7 +233,7 @@ fn version_bumps_kind_mismatches_and_unknown_specs_fail_closed() {
 fn truncated_checkpoints_fail_closed() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, Shape::Structured, 11, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 11, 100, OBJECTS);
     let detector = rd2();
     for event in trace.events() {
         detector.on_event(event);
@@ -238,7 +260,7 @@ fn truncated_checkpoints_fail_closed() {
 fn byte_flipped_checkpoints_never_restore_to_a_wrong_report() {
     let spec = builtin::dictionary();
     let rd2 = || monitored(TraceDetector::new(), &spec, OBJECTS);
-    let trace = random_trace(&spec, Shape::Structured, 13, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 13, 100, OBJECTS);
     let split = trace.len() / 2;
     let uninterrupted = replay(&trace, &rd2());
     let (prefix, suffix) = trace.events().split_at(split);
@@ -291,7 +313,7 @@ fn checkpoints_restore_across_every_front_end_and_width() {
     let fronts = front_ends(&spec, OBJECTS, 3);
     let shapes = [Shape::Structured, Shape::Unforked];
     for (seed, shape) in (200..208u64).flat_map(|seed| shapes.map(|shape| (seed, shape))) {
-        let trace = random_trace(&spec, shape, seed, 120, OBJECTS);
+        let trace = random_trace(&spec, shape, Universe::Small, seed, 120, OBJECTS);
         let expected = assert_all_paths_agree(&spec, &trace, OBJECTS);
         let split = StdRng::seed_from_u64(seed ^ 0x77AA).gen_range(0..=trace.len());
         let (prefix, suffix) = trace.events().split_at(split);
@@ -336,9 +358,16 @@ fn serial_and_pipeline_write_identical_checkpoints_at_every_width() {
     let orphan = ThreadId(99);
     let put = spec.method_id("put").unwrap();
     for seed in 300..308u64 {
-        let mut events = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS)
-            .events()
-            .to_vec();
+        let mut events = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            120,
+            OBJECTS,
+        )
+        .events()
+        .to_vec();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         for key in 0..2 {
             let action = Action::new(
@@ -496,7 +525,7 @@ fn non_zero_reserved_fields_fail_closed() {
 fn retired_rd2_checkpoint_kinds_are_rejected() {
     let spec = builtin::dictionary();
     let resolve = builtin_resolver();
-    let trace = random_trace(&spec, Shape::Structured, 17, 100, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 17, 100, OBJECTS);
     let detector = monitored(TraceDetector::new(), &spec, OBJECTS);
     for event in trace.events() {
         detector.on_event(event);
@@ -585,12 +614,19 @@ fn warm_checkpoints_equal_cold_renders_on_every_front_end() {
         }
     };
     for seed in 900..906u64 {
-        let mut steps: Vec<Step> = random_trace(&spec, Shape::Structured, seed, 160, OBJECTS)
-            .events()
-            .iter()
-            .cloned()
-            .map(Step::Event)
-            .collect();
+        let mut steps: Vec<Step> = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            160,
+            OBJECTS,
+        )
+        .events()
+        .iter()
+        .cloned()
+        .map(Step::Event)
+        .collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xCAC4E);
         let at = rng.gen_range(steps.len() / 4..steps.len() * 3 / 4);
         steps.insert(at, Step::Register(ObjId(1 + seed % OBJECTS)));

@@ -1,5 +1,6 @@
-//! Shared test support: the one random-trace generator and the one
-//! differential harness, [`assert_all_paths_agree`].
+//! Shared test support: the one generator of each kind of random input
+//! ([`generators`]) and the one differential harness,
+//! [`assert_all_paths_agree`].
 //!
 //! Theorem 5.1 says Algorithm 1 reports a race iff the trace has one. The
 //! harness checks that on every execution path the repo has: the serial
@@ -8,13 +9,16 @@
 //! clocks, the [`ParallelRd2`] pipeline at every width (online, zero-copy
 //! shared, full-vector clocks), traced runs, checkpoint-and-resume across
 //! front-ends and widths, and in-process daemon sessions — must produce a
-//! bit-for-bit equal [`RaceReport`]. The generator makes two [`Shape`]s
+//! bit-for-bit equal [`RaceReport`]. The trace generator makes two [`Shape`]s
 //! of stream; `theorem_5_1`, `parallel_vs_serial` and
 //! `checkpoint_equivalence` run both through the harness.
 //!
 //! Each integration suite includes this module with `mod common;` and uses
 //! only part of it, hence the module-wide `dead_code` allowance.
 #![allow(dead_code)]
+
+mod generators;
+pub use generators::*;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,106 +27,14 @@ use crace::cli::frame_event;
 use crace::core::{builtin_resolver, oracle, Checkpoint, CompiledSpec, FrontEnd, SpecResolver};
 use crace::daemon::SessionConfig;
 use crace::{
-    replay, translate, Action, Analysis, ClockMode, Direct, Event, LocId, LockId, MethodId, ObjId,
-    ParallelConfig, ParallelRd2, RaceReport, Session, Spec, ThreadId, Trace, TraceDetector, Tracer,
-    Value,
+    replay, translate, Analysis, ClockMode, Direct, ObjId, ParallelConfig, ParallelRd2, RaceReport,
+    Session, Spec, Trace, TraceDetector, Tracer,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Worker counts the pipeline runs at.
 pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
-
-/// A random action of `spec` on `obj`: any method, with every slot drawn
-/// from a small universe so that collisions (and hence races) are common.
-fn random_action(spec: &Spec, obj: ObjId, rng: &mut StdRng) -> Action {
-    let method = MethodId(rng.gen_range(0..spec.num_methods()) as u32);
-    let value = |rng: &mut StdRng| match rng.gen_range(0..4) {
-        0 => Value::Nil,
-        1 => Value::Bool(rng.gen_bool(0.5)),
-        _ => Value::Int(rng.gen_range(0..3)),
-    };
-    let args = (0..spec.sig(method).num_args())
-        .map(|_| value(rng))
-        .collect();
-    Action::new(obj, method, args, value(rng))
-}
-
-/// How threads enter a [`random_trace`] stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Shape {
-    /// Every thread but the root enters through a fork.
-    Structured,
-    /// About half the new threads are never forked: each first appears
-    /// through an action or a lock acquire, so its clock starts fresh and
-    /// is concurrent with everything before it.
-    Unforked,
-}
-
-/// A random trace of `shape` with `events` steps over objects
-/// `1..=objects`, all monitored with `spec`: new threads (at most six
-/// live), joins that retire the joined thread, lock acquire/release pairs,
-/// reads and writes of four locations (which RD2 must ignore), and
-/// actions. No thread acts after it is joined. A `Structured` trace of a
-/// seed is the same whatever other shapes exist.
-pub fn random_trace(spec: &Spec, shape: Shape, seed: u64, events: usize, objects: u64) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Trace::new();
-    let mut live = vec![0u32];
-    let mut next = 1u32;
-    for _ in 0..events {
-        let tid = ThreadId(live[rng.gen_range(0..live.len())]);
-        match rng.gen_range(0..16) {
-            0 if live.len() < 6 => {
-                let child = ThreadId(next);
-                next += 1;
-                // `Structured` draws nothing from `rng` here, so a seed's
-                // structured trace stays fixed (suites pin seeds).
-                if shape == Shape::Structured || rng.gen_bool(0.5) {
-                    trace.push(Event::Fork { parent: tid, child });
-                } else if rng.gen_bool(0.5) {
-                    let obj = ObjId(1 + rng.gen_range(0..objects));
-                    let action = random_action(spec, obj, &mut rng);
-                    trace.push(Event::Action { tid: child, action });
-                } else {
-                    let lock = LockId(rng.gen_range(0..2));
-                    trace.push(Event::Acquire { tid: child, lock });
-                    trace.push(Event::Release { tid: child, lock });
-                }
-                live.push(child.0);
-            }
-            1 if live.len() > 1 => {
-                let victim = live[rng.gen_range(0..live.len())];
-                if victim != tid.0 {
-                    trace.push(Event::Join {
-                        parent: tid,
-                        child: ThreadId(victim),
-                    });
-                    live.retain(|&t| t != victim);
-                }
-            }
-            2 | 3 => {
-                let lock = LockId(rng.gen_range(0..2));
-                trace.push(Event::Acquire { tid, lock });
-                trace.push(Event::Release { tid, lock });
-            }
-            4 => trace.push(Event::Write {
-                tid,
-                loc: LocId(rng.gen_range(0..4)),
-            }),
-            5 => trace.push(Event::Read {
-                tid,
-                loc: LocId(rng.gen_range(0..4)),
-            }),
-            _ => {
-                let obj = ObjId(1 + rng.gen_range(0..objects));
-                let action = random_action(spec, obj, &mut rng);
-                trace.push(Event::Action { tid, action });
-            }
-        }
-    }
-    trace
-}
 
 fn compile(spec: &Spec) -> Arc<CompiledSpec> {
     Arc::new(translate(spec).expect("builtin specs are ECL"))

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{assert_all_paths_agree, random_trace, Shape};
+use common::{assert_all_paths_agree, random_trace, Shape, Universe};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
 use crace::obs::MetricValue;
 use crace::spec::builtin;
@@ -64,7 +64,7 @@ fn wait_no_sessions(server: &Server) {
 fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
     let server = start_server(ServerConfig::default());
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 11, 60, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 11, 60, OBJECTS);
     let lines: Vec<String> = trace
         .events()
         .iter()
@@ -136,7 +136,7 @@ fn mid_stream_kill_reports_the_torn_prefix_with_exact_loss_accounting() {
 fn damaged_record_tears_the_session_and_counts_the_bad_line() {
     let server = start_server(ServerConfig::default());
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 12, 30, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 12, 30, OBJECTS);
     let lines: Vec<String> = trace
         .events()
         .iter()
@@ -186,7 +186,7 @@ fn damaged_record_tears_the_session_and_counts_the_bad_line() {
 fn injected_detector_panic_is_isolated_to_its_tenant() {
     let server = Arc::new(start_server(ServerConfig::default()));
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 13, 80, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 13, 80, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS);
 
     // The clean tenant runs concurrently with the panicking one.
@@ -277,7 +277,7 @@ fn overload_sheds_data_plane_only_and_counts_every_loss() {
         ..ServerConfig::default()
     });
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 14, 120, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 14, 120, OBJECTS);
     let sync_events = trace.events().iter().filter(|e| e.is_sync()).count() as u64;
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS);
     let mut client = Client::connect(server.endpoint()).expect("connect");
@@ -340,7 +340,8 @@ fn soak_survives_connect_disconnect_churn_with_monotone_counters() {
                 round += 1;
                 let seed = worker * 1_000_000 + round;
                 let name = format!("soak-{worker}-{round}");
-                let trace = random_trace(&spec, Shape::Structured, seed, 40, OBJECTS);
+                let trace =
+                    random_trace(&spec, Shape::Structured, Universe::Small, seed, 40, OBJECTS);
                 match round % 5 {
                     // Clean run: the report must stay exact even while
                     // neighbors are being killed and panicked.

@@ -17,7 +17,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, random_trace, Shape, WIDTHS};
+use common::{assert_all_paths_agree, random_trace, Shape, Universe, WIDTHS};
 use crace::daemon::{Client, Endpoint, Server, ServerConfig};
 use crace::spec::builtin;
 use crace::{Spec, Trace};
@@ -75,7 +75,14 @@ fn daemon_reports_equal_offline_replay_on_random_programs() {
     // 1-byte dribble (kept for the smaller corpus below — it is slow).
     let chunks = [0usize, 4096, 17, 3];
     for seed in 0..100u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 100, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            100,
+            OBJECTS,
+        );
         let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         let workers = WIDTHS[seed as usize % WIDTHS.len()];
         let chunk = chunks[seed as usize % chunks.len()];
@@ -103,7 +110,7 @@ fn every_width_and_the_one_byte_dribble_agree() {
     let server = start_server();
     let spec = builtin::dictionary();
     for seed in 1000..1010u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 60, OBJECTS);
+        let trace = random_trace(&spec, Shape::Structured, Universe::Small, seed, 60, OBJECTS);
         let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
         for workers in WIDTHS {
             let wire = stream_session(
@@ -134,7 +141,14 @@ fn concurrent_tenants_each_get_their_own_report() {
             workers_threads.push(std::thread::spawn(move || {
                 let spec = builtin::dictionary();
                 let seed = 2000 + (tenants * 100 + t) as u64;
-                let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
+                let trace = random_trace(
+                    &spec,
+                    Shape::Structured,
+                    Universe::Small,
+                    seed,
+                    120,
+                    OBJECTS,
+                );
                 let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
                 let wire = stream_session(
                     &server,
@@ -163,7 +177,7 @@ fn concurrent_tenants_each_get_their_own_report() {
 fn interim_reports_do_not_perturb_the_final_report() {
     let server = start_server();
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 77, 150, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 77, 150, OBJECTS);
     let offline = assert_all_paths_agree(&spec, &trace, OBJECTS).to_json();
     let mut client = Client::connect(server.endpoint()).expect("connect");
     client

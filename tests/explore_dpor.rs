@@ -10,58 +10,33 @@
 //!
 //! while DPOR explores at most as many schedules as brute force.
 
+mod common;
+
+use common::{random_program, Programs};
 use crace::core::oracle::find_races;
 use crace::runtime::explore::{explore, ExploreConfig, ExploreReport};
 use crace::runtime::sim::{sim_dict_obj, simulate, SimOp, SimProgram};
 use crace::Value;
 use crace_spec::builtin;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap};
 
-/// A tiny random program: 2–3 threads, 1–3 ops each, one dictionary,
-/// keys from a 3-value space so conflicts are common but not universal.
-fn random_tiny(rng: &mut StdRng) -> SimProgram {
-    let threads = rng.gen_range(2..=3);
-    let mut scripts = Vec::new();
-    for _ in 0..threads {
-        let len = rng.gen_range(1..=3);
-        let mut ops = Vec::new();
-        for _ in 0..len {
-            let key = Value::Int(rng.gen_range(0..3));
-            ops.push(match rng.gen_range(0..4) {
-                0 | 1 => SimOp::DictPut {
-                    dict: 0,
-                    key,
-                    value: Value::Int(rng.gen_range(0..5)),
-                },
-                2 => SimOp::DictGet { dict: 0, key },
-                _ => SimOp::DictSize { dict: 0 },
-            });
-        }
-        scripts.push(ops);
-    }
-    SimProgram {
-        num_dicts: 1,
-        num_locks: 0,
-        threads: scripts,
-    }
-}
+/// Tiny programs: 2–3 threads with 1–3 operations each, small enough
+/// that brute force enumerates every schedule.
+const TINY: Programs = Programs {
+    threads: 2..=3,
+    ops: 1..=3,
+    locks: 0..=0,
+    disjoint: 0.0,
+};
 
-/// Like [`random_tiny`], but each thread's ops may be wrapped in a
-/// `lock 0 … unlock 0` critical section, exercising the lock footprints
-/// and blocked-thread handling of the explorer.
-fn random_tiny_locked(rng: &mut StdRng) -> SimProgram {
-    let mut program = random_tiny(rng);
-    program.num_locks = 1;
-    for script in &mut program.threads {
-        if rng.gen_bool(0.5) {
-            script.insert(0, SimOp::Lock(0));
-            script.push(SimOp::Unlock(0));
-        }
-    }
-    program
-}
+/// [`TINY`] with one lock, exercising the explorer's lock footprints and
+/// blocked-thread handling.
+const TINY_LOCKED: Programs = Programs {
+    locks: 1..=1,
+    ..TINY
+};
 
 fn check_agreement(program: &SimProgram) {
     let base = ExploreConfig {
@@ -108,7 +83,7 @@ fn check_agreement(program: &SimProgram) {
 fn dpor_and_brute_force_visit_the_same_final_states() {
     let mut rng = StdRng::seed_from_u64(0xD1_90);
     for _ in 0..80 {
-        check_agreement(&random_tiny(&mut rng));
+        check_agreement(&random_program(&TINY, &mut rng));
     }
 }
 
@@ -116,7 +91,7 @@ fn dpor_and_brute_force_visit_the_same_final_states() {
 fn dpor_and_brute_force_agree_under_locks() {
     let mut rng = StdRng::seed_from_u64(0x10C_4ED);
     for _ in 0..40 {
-        check_agreement(&random_tiny_locked(&mut rng));
+        check_agreement(&random_program(&TINY_LOCKED, &mut rng));
     }
 }
 

@@ -21,7 +21,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, monitored, random_trace, Shape, WIDTHS};
+use common::{assert_all_paths_agree, monitored, random_trace, Shape, Universe, WIDTHS};
 use crace::core::{ParallelConfig, ParallelRd2};
 use crace::spec::builtin;
 use crace::{Analysis, Trace};
@@ -43,6 +43,7 @@ fn parallel_reports_equal_serial_at_every_width_on_random_traces() {
         let trace = random_trace(
             &spec,
             Shape::Structured,
+            Universe::Small,
             seed,
             if long { 1_500 } else { 120 },
             OBJECTS,
@@ -82,7 +83,7 @@ fn parallel_reports_equal_serial_on_the_fixture_traces() {
 fn parallel_reports_equal_serial_on_unforked_threads() {
     let spec = builtin::dictionary();
     for seed in 300..340u64 {
-        let trace = random_trace(&spec, Shape::Unforked, seed, 150, OBJECTS);
+        let trace = random_trace(&spec, Shape::Unforked, Universe::Small, seed, 150, OBJECTS);
         assert_all_paths_agree(&spec, &trace, OBJECTS);
     }
 }
@@ -96,7 +97,14 @@ fn parallel_reports_equal_serial_on_unforked_threads() {
 fn shared_ingestion_equals_serial_at_every_width_on_random_traces() {
     let spec = builtin::dictionary();
     for seed in 500..560u64 {
-        let trace = Arc::new(random_trace(&spec, Shape::Structured, seed, 120, OBJECTS));
+        let trace = Arc::new(random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            120,
+            OBJECTS,
+        ));
         let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for batch in [1usize, 7, 512] {
             for workers in WIDTHS {
@@ -123,7 +131,14 @@ fn shared_ingestion_equals_serial_at_every_width_on_random_traces() {
 fn shared_ingestion_composes_with_online_dispatch() {
     let spec = builtin::dictionary();
     for seed in 600..620u64 {
-        let full = random_trace(&spec, Shape::Structured, seed, 150, OBJECTS);
+        let full = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            150,
+            OBJECTS,
+        );
         let serial = assert_all_paths_agree(&spec, &full, OBJECTS);
         let events = full.events();
         let (head, rest) = events.split_at(events.len() / 3);
@@ -157,7 +172,14 @@ fn shared_ingestion_composes_with_online_dispatch() {
 #[test]
 fn interim_report_barriers_do_not_perturb_the_final_report() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 4242, 200, OBJECTS);
+    let trace = random_trace(
+        &spec,
+        Shape::Structured,
+        Universe::Small,
+        4242,
+        200,
+        OBJECTS,
+    );
     let serial = assert_all_paths_agree(&spec, &trace, OBJECTS);
     for workers in WIDTHS {
         let cfg = ParallelConfig {

@@ -8,116 +8,15 @@
 //! random `LB` parts (with negations and disjunctions), and random ECL
 //! combinations `X ∧ X` / `X ∨ B`.
 
+mod common;
+
+use common::{random_action, random_spec, Universe, SLOTS};
 use crace_core::{translate, translate_with, OptPass, A3_PIPELINE};
-use crace_model::{Action, MethodId, ObjId, Value};
-use crace_spec::{CmpOp, Formula, Side, Spec, SpecBuilder, Term};
+use crace_model::{Action, ObjId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-const SLOTS: usize = 3; // two arguments + return value
 const OBJ: ObjId = ObjId(0);
-
-fn gen_term(rng: &mut StdRng) -> Term {
-    if rng.gen_bool(0.6) {
-        Term::Slot(rng.gen_range(0..SLOTS))
-    } else {
-        match rng.gen_range(0..3) {
-            0 => Term::Const(Value::Nil),
-            _ => Term::Const(Value::Int(rng.gen_range(0..3))),
-        }
-    }
-}
-
-fn gen_cmp(rng: &mut StdRng) -> CmpOp {
-    match rng.gen_range(0..6) {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        _ => CmpOp::Ge,
-    }
-}
-
-/// A random `LB` formula (atoms each over a single side).
-fn gen_lb(rng: &mut StdRng, depth: usize) -> Formula {
-    if depth == 0 || rng.gen_bool(0.4) {
-        let side = if rng.gen_bool(0.5) {
-            Side::First
-        } else {
-            Side::Second
-        };
-        return Formula::atom(side, gen_cmp(rng), gen_term(rng), gen_term(rng));
-    }
-    match rng.gen_range(0..4) {
-        0 => gen_lb(rng, depth - 1).not(),
-        1 => gen_lb(rng, depth - 1).and(gen_lb(rng, depth - 1)),
-        2 => gen_lb(rng, depth - 1).or(gen_lb(rng, depth - 1)),
-        _ => {
-            if rng.gen_bool(0.5) {
-                Formula::True
-            } else {
-                Formula::False
-            }
-        }
-    }
-}
-
-/// A random `LS` formula (conjunctions of cross-inequalities).
-fn gen_ls(rng: &mut StdRng, depth: usize) -> Formula {
-    if depth == 0 || rng.gen_bool(0.5) {
-        return Formula::NeqCross {
-            i: rng.gen_range(0..SLOTS),
-            j: rng.gen_range(0..SLOTS),
-        };
-    }
-    gen_ls(rng, depth - 1).and(gen_ls(rng, depth - 1))
-}
-
-/// A random ECL formula: `X ::= S | B | X ∧ X | X ∨ B`.
-fn gen_ecl(rng: &mut StdRng, depth: usize) -> Formula {
-    if depth == 0 {
-        return if rng.gen_bool(0.5) {
-            gen_ls(rng, 1)
-        } else {
-            gen_lb(rng, 1)
-        };
-    }
-    match rng.gen_range(0..4) {
-        0 => gen_ls(rng, depth),
-        1 => gen_lb(rng, depth),
-        2 => gen_ecl(rng, depth - 1).and(gen_ecl(rng, depth - 1)),
-        _ => gen_ecl(rng, depth - 1).or(gen_lb(rng, depth - 1)),
-    }
-}
-
-/// A random two-method specification with random ECL rules. Same-method
-/// rules are symmetrized as `ϕ ∧ swap(ϕ)` (which stays in ECL).
-fn gen_spec(rng: &mut StdRng) -> Option<Spec> {
-    let mut b = SpecBuilder::new("random");
-    let m0 = b.method("m0", SLOTS - 1);
-    let m1 = b.method("m1", SLOTS - 1);
-    for (a, c) in [(m0.id, m0.id), (m0.id, m1.id), (m1.id, m1.id)] {
-        let phi = gen_ecl(rng, 3);
-        let phi = if a == c {
-            phi.clone().and(phi.swap_sides())
-        } else {
-            phi
-        };
-        b.rule(a, c, phi).ok()?;
-    }
-    b.finish().ok()
-}
-
-fn gen_action(rng: &mut StdRng, method: MethodId) -> Action {
-    let value = |rng: &mut StdRng| match rng.gen_range(0..4) {
-        0 => Value::Nil,
-        _ => Value::Int(rng.gen_range(0..3)),
-    };
-    let args = (0..SLOTS - 1).map(|_| value(rng)).collect();
-    let ret = value(rng);
-    Action::new(OBJ, method, args, ret)
-}
 
 /// The headline property: compiled conflicts ⇔ logical non-commutativity,
 /// over 300 random specifications × 60 random action pairs each.
@@ -126,7 +25,7 @@ fn translation_is_equivalent_to_formula_on_random_ecl_specs() {
     let mut tested = 0;
     for seed in 0..150u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let Some(spec) = gen_spec(&mut rng) else {
+        let Some(spec) = random_spec(Universe::Ints, &mut rng) else {
             continue;
         };
         assert!(spec.is_ecl(), "generator stayed inside ECL, seed {seed}");
@@ -135,10 +34,8 @@ fn translation_is_equivalent_to_formula_on_random_ecl_specs() {
             Err(e) => panic!("seed {seed}: ECL spec failed to translate: {e}\n{spec}"),
         };
         for _ in 0..60 {
-            let ma = MethodId(rng.gen_range(0..2));
-            let mb = MethodId(rng.gen_range(0..2));
-            let a = gen_action(&mut rng, ma);
-            let b = gen_action(&mut rng, mb);
+            let a = random_action(&spec, OBJ, Universe::Ints, &mut rng);
+            let b = random_action(&spec, OBJ, Universe::Ints, &mut rng);
             assert_eq!(
                 compiled.actions_conflict(&a, &b),
                 !spec.commute(&a, &b),
@@ -182,15 +79,14 @@ fn every_a3_pass_is_individually_semantics_preserving_on_random_specs() {
     let mut formulas = 0;
     for seed in 500..570u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let Some(spec) = gen_spec(&mut rng) else {
+        let Some(spec) = random_spec(Universe::Ints, &mut rng) else {
             continue;
         };
         formulas += 3;
         let actions: Vec<(Action, Action)> = (0..40)
             .map(|_| {
-                let ma = MethodId(rng.gen_range(0..2));
-                let mb = MethodId(rng.gen_range(0..2));
-                (gen_action(&mut rng, ma), gen_action(&mut rng, mb))
+                let a = random_action(&spec, OBJ, Universe::Ints, &mut rng);
+                (a, random_action(&spec, OBJ, Universe::Ints, &mut rng))
             })
             .collect();
         for (name, passes) in variants {
@@ -230,15 +126,14 @@ fn every_a3_pass_is_individually_semantics_preserving_on_random_specs() {
 fn touched_sets_are_bounded_by_slots_plus_ds() {
     for seed in 300..400u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let Some(spec) = gen_spec(&mut rng) else {
+        let Some(spec) = random_spec(Universe::Ints, &mut rng) else {
             continue;
         };
         let Ok(compiled) = translate(&spec) else {
             continue;
         };
         for _ in 0..20 {
-            let m = MethodId(rng.gen_range(0..2));
-            let a = gen_action(&mut rng, m);
+            let a = random_action(&spec, OBJ, Universe::Ints, &mut rng);
             let touched = compiled.touched(&a);
             assert!(touched.len() <= SLOTS + 1, "{a}: {touched:?}");
         }

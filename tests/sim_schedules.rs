@@ -12,106 +12,27 @@
 //!    and conversely nondeterministic final states imply some schedule
 //!    raced.
 
+mod common;
+
+use common::{random_program, Programs};
 use crace::core::oracle::find_races;
 use crace::runtime::sim::{sim_dict_obj, simulate_with_state, SimOp, SimProgram};
 use crace::{translate, TraceDetector, Value};
 use crace_model::replay;
 use crace_spec::builtin;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Random scripted program: up to 4 threads, ops over one dictionary with
-/// a small key space, optional lock-protected sections. Roughly a third of
-/// the programs are generated in "disjoint" mode — per-thread private keys
-/// and commuting shared reads only — so the race-free regime is sampled
-/// too.
-fn random_program(rng: &mut StdRng) -> SimProgram {
-    if rng.gen_bool(0.35) {
-        return disjoint_program(rng);
-    }
-    let threads = rng.gen_range(2..=4);
-    let num_locks = 1;
-    let mut scripts = Vec::new();
-    for _ in 0..threads {
-        let mut ops = Vec::new();
-        let len = rng.gen_range(1..=6);
-        let mut k = 0;
-        while k < len {
-            match rng.gen_range(0..8) {
-                0..=2 => ops.push(SimOp::DictPut {
-                    dict: 0,
-                    key: Value::Int(rng.gen_range(0..3)),
-                    value: Value::Int(rng.gen_range(0..4)),
-                }),
-                3..=4 => ops.push(SimOp::DictGet {
-                    dict: 0,
-                    key: Value::Int(rng.gen_range(0..3)),
-                }),
-                5 => ops.push(SimOp::DictSize { dict: 0 }),
-                6 => {
-                    // A lock-protected read-modify-write.
-                    let key = Value::Int(rng.gen_range(0..3));
-                    ops.push(SimOp::Lock(0));
-                    ops.push(SimOp::DictGet {
-                        dict: 0,
-                        key: key.clone(),
-                    });
-                    ops.push(SimOp::DictPut {
-                        dict: 0,
-                        key,
-                        value: Value::Int(rng.gen_range(0..4)),
-                    });
-                    ops.push(SimOp::Unlock(0));
-                }
-                _ => ops.push(SimOp::DictPut {
-                    dict: 0,
-                    // A thread-private key (beyond the shared space).
-                    key: Value::Int(100 + scripts.len() as i64),
-                    value: Value::Int(rng.gen_range(0..4)),
-                }),
-            }
-            k += 1;
-        }
-        scripts.push(ops);
-    }
-    SimProgram {
-        num_dicts: 1,
-        num_locks,
-        threads: scripts,
-    }
-}
-
-/// A structurally race-free program: every thread writes only its own
-/// keys and shared keys are only read (reads commute).
-fn disjoint_program(rng: &mut StdRng) -> SimProgram {
-    let threads = rng.gen_range(2..=4);
-    let mut scripts = Vec::new();
-    for t in 0..threads as i64 {
-        let mut ops = Vec::new();
-        for _ in 0..rng.gen_range(1..=6) {
-            if rng.gen_bool(0.5) {
-                ops.push(SimOp::DictPut {
-                    dict: 0,
-                    key: Value::Int(100 + t),
-                    value: Value::Int(rng.gen_range(0..4)),
-                });
-            } else {
-                ops.push(SimOp::DictGet {
-                    dict: 0,
-                    key: Value::Int(rng.gen_range(0..3)),
-                });
-            }
-        }
-        scripts.push(ops);
-    }
-    SimProgram {
-        num_dicts: 1,
-        num_locks: 1,
-        threads: scripts,
-    }
-}
+/// Scheduled programs: up to four threads over one lock. About a third
+/// are disjoint, so the race-free regime is sampled too.
+const PROGRAMS: Programs = Programs {
+    threads: 2..=4,
+    ops: 1..=6,
+    locks: 1..=1,
+    disjoint: 0.35,
+};
 
 fn detect(trace: &crace::Trace) -> u64 {
     let detector = TraceDetector::new();
@@ -127,7 +48,7 @@ fn algorithm1_matches_oracle_on_simulated_schedules() {
     let spec = builtin::dictionary();
     for program_seed in 0..25u64 {
         let mut rng = StdRng::seed_from_u64(program_seed);
-        let program = random_program(&mut rng);
+        let program = random_program(&PROGRAMS, &mut rng);
         for schedule_seed in 0..8u64 {
             let (trace, _) = simulate_with_state(&program, schedule_seed);
             let registry: HashMap<_, _> = [(sim_dict_obj(0), spec.clone())].into();
@@ -147,7 +68,7 @@ fn race_free_programs_are_schedule_deterministic() {
     let mut racy_checked = 0;
     for program_seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(1_000 + program_seed);
-        let program = random_program(&mut rng);
+        let program = random_program(&PROGRAMS, &mut rng);
         let runs: Vec<_> = (0..10u64)
             .map(|s| simulate_with_state(&program, s))
             .collect();

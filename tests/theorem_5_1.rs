@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{assert_all_paths_agree, random_trace, Shape};
+use common::{assert_all_paths_agree, random_trace, Shape, Universe};
 use crace_spec::{builtin, Spec};
 
 const OBJECTS: u64 = 2;
@@ -15,7 +15,7 @@ const OBJECTS: u64 = 2;
 fn check_spec(spec: &Spec, seeds: std::ops::Range<u64>) {
     for seed in seeds {
         for shape in [Shape::Structured, Shape::Unforked] {
-            let trace = random_trace(spec, shape, seed, 100, OBJECTS);
+            let trace = random_trace(spec, shape, Universe::Small, seed, 100, OBJECTS);
             assert_all_paths_agree(spec, &trace, OBJECTS);
         }
     }

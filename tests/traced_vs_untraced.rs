@@ -16,7 +16,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{assert_all_paths_agree, monitored, random_trace, Shape, WIDTHS};
+use common::{assert_all_paths_agree, monitored, random_trace, Shape, Universe, WIDTHS};
 use crace::core::{ParallelConfig, ParallelRd2};
 use crace::model::replay;
 use crace::obs::EventKind;
@@ -32,7 +32,14 @@ const OBJECTS: u64 = 4;
 fn serial_reports_are_identical_traced_and_untraced() {
     let spec = builtin::dictionary();
     for seed in 0..30u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 120, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            120,
+            OBJECTS,
+        );
         let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for sample in [1u64, 64] {
             let tracer = Tracer::new();
@@ -52,7 +59,14 @@ fn serial_reports_are_identical_traced_and_untraced() {
 fn parallel_reports_are_identical_traced_and_untraced_at_every_width() {
     let spec = builtin::dictionary();
     for seed in 100..130u64 {
-        let trace = random_trace(&spec, Shape::Structured, seed, 150, OBJECTS);
+        let trace = random_trace(
+            &spec,
+            Shape::Structured,
+            Universe::Small,
+            seed,
+            150,
+            OBJECTS,
+        );
         let reference = assert_all_paths_agree(&spec, &trace, OBJECTS);
         for workers in WIDTHS {
             let cfg = ParallelConfig {
@@ -91,7 +105,14 @@ fn aux_by_phase(tracer: &Tracer) -> std::collections::BTreeMap<String, (u64, u64
 #[test]
 fn parallel_timeline_covers_every_phase_and_exports_validate() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 4242, 400, OBJECTS);
+    let trace = random_trace(
+        &spec,
+        Shape::Structured,
+        Universe::Small,
+        4242,
+        400,
+        OBJECTS,
+    );
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
@@ -136,7 +157,7 @@ fn parallel_timeline_covers_every_phase_and_exports_validate() {
 #[test]
 fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
     let spec = builtin::dictionary();
-    let trace = random_trace(&spec, Shape::Structured, 777, 600, OBJECTS);
+    let trace = random_trace(&spec, Shape::Structured, Universe::Small, 777, 600, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {
         batch: 8,
@@ -176,7 +197,14 @@ fn span_derived_worker_occupancy_agrees_with_pipeline_stats() {
 #[test]
 fn shared_ingestion_is_unchanged_by_tracing() {
     let spec = builtin::dictionary();
-    let trace = Arc::new(random_trace(&spec, Shape::Structured, 999, 300, OBJECTS));
+    let trace = Arc::new(random_trace(
+        &spec,
+        Shape::Structured,
+        Universe::Small,
+        999,
+        300,
+        OBJECTS,
+    ));
     let untraced = assert_all_paths_agree(&spec, &trace, OBJECTS);
     let tracer = Arc::new(Tracer::new());
     let cfg = ParallelConfig {

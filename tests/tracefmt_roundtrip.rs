@@ -4,93 +4,41 @@
 //! backslashes, newlines, parentheses and `#` — and malformed input must
 //! produce a [`TraceParseError`], never a panic.
 
+mod common;
+
+use common::{random_trace, Shape, Universe, NASTY};
 use crace_cli::{
     parse_framed, parse_framed_tolerant, parse_trace, render_framed, render_trace, TraceErrorKind,
 };
-use crace_model::{Action, Event, LocId, LockId, ObjId, ThreadId, Trace, Value};
+use crace_model::{Action, Event, ObjId, ThreadId, Trace, Value};
 use crace_spec::{builtin, Spec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
-/// Characters deliberately chosen to stress the renderer's escaping and
-/// the parser's quote handling.
-const NASTY: &[char] = &[
-    'a', 'b', '"', '\\', ',', '\n', '\r', '\t', '#', '(', ')', '/', ' ', '\u{1}', 'é', '⚡',
-];
+/// Objects the random traces act on: two-digit ids included.
+const OBJECTS: u64 = 12;
 
-fn random_string(rng: &mut StdRng) -> String {
-    let len = rng.gen_range(0..8);
-    (0..len)
-        .map(|_| NASTY[rng.gen_range(0..NASTY.len())])
-        .collect()
-}
-
-fn random_value(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..5) {
-        0 => Value::Nil,
-        1 => Value::Bool(rng.gen_bool(0.5)),
-        2 => Value::Int(rng.gen_range(-1_000_000..1_000_000)),
-        3 => Value::Ref(rng.gen_range(0..u64::MAX / 2)),
-        _ => Value::str(random_string(rng)),
-    }
-}
-
-fn random_trace(rng: &mut StdRng, spec: &Spec) -> Trace {
-    let mut trace = Trace::new();
-    let num_events = rng.gen_range(1..20);
-    for _ in 0..num_events {
-        let tid = ThreadId(rng.gen_range(0..4) as u32);
-        trace.push(match rng.gen_range(0..7) {
-            0 => Event::Fork {
-                parent: tid,
-                child: ThreadId(rng.gen_range(0..8) as u32),
-            },
-            1 => Event::Join {
-                parent: tid,
-                child: ThreadId(rng.gen_range(0..8) as u32),
-            },
-            2 => Event::Acquire {
-                tid,
-                lock: LockId(rng.gen_range(0..16)),
-            },
-            3 => Event::Release {
-                tid,
-                lock: LockId(rng.gen_range(0..16)),
-            },
-            4 => Event::Read {
-                tid,
-                loc: LocId(rng.gen_range(0..256)),
-            },
-            5 => Event::Write {
-                tid,
-                loc: LocId(rng.gen_range(0..256)),
-            },
-            _ => {
-                let method = crace_model::MethodId(rng.gen_range(0..spec.num_methods()) as u32);
-                let args = (0..spec.sig(method).num_args())
-                    .map(|_| random_value(rng))
-                    .collect();
-                Event::Action {
-                    tid,
-                    action: Action::new(
-                        ObjId(rng.gen_range(1..5)),
-                        method,
-                        args,
-                        random_value(rng),
-                    ),
-                }
-            }
-        });
-    }
-    trace
+/// The `i`th random trace: 1–20 steps of every kind, threads entering
+/// with and without forks, values from [`Universe::Nasty`].
+fn nasty_trace(spec: &Spec, seed: u64, i: u64) -> Trace {
+    let events = 1 + (i % 20) as usize;
+    random_trace(
+        spec,
+        Shape::Unforked,
+        Universe::Nasty,
+        seed ^ i,
+        events,
+        OBJECTS,
+    )
 }
 
 #[test]
 fn parse_render_is_the_identity_on_random_traces() {
     let spec = builtin::dictionary();
-    let mut rng = StdRng::seed_from_u64(0x70AD_7217);
+    let mut unrendered: BTreeSet<char> = NASTY.iter().copied().collect();
     for i in 0..300 {
-        let trace = random_trace(&mut rng, &spec);
+        let trace = nasty_trace(&spec, 0x70AD_7217, i);
         let rendered = render_trace(&trace, &spec);
         let reparsed = parse_trace(&rendered, &spec)
             .unwrap_or_else(|e| panic!("iteration {i}: failed to reparse: {e}\n{rendered}"));
@@ -98,7 +46,20 @@ fn parse_render_is_the_identity_on_random_traces() {
             trace, reparsed,
             "iteration {i} round-trip mismatch:\n{rendered}"
         );
+        for event in trace.events() {
+            let Event::Action { action, .. } = event else {
+                continue;
+            };
+            for value in action.slots() {
+                if let Value::Str(s) = value {
+                    s.chars().for_each(|c| {
+                        unrendered.remove(&c);
+                    });
+                }
+            }
+        }
     }
+    assert!(unrendered.is_empty(), "never rendered: {unrendered:?}");
 }
 
 #[test]
@@ -146,9 +107,8 @@ fn worst_case_strings_round_trip() {
 #[test]
 fn framed_parse_render_is_the_identity_on_random_traces() {
     let spec = builtin::dictionary();
-    let mut rng = StdRng::seed_from_u64(0xF4A3_ED01);
     for i in 0..300 {
-        let trace = random_trace(&mut rng, &spec);
+        let trace = nasty_trace(&spec, 0xF4A3_ED01, i);
         let rendered = render_framed(&trace, &spec);
         let strict = parse_framed(&rendered, &spec)
             .unwrap_or_else(|e| panic!("iteration {i}: strict reparse failed: {e}\n{rendered}"));
@@ -175,7 +135,7 @@ fn random_byte_flips_never_parse_to_a_different_trace() {
     let spec = builtin::dictionary();
     let mut rng = StdRng::seed_from_u64(0x0BAD_F11B);
     for i in 0..150 {
-        let trace = random_trace(&mut rng, &spec);
+        let trace = nasty_trace(&spec, 0x0BAD_F11B, i);
         let rendered = render_framed(&trace, &spec);
         let header_len = rendered.find('\n').unwrap() + 1;
         if header_len >= rendered.len() {
@@ -209,7 +169,7 @@ fn random_truncations_recover_a_clean_prefix() {
     let spec = builtin::dictionary();
     let mut rng = StdRng::seed_from_u64(0x0709_4CA7);
     for i in 0..150 {
-        let trace = random_trace(&mut rng, &spec);
+        let trace = nasty_trace(&spec, 0x0709_4CA7, i);
         let rendered = render_framed(&trace, &spec);
         let cut = rng.gen_range(0..rendered.len());
         let Some(torn) = rendered.get(..cut) else {
